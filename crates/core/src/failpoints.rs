@@ -5,7 +5,8 @@
 //! [`FailAction`] (error, panic, or delay) a bounded or unbounded number
 //! of times, letting tests drive a writer into failure at an exact
 //! moment and then pin the recovery invariants: the serving layer's
-//! chaos tests arm the append, re-harvest, and publish paths and prove
+//! chaos tests arm its update (`service.apply`), re-harvest
+//! (`service.reharvest`), and publish (`serve.publish`) sites and prove
 //! the previous generation keeps serving bit-identical answers.
 //!
 //! The registry is process-global (sites are reached from deep inside

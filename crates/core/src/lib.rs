@@ -84,7 +84,7 @@ pub use sampling::{
     check_matrix_budget, chernoff_epsilon, chernoff_sample_size, PrecisionSpec, SampleSpec,
     DEFAULT_SIGMA,
 };
-pub use scores::{ScoreMatrix, ScoreSource, TiledBuildStats};
+pub use scores::{swap_remove_remap, ScoreMatrix, ScoreSource, TiledBuildStats};
 pub use selection::Selection;
 pub use solve::{MeasureKind, ReduceKind, SolveCtx, SolveOutput, SolverParams};
 pub use utility::{CobbDouglasUtility, LinearUtility, TableUtility, UtilityFunction};

@@ -900,35 +900,20 @@ impl ScoreMatrix {
             return Ok((0..self.n_points).map(|p| Some(p as u32)).collect());
         }
         let n_old = self.n_points;
-        let mut dead = vec![false; n_old];
-        for &p in delete {
-            if p >= n_old {
-                return Err(FamError::IndexOutOfBounds { index: p, len: n_old });
-            }
-            if dead[p] {
-                return Err(FamError::InvalidParameter {
-                    name: "delete",
-                    message: format!("duplicate point index {p}"),
-                });
-            }
-            dead[p] = true;
-        }
+        let remap = swap_remove_remap(n_old, delete)?;
         let n_new = n_old - delete.len();
         if n_new == 0 {
             return Err(FamError::EmptyDataset);
         }
-        // Canonical swap order: `order[slot]` is the original point that
-        // ends up in `slot` after all swaps.
+        // `order[slot]` is the original point that ends up in `slot`.
+        let mut order = vec![0u32; n_new];
+        for (p, slot) in remap.iter().enumerate() {
+            if let Some(s) = slot {
+                order[*s as usize] = p as u32;
+            }
+        }
         let mut dels: Vec<usize> = delete.to_vec();
         dels.sort_unstable();
-        let mut order: Vec<u32> = (0..n_old as u32).collect();
-        for &d in dels.iter().rev() {
-            order.swap_remove(d);
-        }
-        let mut remap: Vec<Option<u32>> = vec![None; n_old];
-        for (slot, &p) in order.iter().enumerate() {
-            remap[p as usize] = Some(slot as u32);
-        }
         // Slots whose occupant changed (freed slots refilled by tail
         // points), ascending: the only places a bit-equal duplicate of a
         // surviving best can move in front of it.
@@ -1384,6 +1369,44 @@ impl ScoreMatrix {
             (0..count).map(|_| dist.sample(rng)).collect();
         self.append_functions(dataset, &functions)
     }
+}
+
+/// The canonical swap-remove permutation of deleting `delete` (any
+/// order) from a universe of `n` points: freed slots are refilled in
+/// descending index order by the then-last point. `remap[old]` is the
+/// survivor's new slot, `None` for deleted points — the remap
+/// [`ScoreMatrix::delete_points`] returns, for callers that mirror the
+/// point universe without a matrix.
+///
+/// # Errors
+///
+/// Returns [`FamError::IndexOutOfBounds`] for an index `>= n` and
+/// [`FamError::InvalidParameter`] for a duplicate index.
+pub fn swap_remove_remap(n: usize, delete: &[usize]) -> Result<Vec<Option<u32>>> {
+    let mut dead = vec![false; n];
+    for &p in delete {
+        match dead.get_mut(p) {
+            None => return Err(FamError::IndexOutOfBounds { index: p, len: n }),
+            Some(true) => {
+                return Err(FamError::InvalidParameter {
+                    name: "delete",
+                    message: format!("duplicate point index {p}"),
+                });
+            }
+            Some(d) => *d = true,
+        }
+    }
+    let mut dels: Vec<usize> = delete.to_vec();
+    dels.sort_unstable();
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    for &d in dels.iter().rev() {
+        order.swap_remove(d);
+    }
+    let mut remap: Vec<Option<u32>> = vec![None; n];
+    for (slot, &p) in order.iter().enumerate() {
+        remap[p as usize] = Some(slot as u32);
+    }
+    Ok(remap)
 }
 
 /// Normalizes optional per-sample probability weights: `None` yields the

@@ -8,11 +8,11 @@
 //! crates).
 //!
 //! * [`DatasetService`] — per-dataset state: the sampled user population,
-//!   the live score matrix + coordinates + warm-repaired resident
-//!   selection, and a **multi-`k` result cache** harvested in one greedy
-//!   trajectory per range-capable algorithm (`fam_algos::trajectory`),
-//!   bit-identical to per-`k` cold solves and re-harvested after every
-//!   update;
+//!   the live score matrix + coordinates, and a **multi-`k` result
+//!   cache** harvested in one greedy trajectory per range-capable
+//!   algorithm (`fam_algos::trajectory`), bit-identical to per-`k` cold
+//!   solves and re-harvested after every update — the one answer each
+//!   `(algorithm, k, generation)` has;
 //! * **wait-free reads** — readers clone the current generation's `Arc`
 //!   and never block; writers build the next generation off-lock and
 //!   publish it with a single swap, so a failed or panicking writer
@@ -64,6 +64,6 @@ pub use client::{Client, ClientOptions, Response};
 pub use fam_reduce::ReduceSpec;
 pub use server::{Server, ServerHandle, ServerOptions, DEFAULT_WORKERS};
 pub use service::{
-    DatasetService, DistKind, RefineRoundSummary, RefineSummary, ServeOptions, SolveResult,
-    UpdateSummary, MAX_EXPONENTIAL_LOG2_SUBSETS, MAX_REFINE_MATRIX_BYTES,
+    DatasetService, DistKind, RefineSummary, ServeOptions, SolveResult, UpdateSummary,
+    MAX_EXPONENTIAL_LOG2_SUBSETS, MAX_REFINE_MATRIX_BYTES,
 };

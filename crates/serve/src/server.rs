@@ -11,10 +11,11 @@
 //! only ever held for pointer copies) and answer from the snapshot
 //! without blocking anyone. Writers (`/update`, `/refine`) serialize on
 //! a small per-dataset mutex, deep-clone the current generation **off
-//! the read path**, mutate the clone through the engine's append/repair
-//! machinery, re-harvest the cache into the clone, and publish it with
-//! a single swap — so a failed or panicking writer publishes nothing
-//! and the previous generation keeps serving bit-identical answers.
+//! the read path**, patch the clone's score matrix (point deletes and
+//! inserts, or a sample append), re-harvest the cache into the clone,
+//! and publish it with a single swap — so a failed or panicking writer
+//! publishes nothing and the previous generation keeps serving
+//! bit-identical answers.
 //!
 //! A dedicated acceptor thread feeds a **bounded** connection queue;
 //! when the queue is full, new connections are shed immediately with
@@ -565,8 +566,6 @@ fn dataset_summary(name: &str, gen: &Generation) -> String {
         .raw("cache_k", &format!("[{},{}]", svc.cache_k().start(), svc.cache_k().end()))
         .float("achieved_epsilon", svc.achieved_epsilon())
         .num("updates", svc.updates())
-        .float("resident_arr", svc.resident_arr())
-        .raw("resident_selection", &array_usize(&svc.resident_selection()))
         .build()
 }
 
@@ -725,25 +724,12 @@ fn update(state: &ServerState, req: &Request) -> (u16, String) {
             let generation = prev.id + 1;
             ds.publish(Arc::new(Generation { id: generation, service: next }));
             ds.stats.updates.fetch_add(1, Ordering::Relaxed);
-            let r = &summary.report;
             let body = Obj::new()
                 .str("dataset", req.query.get("dataset").map(String::as_str).unwrap_or(""))
                 .num("generation", generation)
-                .num("inserted", r.inserted as u64)
-                .num("deleted", r.deleted as u64)
-                .num("n_points", r.n_points as u64)
-                .raw("resident_selection", &array_usize(&r.selection))
-                .float("resident_arr", r.arr)
-                .num("kept", r.kept.len() as u64)
-                .raw(
-                    "repair",
-                    &Obj::new()
-                        .num("added", r.repair.added as u64)
-                        .num("removed", r.repair.removed as u64)
-                        .num("evaluations", r.repair.evaluations)
-                        .num("resumed_rescans", r.resumed_rescans)
-                        .build(),
-                )
+                .num("inserted", summary.inserted as u64)
+                .num("deleted", summary.deleted as u64)
+                .num("n_points", summary.n_points as u64)
                 .num("cache_entries", summary.cache_entries as u64)
                 .num("micros", t0.elapsed().as_micros() as u64)
                 .build();
@@ -792,17 +778,6 @@ fn refine(state: &ServerState, req: &Request) -> (u16, String) {
                 id
             };
             let gen = ds.snapshot();
-            let rounds: Vec<String> = summary
-                .rounds
-                .iter()
-                .map(|r| {
-                    Obj::new()
-                        .num("n_samples", r.n_samples as u64)
-                        .float("epsilon", r.epsilon)
-                        .float("arr", r.arr)
-                        .build()
-                })
-                .collect();
             let body = Obj::new()
                 .str("dataset", gen.service.name())
                 .num("generation", generation)
@@ -811,7 +786,6 @@ fn refine(state: &ServerState, req: &Request) -> (u16, String) {
                 .float("achieved_epsilon", summary.achieved_epsilon)
                 .float("sigma", gen.service.sigma())
                 .bool("already_satisfied", summary.already_satisfied)
-                .raw("rounds", &array_raw(&rounds))
                 .num("cache_entries", summary.cache_entries as u64)
                 .num("micros", t0.elapsed().as_micros() as u64)
                 .build();

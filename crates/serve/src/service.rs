@@ -1,4 +1,4 @@
-//! Per-dataset serving state: one resident [`DynamicEngine`], the live
+//! Per-dataset serving state: the resident [`ScoreMatrix`], the live
 //! point coordinates, and a multi-`k` result cache.
 //!
 //! Solves dispatch through the unified solver registry
@@ -11,21 +11,24 @@
 //! Harvested entries are **bit-identical** to cold per-`k` solves on the
 //! current database — pinned by the trajectory tests and re-pinned
 //! end-to-end over TCP by `tests/live_server.rs` — so a cached answer is
-//! indistinguishable from a fresh one. Updates (`POST /update`) apply
-//! atomically through the engine's warm-repair path, permute the
-//! retained coordinates with the engine's index remap (so
-//! coordinate-based solvers like `dp-2d` answer against the *current*
-//! point universe), and then re-harvest the cache on the updated matrix.
+//! indistinguishable from a fresh one, and each `(algorithm, k,
+//! generation)` has exactly one answer. Updates (`POST /update`) patch
+//! the matrix in place (validate the inserted columns, refuse a batch
+//! that leaves fewer than the cached maximum `k` points, delete by
+//! swap-remove, append), permute the retained coordinates with the
+//! matrix's index remap (so coordinate-based solvers like `dp-2d` answer
+//! against the *current* point universe), and then re-harvest the cache
+//! on the updated matrix.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::RangeInclusive;
 use std::sync::Arc;
 
-use fam_algos::{reoptimize, warm_repair, Registry, Solver, SolverSpec};
+use fam_algos::{Registry, Solver, SolverSpec};
 use fam_core::{
-    check_matrix_budget, chernoff_epsilon, failpoints, regret, ApplyReport, Dataset, Deadline,
-    DynamicEngine, FamError, PrecisionSpec, ReduceKind, RegretReport, Result, ScoreMatrix,
-    SimplexLinear, SolverParams, TiledBuildStats, UniformLinear, UpdateBatch, UtilityDistribution,
+    check_matrix_budget, chernoff_epsilon, failpoints, regret, swap_remove_remap, Dataset,
+    Deadline, FamError, PrecisionSpec, ReduceKind, RegretReport, Result, ScoreMatrix,
+    SimplexLinear, SolverParams, TiledBuildStats, UniformLinear, UtilityDistribution,
     UtilityFunction, DEFAULT_SIGMA,
 };
 use fam_data::UpdateOp;
@@ -71,8 +74,8 @@ pub struct ServeOptions {
     /// Utility distribution family.
     pub dist: DistKind,
     /// The `k` range whose solutions are cached (and re-harvested after
-    /// every update) for every range-capable registered solver. The
-    /// engine's resident selection is maintained at `*cache_k.end()`.
+    /// every update) for every range-capable registered solver. Updates
+    /// may not shrink the database below `*cache_k.end()` points.
     pub cache_k: RangeInclusive<usize>,
     /// Failure probability the dataset reports its achieved ε at (and
     /// the default confidence for `POST /refine`); confidence is
@@ -144,21 +147,15 @@ pub struct SolveResult {
 /// Summary of one applied update, as reported to clients.
 #[derive(Debug, Clone)]
 pub struct UpdateSummary {
-    /// The engine's report for the batch.
-    pub report: ApplyReport,
+    /// Points the client's batch inserted.
+    pub inserted: usize,
+    /// Points the client's batch deleted.
+    pub deleted: usize,
+    /// Post-batch point count of the resident matrix (the kept
+    /// candidates on a reduced service).
+    pub n_points: usize,
     /// Cache entries re-harvested on the updated database.
     pub cache_entries: usize,
-}
-
-/// One sample-doubling round of a [`DatasetService::refine`] call.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RefineRoundSummary {
-    /// Sample count after the round.
-    pub n_samples: usize,
-    /// ε achieved by `n_samples` at the requested confidence.
-    pub epsilon: f64,
-    /// `arr` of the resident selection under the refined estimates.
-    pub arr: f64,
 }
 
 /// Summary of one precision refinement, as reported to clients.
@@ -170,8 +167,6 @@ pub struct RefineSummary {
     pub n_samples: usize,
     /// ε the resident count achieves at the requested confidence.
     pub achieved_epsilon: f64,
-    /// Doubling rounds applied (empty when the target was already met).
-    pub rounds: Vec<RefineRoundSummary>,
     /// Cache entries re-harvested on the refined matrix (0 when the
     /// target was already met — the cache is untouched then).
     pub cache_entries: usize,
@@ -180,8 +175,8 @@ pub struct RefineSummary {
     pub already_satisfied: bool,
 }
 
-/// A named dataset being served: sampled population, resident engine,
-/// live coordinates, multi-`k` cache.
+/// A named dataset being served: sampled population, resident score
+/// matrix, live coordinates, multi-`k` cache.
 ///
 /// `Clone` is the snapshot-serving primitive: a writer deep-copies the
 /// current service (matrix, cache, coordinates, **and** the continuing
@@ -195,8 +190,8 @@ pub struct DatasetService {
     name: String,
     dim: usize,
     functions: Vec<Arc<dyn UtilityFunction>>,
-    engine: DynamicEngine,
-    /// The current point coordinates, in the engine's point order —
+    matrix: ScoreMatrix,
+    /// The current point coordinates, in the matrix's column order —
     /// kept in lockstep with the matrix through every update so
     /// coordinate-based solvers answer against the live universe. On a
     /// reduced service this mirrors the **kept** universe only.
@@ -219,68 +214,36 @@ pub struct DatasetService {
     sigma: f64,
     refines: u64,
     /// Present when the service was built with a non-none
-    /// [`ServeOptions::reduce`]: the resident engine then holds the
+    /// [`ServeOptions::reduce`]: the resident matrix then holds the
     /// *reduced* universe and every served answer is remapped through
     /// [`ReducedResident::cols`] back to original point ids.
     reduced: Option<ReducedResident>,
 }
 
 /// The reduced-resident state: the live full-universe coordinates, the
-/// reduction over them, and the engine-column → full-id mapping (the
-/// engine permutes its columns by swap-remove on updates, so the sorted
+/// reduction over them, and the matrix-column → full-id mapping (the
+/// matrix permutes its columns by swap-remove on updates, so the sorted
 /// `reduction.kept()` list alone cannot address live columns).
 #[derive(Clone)]
 struct ReducedResident {
     spec: ReduceSpec,
     reduction: Reduction,
     /// Live full-universe coordinates (updates apply here first, then
-    /// repair the reduction, then translate to engine ops).
+    /// repair the reduction, then translate to matrix column edits).
     full: Dataset,
-    /// `cols[engine_column] = full-universe id`, maintained through
-    /// every update in lockstep with the engine's remap.
+    /// `cols[matrix_column] = full-universe id`, maintained through
+    /// every update in lockstep with the matrix's remap.
     cols: Vec<usize>,
     /// Shortfall stats from the build-time tiled scoring pass.
     stats: TiledBuildStats,
 }
 
-/// Maps engine-universe indices to full-universe ids (ascending).
+/// Maps matrix-column indices to full-universe ids (ascending).
 fn to_original(indices: &[usize], cols: &[usize]) -> Vec<usize> {
-    // fam-lint: allow(P001) -- engine selection indices are < n_points == cols.len() by the resident-universe invariant
+    // fam-lint: allow(P001) -- selection indices are < n_points == cols.len() by the resident-universe invariant
     let mut v: Vec<usize> = indices.iter().map(|&i| cols[i]).collect();
     v.sort_unstable();
     v
-}
-
-/// Replicates [`ScoreMatrix::delete_points`]' canonical swap-remove
-/// remap for a plain point universe (the reduced service's full-
-/// coordinate mirror has no matrix to delegate to): `remap[old]` is the
-/// survivor's new slot, `None` for deleted points.
-fn swap_remove_remap(n_old: usize, delete: &[usize]) -> Result<Vec<Option<u32>>> {
-    let mut dead = vec![false; n_old];
-    for &p in delete {
-        match dead.get_mut(p) {
-            None => return Err(FamError::IndexOutOfBounds { index: p, len: n_old }),
-            Some(true) => {
-                return Err(FamError::InvalidParameter {
-                    name: "delete",
-                    message: format!("duplicate point index {p}"),
-                });
-            }
-            Some(d) => *d = true,
-        }
-    }
-    let mut dels: Vec<usize> = delete.to_vec();
-    dels.sort_unstable();
-    let mut order: Vec<u32> = (0..n_old as u32).collect();
-    for &d in dels.iter().rev() {
-        order.swap_remove(d);
-    }
-    let mut remap: Vec<Option<u32>> = vec![None; n_old];
-    for (slot, &p) in order.iter().enumerate() {
-        // fam-lint: allow(P001) -- order holds surviving original ids, all < n_old == remap.len()
-        remap[p as usize] = Some(slot as u32);
-    }
-    Ok(remap)
 }
 
 fn build_cache(
@@ -316,9 +279,8 @@ fn build_cache(
 }
 
 impl DatasetService {
-    /// Samples the user population, scores the dataset, harvests the
-    /// multi-`k` cache for every range-capable registered solver, and
-    /// seats the resident engine at `*opts.cache_k.end()`.
+    /// Samples the user population, scores the dataset, and harvests the
+    /// multi-`k` cache for every range-capable registered solver.
     ///
     /// # Errors
     ///
@@ -403,30 +365,11 @@ impl DatasetService {
             &fingerprint,
             reduced.as_ref().map(|r| r.cols.as_slice()),
         )?;
-        let initial = cache
-            .get(&("add-greedy".to_string(), hi, fingerprint))
-            .ok_or_else(|| {
-                FamError::unsupported(
-                    "add-greedy",
-                    "the registry lost its range-harvesting seed solver; \
-                     the resident engine cannot be seated",
-                )
-            })?
-            .indices
-            .clone();
-        // Cache entries hold original ids; the engine lives in the
-        // reduced universe (at build time `cols` is the sorted kept list,
-        // so the reduction's own remap applies).
-        let initial = match &reduced {
-            Some(r) => r.reduction.to_reduced(&initial)?,
-            None => initial,
-        };
-        let engine = DynamicEngine::new(matrix, hi, &initial)?;
         Ok(DatasetService {
             name: name.to_string(),
             dim: dataset.dim(),
             functions,
-            engine,
+            matrix,
             dataset: mirror,
             cache,
             cache_k: opts.cache_k.clone(),
@@ -452,12 +395,12 @@ impl DatasetService {
 
     /// Current number of points.
     pub fn n_points(&self) -> usize {
-        self.engine.matrix().n_points()
+        self.matrix.n_points()
     }
 
     /// Size of the sampled user population.
     pub fn n_samples(&self) -> usize {
-        self.engine.matrix().n_samples()
+        self.matrix.n_samples()
     }
 
     /// The cached `k` range.
@@ -512,26 +455,12 @@ impl DatasetService {
         self.reduced.as_ref().map(|r| r.stats)
     }
 
-    /// The resident warm-repaired selection (maintained at the top of the
-    /// cache range), in original point ids.
-    pub fn resident_selection(&self) -> Vec<usize> {
-        match &self.reduced {
-            Some(r) => to_original(&self.engine.selection(), &r.cols),
-            None => self.engine.selection(),
-        }
-    }
-
-    /// `arr` of the resident selection.
-    pub fn resident_arr(&self) -> f64 {
-        self.engine.arr()
-    }
-
     /// The live score matrix (read-only; tests compare cold solves on it).
     pub fn matrix(&self) -> &ScoreMatrix {
-        self.engine.matrix()
+        &self.matrix
     }
 
-    /// The live point coordinates, in the engine's point order.
+    /// The live point coordinates, in the matrix's column order.
     pub fn dataset(&self) -> &Dataset {
         &self.dataset
     }
@@ -671,7 +600,7 @@ impl DatasetService {
                 ));
             }
         }
-        let m = self.engine.matrix();
+        let m = &self.matrix;
         let out = registry.solve(spec, m, Some(&self.dataset))?;
         let arr = match out.selection.objective {
             Some(v) if solver.capabilities().reports_arr => v,
@@ -686,9 +615,9 @@ impl DatasetService {
         Ok((SolveResult { indices, arr }, false))
     }
 
-    /// Translates an original-universe selection to the engine's column
+    /// Translates an original-universe selection to the matrix's column
     /// space on a reduced service (identity on an unreduced one).
-    fn to_engine_columns(&self, selection: &[usize]) -> Result<Vec<usize>> {
+    fn to_columns(&self, selection: &[usize]) -> Result<Vec<usize>> {
         let Some(r) = &self.reduced else { return Ok(selection.to_vec()) };
         selection
             .iter()
@@ -716,32 +645,32 @@ impl DatasetService {
     /// Returns an error for out-of-bounds or duplicate indices, or (on a
     /// reduced service) ids outside the kept candidate set.
     pub fn evaluate(&self, selection: &[usize]) -> Result<RegretReport> {
-        let columns = self.to_engine_columns(selection)?;
-        regret::report(self.engine.matrix(), &columns)
+        let columns = self.to_columns(selection)?;
+        regret::report(&self.matrix, &columns)
     }
 
     /// Applies a parsed op stream as one atomic batch — deletes index the
     /// pre-batch point set, inserts are scored under the dataset's
     /// resident user population — then permutes the live coordinates with
-    /// the engine's remap and re-harvests the cache on the updated
+    /// the matrix's remap and re-harvests the cache on the updated
     /// database.
     ///
     /// # Errors
     ///
-    /// Returns engine validation errors (out-of-bounds deletes, a batch
-    /// that would leave fewer than the cached maximum `k` points,
-    /// negative insert coordinates) with nothing applied, or
-    /// repair/harvest errors.
+    /// Returns validation errors (out-of-bounds or duplicate deletes, a
+    /// batch that would leave fewer than the cached maximum `k` points,
+    /// negative insert coordinates) with nothing applied, or harvest
+    /// errors.
     pub fn apply_ops(&mut self, ops: &[UpdateOp]) -> Result<UpdateSummary> {
         self.apply_ops_within(ops, &Deadline::none())
     }
 
     /// [`DatasetService::apply_ops`] under a cooperative [`Deadline`],
-    /// checked before the engine mutates and between the re-harvest's
-    /// per-solver trajectories. A deadline firing **after** the engine
-    /// applied the batch surfaces as an error with the matrix already
-    /// grown — snapshot callers clone first and discard the clone, so
-    /// nothing served ever holds that half-updated state.
+    /// checked before the matrix mutates and between the re-harvest's
+    /// per-solver trajectories. A deadline firing **after** the matrix
+    /// was patched surfaces as an error with the matrix already changed
+    /// — snapshot callers clone first and discard the clone, so nothing
+    /// served ever holds that half-updated state.
     ///
     /// # Errors
     ///
@@ -752,6 +681,9 @@ impl DatasetService {
         ops: &[UpdateOp],
         deadline: &Deadline,
     ) -> Result<UpdateSummary> {
+        // Chaos hook: fires before any validation or mutation, so an
+        // injected failure is indistinguishable from a rejected batch.
+        failpoints::fail_point("service.apply")?;
         deadline.check()?;
         let mut deletes: Vec<usize> = Vec::new();
         let mut inserted_coords: Vec<&[f64]> = Vec::new();
@@ -760,7 +692,7 @@ impl DatasetService {
                 UpdateOp::Insert(coords) => {
                     // The op-stream parser validates arity, but this is a
                     // public API reachable with hand-built ops: a wrong-
-                    // arity insert must fail *here*, before the engine
+                    // arity insert must fail *here*, before the matrix
                     // mutates, or the coordinate mirror rebuild would
                     // fail after the matrix already changed.
                     if coords.len() != self.dim {
@@ -785,152 +717,124 @@ impl DatasetService {
         }
         deadline.check()?;
         if self.reduced.is_some() {
-            return self.apply_ops_reduced(&deletes, &inserted_coords, deadline);
+            self.apply_ops_reduced(&deletes, &inserted_coords, deadline)?;
+        } else {
+            let remap = self.patch_matrix(&deletes, &inserted_coords)?;
+            self.dataset = permuted_dataset(&self.dataset, &remap, &inserted_coords, self.updates)?;
         }
-        let mut batch = UpdateBatch::default();
-        for coords in &inserted_coords {
-            batch
-                .insert
-                .push(self.functions.iter().map(|f| f.utility(usize::MAX, coords)).collect());
-        }
-        batch.delete = deletes;
-        let report = self.engine.apply_with(&batch, warm_repair)?;
-        self.dataset =
-            permuted_dataset(&self.dataset, &report.remap, &inserted_coords, self.updates)?;
-        self.cache = build_cache(self.engine.matrix(), &self.cache_k, deadline, "none", None)?;
+        self.reharvest(deadline)?;
         self.updates += 1;
-        Ok(UpdateSummary { report, cache_entries: self.cache.len() })
+        Ok(UpdateSummary {
+            inserted: inserted_coords.len(),
+            deleted: deletes.len(),
+            n_points: self.n_points(),
+            cache_entries: self.cache.len(),
+        })
+    }
+
+    /// Patches the resident matrix with one point batch, in an order
+    /// that leaves it untouched on any error: score and validate the
+    /// inserted columns, refuse a batch that would leave fewer than the
+    /// cached maximum `k` points, delete (swap-remove), then append.
+    /// Returns the remap of the pre-batch columns
+    /// ([`ScoreMatrix::delete_points`]); inserted columns follow the
+    /// survivors in batch order.
+    fn patch_matrix(&mut self, delete: &[usize], insert: &[&[f64]]) -> Result<Vec<Option<u32>>> {
+        let cols: Vec<Vec<f64>> = insert
+            .iter()
+            .map(|coords| self.functions.iter().map(|f| f.utility(usize::MAX, coords)).collect())
+            .collect();
+        self.matrix.validate_new_points(&cols)?;
+        let hi = *self.cache_k.end();
+        // Duplicate delete indices would undercount here, but those are
+        // rejected by `delete_points` before anything mutates.
+        let n_post = (self.matrix.n_points() + cols.len()).checked_sub(delete.len());
+        if n_post.is_none_or(|n| n < hi) {
+            return Err(FamError::InvalidK { k: hi, n: n_post.unwrap_or(0) });
+        }
+        let remap = self.matrix.delete_points(delete)?;
+        self.matrix.insert_points(&cols)?;
+        Ok(remap)
     }
 
     /// The reduced service's update path. Ops address the **full**
     /// universe (delete indices refer to the pre-batch full point set,
-    /// in the same swap-remove order as the unreduced engine): the full
+    /// in the same swap-remove order as the unreduced path): the full
     /// coordinate mirror is updated first, the reduction is repaired
     /// incrementally ([`Reduction::repair`] — a deleted kept member
     /// forces a fresh recompute, everything else is bookkeeping plus a
     /// dominance pass over the appended points), and the *difference*
-    /// between the old and new kept sets is translated into an engine
-    /// batch: evicted members become engine deletes, newly kept points
-    /// (appended survivors, or re-derived coreset picks) become engine
-    /// inserts scored under the resident user population.
+    /// between the old and new kept sets becomes one matrix batch:
+    /// evicted members are deleted columns, newly kept points (appended
+    /// points, promoted dominated points, or re-derived coreset picks)
+    /// are appended columns scored under the resident user population.
     fn apply_ops_reduced(
         &mut self,
         deletes: &[usize],
         inserts: &[&[f64]],
         deadline: &Deadline,
-    ) -> Result<UpdateSummary> {
-        let (new_full, new_reduction, col_survivor) = {
-            // fam-lint: allow(P001) -- apply_ops_within dispatches here only when self.reduced is Some, and no path clears it
-            let red = self.reduced.as_ref().expect("reduced service");
-            let n_full = red.full.len();
-            let remap = swap_remove_remap(n_full, deletes)?;
-            let survivors = n_full - deletes.len();
-            let appended = survivors..survivors + inserts.len();
-            let mut rows: Vec<Vec<f64>> = vec![Vec::new(); survivors + inserts.len()];
-            for (old, slot) in remap.iter().enumerate() {
-                if let Some(s) = slot {
-                    // fam-lint: allow(P001) -- swap-remove slots enumerate survivors, all < survivors <= rows.len()
-                    rows[*s as usize] = red.full.point(old).to_vec();
-                }
-            }
-            for (j, coords) in inserts.iter().enumerate() {
-                // fam-lint: allow(P001) -- rows was sized survivors + inserts.len(), so survivors + j is in bounds
-                rows[survivors + j] = coords.to_vec();
-            }
-            let new_full = Dataset::from_rows(rows)?;
-            let new_reduction = match red.reduction.repair(&new_full, &remap, appended)? {
-                ReductionRepair::Repaired(r) => r,
-                ReductionRepair::Recompute => Reduction::compute(&new_full, red.spec)?,
-            };
-            // Engine column -> new full id (`None` = that point died).
-            let col_survivor: Vec<Option<usize>> = red
-                .cols
-                .iter()
-                // fam-lint: allow(P001) -- cols entries are full-universe ids < n_full == remap.len()
-                .map(|&c| remap[c].map(|s| s as usize))
-                .collect();
-            (new_full, new_reduction, col_survivor)
+    ) -> Result<()> {
+        // fam-lint: allow(P001) -- apply_ops_within dispatches here only when self.reduced is Some, and no path clears it
+        let red = self.reduced.as_ref().expect("reduced service");
+        let remap = swap_remove_remap(red.full.len(), deletes)?;
+        let full = permuted_dataset(&red.full, &remap, inserts, self.updates)?;
+        let appended = full.len() - inserts.len()..full.len();
+        let reduction = match red.reduction.repair(&full, &remap, appended)? {
+            ReductionRepair::Repaired(r) => r,
+            ReductionRepair::Recompute => Reduction::compute(&full, red.spec)?,
         };
         let hi = *self.cache_k.end();
-        if new_reduction.kept().len() < hi {
+        let kept = reduction.kept();
+        if kept.len() < hi {
             return Err(FamError::InvalidParameter {
                 name: "reduce",
                 message: format!(
                     "the update leaves the `{}` reduction of dataset `{}` with {} candidates, \
                      fewer than the cached maximum k = {hi}",
-                    new_reduction.fingerprint(),
+                    reduction.fingerprint(),
                     self.name,
-                    new_reduction.kept().len()
+                    kept.len()
                 ),
             });
         }
-        let kept = new_reduction.kept();
-        let mut batch = UpdateBatch::default();
-        let mut col_after: Vec<Option<usize>> = Vec::with_capacity(col_survivor.len());
-        for (p, slot) in col_survivor.iter().enumerate() {
-            match slot {
-                Some(nid) if kept.binary_search(nid).is_ok() => col_after.push(Some(*nid)),
-                _ => {
-                    batch.delete.push(p);
-                    col_after.push(None);
-                }
-            }
-        }
-        let resident: Vec<usize> = {
-            let mut v: Vec<usize> = col_after.iter().flatten().copied().collect();
-            v.sort_unstable();
-            v
-        };
-        let added_ids: Vec<usize> =
-            kept.iter().copied().filter(|id| resident.binary_search(id).is_err()).collect();
-        for &nid in &added_ids {
-            let coords = new_full.point(nid);
-            batch
-                .insert
-                .push(self.functions.iter().map(|f| f.utility(usize::MAX, coords)).collect());
-        }
+        // Matrix column -> new full id while its point stays kept; `None`
+        // marks a column to delete (the point died or left the kept set).
+        let survivors: Vec<Option<usize>> = red
+            .cols
+            .iter()
+            // fam-lint: allow(P001) -- cols entries are full-universe ids < red.full.len() == remap.len()
+            .map(|&c| remap[c].map(|s| s as usize).filter(|id| kept.binary_search(id).is_ok()))
+            .collect();
+        let delete: Vec<usize> =
+            survivors.iter().enumerate().filter(|(_, id)| id.is_none()).map(|(p, _)| p).collect();
+        let resident: BTreeSet<usize> = survivors.iter().flatten().copied().collect();
+        let added: Vec<usize> = kept.iter().copied().filter(|id| !resident.contains(id)).collect();
+        let added_coords: Vec<&[f64]> = added.iter().map(|&id| full.point(id)).collect();
         deadline.check()?;
-        let mut report = self.engine.apply_with(&batch, warm_repair)?;
-        let added_coords: Vec<&[f64]> = added_ids.iter().map(|&nid| new_full.point(nid)).collect();
-        self.dataset = permuted_dataset(&self.dataset, &report.remap, &added_coords, self.updates)?;
-        let mut new_cols = vec![usize::MAX; report.n_points];
-        for (p, slot) in report.remap.iter().enumerate() {
-            if let Some(np) = slot {
-                // fam-lint: allow(P001) -- np < report.n_points == new_cols.len() and p < col_after.len() (the engine remaps exactly the columns we diffed); a survivor is by construction a column we did not put in batch.delete, so its col_after entry is Some
-                new_cols[*np as usize] = col_after[p].expect("engine survivor must be kept");
+        let col_remap = self.patch_matrix(&delete, &added_coords)?;
+        let mut cols = vec![0; survivors.len() - delete.len()];
+        for (slot, id) in col_remap.iter().zip(&survivors) {
+            if let (Some(s), Some(id)) = (slot, id) {
+                // fam-lint: allow(P001) -- swap-remove slots of the survivors are < survivors.len() - delete.len() == cols.len()
+                cols[*s as usize] = *id;
             }
         }
-        for (j, &nid) in added_ids.iter().enumerate() {
-            // fam-lint: allow(P001) -- inserted_range.start + j < report.n_points == new_cols.len() by the engine append contract
-            new_cols[report.inserted_range.start + j] = nid;
-        }
-        {
-            // fam-lint: allow(P001) -- same dispatch invariant: self.reduced is Some on this path
-            let red = self.reduced.as_mut().expect("reduced service");
-            red.full = new_full;
-            red.reduction = new_reduction;
-            red.cols = new_cols;
-        }
-        let fingerprint = self.reduction_fingerprint();
-        let cols = self.reduced.as_ref().map(|r| r.cols.clone());
-        self.cache = build_cache(
-            self.engine.matrix(),
-            &self.cache_k,
-            deadline,
-            &fingerprint,
-            cols.as_deref(),
-        )?;
-        self.updates += 1;
-        // The client-facing report counts the *client's* full-universe
-        // ops and answers in original ids; the repair fields keep
-        // describing the engine-side (kept-universe) work.
-        report.inserted = inserts.len();
-        report.deleted = deletes.len();
+        cols.extend_from_slice(&added);
+        self.dataset = full.subset(&cols)?;
         // fam-lint: allow(P001) -- same dispatch invariant: self.reduced is Some on this path
-        let red = self.reduced.as_ref().expect("reduced service");
-        report.selection = to_original(&report.selection, &red.cols);
-        report.kept = to_original(&report.kept, &red.cols);
-        Ok(UpdateSummary { report, cache_entries: self.cache.len() })
+        let red = self.reduced.as_mut().expect("reduced service");
+        red.full = full;
+        red.reduction = reduction;
+        red.cols = cols;
+        Ok(())
+    }
+
+    /// Re-harvests the result cache on the resident matrix.
+    fn reharvest(&mut self, deadline: &Deadline) -> Result<()> {
+        let fingerprint = self.reduction_fingerprint();
+        let cols = self.reduced.as_ref().map(|r| r.cols.as_slice());
+        self.cache = build_cache(&self.matrix, &self.cache_k, deadline, &fingerprint, cols)?;
+        Ok(())
     }
 
     /// Parses an op stream (`insert,c0,..` / `delete,IDX`, see
@@ -965,10 +869,9 @@ impl DatasetService {
     /// confidence `1 - sigma`: grows the resident sample count to the
     /// Chernoff target via one matrix append (scoring only the new rows
     /// under freshly sampled functions off the **continuing** build
-    /// RNG), warm-repairs the resident selection
-    /// ([`fam_algos::reoptimize`]), and re-harvests the multi-`k` cache
-    /// on the refined matrix — so every cached entry is again
-    /// bit-identical to a cold solve at the grown `N`.
+    /// RNG) and re-harvests the multi-`k` cache on the refined matrix —
+    /// so every cached entry is again bit-identical to a cold solve at
+    /// the grown `N`.
     ///
     /// The append runs as a single batch, unlike the anytime doubling of
     /// `fam_algos::refine`: the serving layer publishes only a finished
@@ -985,10 +888,10 @@ impl DatasetService {
     /// Returns an error with nothing mutated for an invalid
     /// `(epsilon, sigma)` pair, a target over the matrix footprint
     /// budget, or a growth beyond the served cap
-    /// ([`MAX_REFINE_MATRIX_BYTES`]). A repair or re-harvest failure after the matrix has
-    /// grown keeps the grown population but **clears the result cache**
-    /// (misses solve cold, which stays correct) and leaves the reported
-    /// `sigma` unchanged.
+    /// ([`MAX_REFINE_MATRIX_BYTES`]). A re-harvest failure after the
+    /// matrix has grown keeps the grown population but **clears the
+    /// result cache** (misses solve cold, which stays correct) and
+    /// leaves the reported `sigma` unchanged.
     pub fn refine(&mut self, epsilon: f64, sigma: f64) -> Result<RefineSummary> {
         self.refine_within(epsilon, sigma, &Deadline::none())
     }
@@ -1020,7 +923,6 @@ impl DatasetService {
                 target_samples: target,
                 n_samples: self.n_samples(),
                 achieved_epsilon: chernoff_epsilon(self.n_samples() as u64, sigma)?,
-                rounds: Vec::new(),
                 cache_entries: 0,
                 already_satisfied: true,
             });
@@ -1042,65 +944,36 @@ impl DatasetService {
                 ),
             ));
         }
-        let churn = *self.cache_k.end();
         // Distributions are stateless samplers (all randomness lives in
         // the RNG stream), so rebuilding the object changes nothing.
         let dist = self.dist.build(self.dim)?;
         let fresh: Vec<Arc<dyn UtilityFunction>> =
             (0..target - self.n_samples()).map(|_| dist.sample(&mut self.rng)).collect();
         deadline.check()?;
-        let n_before = self.n_samples();
-        let report = match self
-            .engine
-            .append_functions_with(&self.dataset, &fresh, |ev, ws| reoptimize(ev, ws.k, churn))
-        {
-            Ok(report) => report,
-            Err(e) => {
-                // A validation failure leaves the matrix untouched (cache
-                // still valid); a repair failure leaves it grown — the
-                // cache must not outlive the database it was solved on.
-                if self.n_samples() != n_before {
-                    self.cache.clear();
-                    self.functions.extend(fresh);
-                }
-                return Err(e);
-            }
-        };
+        // The append is atomic: a failure leaves the matrix (and so the
+        // cache) untouched.
+        self.matrix.append_functions(&self.dataset, &fresh)?;
         self.functions.extend(fresh);
-        let rounds = vec![RefineRoundSummary {
-            n_samples: report.n_samples,
-            epsilon: chernoff_epsilon(report.n_samples as u64, sigma)?,
-            arr: report.arr,
-        }];
         // The matrix has grown: the old cache's entries no longer equal
         // cold solves on the resident database. If the re-harvest fails,
         // drop the cache entirely — misses fall through to (correct)
         // cold solves — rather than serve stale answers.
         self.cache.clear();
-        let fingerprint = self.reduction_fingerprint();
-        let cols = self.reduced.as_ref().map(|r| r.cols.clone());
-        self.cache = build_cache(
-            self.engine.matrix(),
-            &self.cache_k,
-            deadline,
-            &fingerprint,
-            cols.as_deref(),
-        )?;
+        self.reharvest(deadline)?;
         self.sigma = sigma;
         self.refines += 1;
         Ok(RefineSummary {
             target_samples: target,
             n_samples: self.n_samples(),
             achieved_epsilon: self.achieved_epsilon(),
-            rounds,
             cache_entries: self.cache.len(),
             already_satisfied: false,
         })
     }
 }
 
-/// Rebuilds the coordinate mirror after a batch: survivors permute
-/// through the engine's remap (swap-remove order), inserted points
+/// Rebuilds a coordinate mirror after a batch: survivors permute
+/// through the batch's remap (swap-remove order), inserted points
 /// append in batch order; labels follow their points (inserted points
 /// are labelled `inserted-{batch}-{j}` — the batch number keeps labels
 /// from colliding across updates).
@@ -1176,7 +1049,6 @@ mod tests {
         assert_eq!(svc.n_samples(), 120);
         assert_eq!(svc.dim(), 3);
         assert_eq!(svc.dataset().len(), 40);
-        assert_eq!(svc.resident_selection().len(), 4);
         for algo in ["add-greedy", "greedy-shrink"] {
             for k in 1..=4 {
                 let (res, cached) = svc.solve(&SolverSpec::new(algo, k)).unwrap();
@@ -1256,12 +1128,12 @@ mod tests {
         let summary = svc
             .apply_update_text("insert,0.9,0.8,0.7\ndelete,3\ninsert,0.2,0.9,0.4\n", "test ops")
             .unwrap();
-        assert_eq!(summary.report.inserted, 2);
-        assert_eq!(summary.report.deleted, 1);
+        assert_eq!(summary.inserted, 2);
+        assert_eq!(summary.deleted, 1);
         assert_eq!(summary.cache_entries, 8);
         assert_eq!(svc.updates(), 1);
         assert_eq!(svc.n_points(), 31);
-        // The coordinate mirror tracks the engine's point universe.
+        // The coordinate mirror tracks the matrix's point universe.
         assert_eq!(svc.dataset().len(), 31);
         assert_eq!(svc.dataset().point(30), &[0.2, 0.9, 0.4]);
         // Cached entries equal cold solves on the *post-update* database.
@@ -1387,13 +1259,8 @@ mod tests {
         assert_eq!(svc.n_samples(), summary.n_samples);
         assert!(summary.achieved_epsilon <= 0.12);
         assert!((svc.achieved_epsilon() - summary.achieved_epsilon).abs() < 1e-15);
-        assert!(!summary.rounds.is_empty());
         assert_eq!(summary.cache_entries, 8);
         assert_eq!(svc.refines(), 1);
-        for pair in summary.rounds.windows(2) {
-            assert!(pair[1].n_samples > pair[0].n_samples);
-            assert!(pair[1].epsilon < pair[0].epsilon);
-        }
         // Cached entries equal cold solves on the refined matrix.
         for k in [1usize, 4] {
             let (hit, cached) = svc.solve(&SolverSpec::new("add-greedy", k)).unwrap();
@@ -1417,7 +1284,6 @@ mod tests {
         // confidence without mutating the dataset's reported sigma.
         let again = svc.refine(0.2, 0.5).unwrap();
         assert!(again.already_satisfied);
-        assert!(again.rounds.is_empty());
         assert_eq!(svc.refines(), 1);
         assert_eq!(svc.sigma(), 0.1, "a no-op refine must not change the reported confidence");
         assert!(again.achieved_epsilon < svc.achieved_epsilon());
@@ -1521,7 +1387,7 @@ mod tests {
         let kept = Reduction::compute(&ds, ReduceSpec::skyline()).unwrap().kept().to_vec();
         assert_eq!(svc.reduction_fingerprint(), "skyline");
         assert_eq!(svc.source_points(), 60);
-        assert_eq!(svc.n_points(), kept.len(), "engine holds only the kept candidates");
+        assert_eq!(svc.n_points(), kept.len(), "the matrix holds only the kept candidates");
         assert!(kept.len() < 60, "anti-correlated 2-D data must still prune something");
         let stats = svc.reduce_stats().unwrap();
         assert_eq!(stats.source_points, 60);
@@ -1537,7 +1403,6 @@ mod tests {
             }
             assert!(res.indices.windows(2).all(|w| w[0] < w[1]), "ids must be sorted");
         }
-        assert!(svc.resident_selection().iter().all(|id| kept.binary_search(id).is_ok()));
         // Evaluate accepts kept original ids and rejects pruned ones.
         assert!(svc.evaluate(&kept[..2]).is_ok());
         let pruned = (0..60).find(|i| kept.binary_search(i).is_err()).unwrap();
@@ -1588,19 +1453,14 @@ mod tests {
         let ops = format!("delete,{}\ndelete,{pruned}\ninsert,{new_x},0.0\n", kept[0]);
         let ra = red.apply_update_text(&ops, "ops").unwrap();
         plain.apply_update_text(&ops, "ops").unwrap();
-        assert_eq!(ra.report.inserted, 1, "client-facing counts, not engine-batch counts");
-        assert_eq!(ra.report.deleted, 2);
+        assert_eq!(ra.inserted, 1, "client-facing counts, not matrix-batch counts");
+        assert_eq!(ra.deleted, 2);
         assert_eq!(red.source_points(), 39);
-        // Warm repair is a heuristic over each service's own candidate
-        // universe, so the repaired selections need not coincide — but
-        // the reduced one must come back as sorted original ids.
-        assert!(ra.report.selection.windows(2).all(|w| w[0] < w[1]));
-        assert!(ra.report.selection.iter().all(|&id| id < 39));
         check(&red, &plain);
         // The insert landed at full-universe id 38 and is resident.
         assert!(red.evaluate(&[38]).is_ok());
         // A second batch that only touches pruned points leaves the
-        // resident candidate set alone (engine sees an empty batch).
+        // resident candidate set alone (the matrix sees an empty batch).
         // Replicate the full-universe swap-remove to find one.
         let mut full: Vec<Vec<f64>> = (0..ds.len()).map(|i| ds.point(i).to_vec()).collect();
         let mut dels = [kept[0], pruned];
@@ -1615,7 +1475,7 @@ mod tests {
         let pruned2 = (0..new_full.len()).find(|i| kept_now.binary_search(i).is_err()).unwrap();
         let n_resident = red.n_points();
         red.apply_update_text(&format!("delete,{pruned2}\n"), "ops").unwrap();
-        assert_eq!(red.n_points(), n_resident, "pruned-only ops must not disturb the engine");
+        assert_eq!(red.n_points(), n_resident, "pruned-only ops must not disturb the matrix");
         assert_eq!(red.source_points(), 38);
     }
 
@@ -1645,6 +1505,55 @@ mod tests {
         assert!(svc.apply_update_text("delete,4\n", "ops").is_err());
         assert!(svc.apply_update_text("delete,0\ndelete,0\n", "ops").is_err());
         assert_eq!(svc.updates(), 0);
+    }
+
+    /// Skyline {a, b, c}; `d` is dominated only by `b`, `e` by everyone.
+    fn labelled_skyline_service() -> DatasetService {
+        let rows = vec![
+            vec![0.9, 0.1],
+            vec![0.5, 0.5],
+            vec![0.1, 0.9],
+            vec![0.45, 0.45],
+            vec![0.05, 0.05],
+        ];
+        let labels: Vec<String> = ["a", "b", "c", "d", "e"].iter().map(|s| s.to_string()).collect();
+        let ds = Dataset::from_rows(rows).unwrap().with_labels(labels).unwrap();
+        let opts = ServeOptions { samples: 60, ..reduced_options() };
+        DatasetService::build("lab", &ds, &opts).unwrap()
+    }
+
+    /// Deletes `b` (a kept member), which promotes `d`, and inserts a
+    /// point that joins the skyline.
+    const EVICT_PROMOTE_INSERT: &str = "delete,1\ninsert,0.3,0.7\n";
+
+    #[test]
+    fn reduced_updates_keep_labels_with_their_points() {
+        let mut svc = labelled_skyline_service();
+        svc.apply_update_text(EVICT_PROMOTE_INSERT, "ops").unwrap();
+        let mirror: Vec<(&str, &[f64])> = (0..svc.dataset().len())
+            .map(|i| (svc.dataset().label(i).unwrap(), svc.dataset().point(i)))
+            .collect();
+        // A promoted survivor keeps its own label; only the real insert
+        // is labelled as one.
+        let want: Vec<(&str, &[f64])> = vec![
+            ("a", &[0.9, 0.1]),
+            ("c", &[0.1, 0.9]),
+            ("d", &[0.45, 0.45]),
+            ("inserted-0-0", &[0.3, 0.7]),
+        ];
+        assert_eq!(mirror, want);
+    }
+
+    #[test]
+    fn reduced_updates_keep_the_matrix_in_lockstep_with_the_mirror() {
+        let mut svc = labelled_skyline_service();
+        assert_eq!(svc.n_points(), 3);
+        svc.apply_update_text(EVICT_PROMOTE_INSERT, "ops").unwrap();
+        assert_eq!(svc.n_points(), 4, "b evicted, d promoted, the insert kept");
+        let m2 = ScoreMatrix::from_functions(svc.dataset(), &svc.functions, None).unwrap();
+        for u in 0..svc.n_samples() {
+            assert_eq!(svc.matrix().row(u), m2.row(u), "row {u} diverged from the mirror");
+        }
     }
 
     #[test]

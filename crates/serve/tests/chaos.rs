@@ -99,7 +99,7 @@ fn writer_failures_never_publish_and_recovery_converges() {
     // re-harvest (error *and* panic), and after a successful build but
     // before the publish swap.
     let rounds: [(&str, FailAction, u16, &str); 4] = [
-        ("dynamic.apply", FailAction::Error, 500, "injected fault at failpoint `dynamic.apply`"),
+        ("service.apply", FailAction::Error, 500, "injected fault at failpoint `service.apply`"),
         ("service.reharvest", FailAction::Error, 500, "failpoint `service.reharvest`"),
         ("service.reharvest", FailAction::Panic, 500, "handler panicked"),
         ("serve.publish", FailAction::Error, 500, "failpoint `serve.publish`"),
@@ -183,7 +183,7 @@ fn concurrent_readers_never_block_on_a_sustained_faulty_writer() {
     // A sustained writer that fails every other round, rotating through
     // the injection sites; the even rounds land.
     let mut writer = Client::new(addr.to_string());
-    let sites = ["dynamic.apply", "service.reharvest", "serve.publish"];
+    let sites = ["service.apply", "service.reharvest", "serve.publish"];
     let mut landed = Vec::new();
     for round in 0..6 {
         let ops = if round % 4 < 2 { OPS_A } else { OPS_B };

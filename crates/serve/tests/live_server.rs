@@ -297,7 +297,6 @@ fn concurrent_clients_and_updates_stay_bit_identical() {
     assert_eq!(field_f64(&body, "n_samples") as usize, 480);
     assert!(field_f64(&body, "achieved_epsilon") <= 0.12, "{body}");
     assert!(body.contains("\"already_satisfied\":false"), "{body}");
-    assert!(body.contains("\"rounds\":[{"), "{body}");
     let (status, body) = get(addr, "/solve?dataset=beta&k=2&epsilon=0.12");
     assert_eq!(status, 200, "refined dataset must satisfy the epsilon: {body}");
     assert!(body.contains("\"cached\":true"), "{body}");
