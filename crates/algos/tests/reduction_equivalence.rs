@@ -12,13 +12,23 @@
 //!    instance meets the target with a wide margin).
 //! 4. **Remaps round-trip** — original → reduced → original is the
 //!    identity on kept ids and a clean error on pruned ones.
+//! 5. **Skyline-sourced scoring** — [`Reduction::score_matrix`], which
+//!    scores the skyline alone, is bit-identical to the full-stream
+//!    `ScoreMatrix::from_functions_tiled` over every point: rows, bests,
+//!    weights and all four stats fields, for monotone utility families.
 //!
 //! The checks share the process-global execution-mode switches
 //! (`par::force_serial` / `par::set_max_threads`), so each contract that
 //! sweeps modes runs inside one `#[test]` like `parallel_equivalence.rs`.
 
+use std::sync::Arc;
+
 use fam_algos::{Registry, SolverSpec};
-use fam_core::{par, Dataset, ScoreMatrix, UniformLinear};
+use fam_core::{
+    par, CobbDouglasDistribution, Dataset, ScoreMatrix, SimplexLinear, UniformLinear,
+    UtilityDistribution, UtilityFunction,
+};
+use fam_data::{synthetic, Correlation};
 use fam_reduce::{ReduceSpec, Reduction};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -149,4 +159,75 @@ fn remaps_round_trip_and_reject_pruned_ids() {
     // A pruned (interior) id is a clean error, not an index panic.
     assert!(reduction.to_reduced(&[20]).is_err());
     assert!(reduction.to_reduced(&[99]).is_err());
+}
+
+/// Asserts two builds agree bit for bit: rows, bests, weights, stats.
+fn assert_same_build(
+    what: &str,
+    (a, sa): &(ScoreMatrix, fam_core::TiledBuildStats),
+    (b, sb): &(ScoreMatrix, fam_core::TiledBuildStats),
+) {
+    assert_eq!((a.n_samples(), a.n_points()), (b.n_samples(), b.n_points()), "{what}: shape");
+    for u in 0..a.n_samples() {
+        assert_eq!(a.row(u), b.row(u), "{what}: row {u}");
+        assert_eq!(a.best_index(u), b.best_index(u), "{what}: best index {u}");
+        assert_eq!(a.best_value(u).to_bits(), b.best_value(u).to_bits(), "{what}: best {u}");
+        assert_eq!(a.weight(u).to_bits(), b.weight(u).to_bits(), "{what}: weight {u}");
+    }
+    assert_eq!((sa.source_points, sa.kept_points), (sb.source_points, sb.kept_points), "{what}");
+    assert_eq!(sa.max_shortfall.to_bits(), sb.max_shortfall.to_bits(), "{what}: max shortfall");
+    assert_eq!(sa.mean_shortfall.to_bits(), sb.mean_shortfall.to_bits(), "{what}: mean shortfall");
+}
+
+#[test]
+fn skyline_sourced_scoring_equals_the_full_stream_across_modes() {
+    let correlations =
+        [Correlation::Independent, Correlation::Correlated, Correlation::AntiCorrelated];
+    let specs = [ReduceSpec::skyline(), ReduceSpec::coreset(0.05), ReduceSpec::coreset(0.2)];
+    let mut lossy = 0;
+    for parallel in [false, true] {
+        if parallel {
+            par::set_max_threads(Some(4));
+        } else {
+            par::force_serial(true);
+        }
+        for dim in 2..=4 {
+            let dists: [(&str, Box<dyn UtilityDistribution>); 3] = [
+                ("uniform", Box::new(UniformLinear::new(dim).unwrap())),
+                ("simplex", Box::new(SimplexLinear::new(dim).unwrap())),
+                ("cobb-douglas", Box::new(CobbDouglasDistribution::new(dim).unwrap())),
+            ];
+            for (c, &corr) in correlations.iter().enumerate() {
+                let mut rng = StdRng::seed_from_u64(100 * dim as u64 + c as u64);
+                let ds = synthetic(2_000, dim, corr, &mut rng).unwrap();
+                for spec in specs {
+                    let r = Reduction::compute(&ds, spec).unwrap();
+                    for (name, dist) in &dists {
+                        let mut rng = StdRng::seed_from_u64(7);
+                        let functions: Vec<Arc<dyn UtilityFunction>> =
+                            (0..120).map(|_| dist.sample(&mut rng)).collect();
+                        let what = format!(
+                            "d={dim} {corr:?} {} {name} parallel={parallel}",
+                            spec.fingerprint()
+                        );
+                        let sourced = r.score_matrix(&ds, &functions).unwrap();
+                        let full =
+                            ScoreMatrix::from_functions_tiled(&ds, &functions, None, r.kept())
+                                .unwrap();
+                        assert_same_build(&what, &sourced, &full);
+                        assert_eq!(sourced.1.source_points, ds.len(), "{what}");
+                        if sourced.1.mean_shortfall > 0.0 {
+                            lossy += 1;
+                        }
+                    }
+                }
+            }
+        }
+        if parallel {
+            par::set_max_threads(None);
+        } else {
+            par::force_serial(false);
+        }
+    }
+    assert!(lossy > 0, "some coreset must lose something, or the stats checks are vacuous");
 }

@@ -1,15 +1,27 @@
-//! Candidate-reduction quality-vs-cost curve on million-point datasets.
+//! Candidate-reduction quality-vs-cost curve on million-point datasets,
+//! with the skyline-sourced build A/B'd against the full stream.
 //!
 //! For each scale (default `n = 10^5, d = 3` and `n = 10^6, d = 2`,
 //! anti-correlated — the paper's hard case for skylines), runs the
-//! reduction pipeline end to end: compute the reduction, stream the
-//! tiled `N × kept` matrix build over the full dataset, and solve with
-//! ADD-GREEDY. The lossless skyline leg is the reference; each coreset
-//! leg (`ε` sweep) reports its kept fraction, wall-time split, the
-//! tiled build's achieved shortfall, and the ARR delta measured against
-//! the skyline matrix (whose per-sample best equals the full database's
-//! best, so the delta is the real quality loss, not a reduced-universe
-//! artifact).
+//! reduction pipeline end to end: compute the reduction, build the
+//! `N × kept` matrix, and solve with ADD-GREEDY. Every leg builds the
+//! matrix two ways from one utility stream:
+//!
+//! * `build_ms` — the production `Reduction::score_matrix`, which
+//!   scores the skyline only (sampling included);
+//! * `full_stream_build_ms` — the reference
+//!   `ScoreMatrix::from_distribution_tiled`, which streams all `n`
+//!   points to learn each sample's full-database best.
+//!
+//! The bench panics unless the two agree bit for bit in rows, bests,
+//! weights and all four shortfall stats, so every committed number is
+//! also an equivalence check. The lossless skyline leg is the
+//! reference; each coreset leg (`ε` sweep) reports its kept fraction,
+//! wall-time split, achieved shortfall, and the ARR delta measured
+//! against the skyline matrix (whose per-sample best equals the full
+//! database's best, so the delta is the real quality loss, not a
+//! reduced-universe artifact). 2-D coresets often lose exactly nothing,
+//! so a 3-D scale is what makes the stats check non-trivial.
 //!
 //! The dense unreduced build at these scales is exactly what the
 //! reduction exists to avoid (an `N × 10^6` matrix), so there is no
@@ -22,6 +34,7 @@
 //! the workspace root).
 
 use std::io::Write as _;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -45,9 +58,41 @@ struct Leg {
     kept: usize,
     reduce: Duration,
     build: Duration,
+    full_stream_build: Duration,
     solve: Duration,
     arr: f64,
     stats: TiledBuildStats,
+}
+
+/// Runs `f` `reps` times; the fastest time and the last result.
+fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (Duration, T) {
+    let mut best = Duration::MAX;
+    let mut out = None;
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        let v = f();
+        best = best.min(t0.elapsed());
+        out = Some(v);
+    }
+    (best, out.expect("at least one rep"))
+}
+
+/// Panics unless the two builds agree bit for bit.
+fn assert_bit_equal(
+    label: &str,
+    (a, sa): &(ScoreMatrix, TiledBuildStats),
+    (b, sb): &(ScoreMatrix, TiledBuildStats),
+) {
+    assert_eq!((a.n_samples(), a.n_points()), (b.n_samples(), b.n_points()), "{label}: shape");
+    for u in 0..a.n_samples() {
+        assert_eq!(a.row(u), b.row(u), "{label}: row {u}");
+        assert_eq!(a.best_index(u), b.best_index(u), "{label}: best index {u}");
+        assert_eq!(a.best_value(u).to_bits(), b.best_value(u).to_bits(), "{label}: best {u}");
+        assert_eq!(a.weight(u).to_bits(), b.weight(u).to_bits(), "{label}: weight {u}");
+    }
+    assert_eq!((sa.source_points, sa.kept_points), (sb.source_points, sb.kept_points), "{label}");
+    assert_eq!(sa.max_shortfall.to_bits(), sb.max_shortfall.to_bits(), "{label}: max shortfall");
+    assert_eq!(sa.mean_shortfall.to_bits(), sb.mean_shortfall.to_bits(), "{label}: mean shortfall");
 }
 
 /// One reduction pipeline end to end, best-of-`reps` per phase.
@@ -59,42 +104,29 @@ fn run_leg(
     reps: usize,
     skyline_matrix: Option<(&Reduction, &ScoreMatrix)>,
 ) -> (Leg, Reduction, ScoreMatrix) {
+    let label = spec.fingerprint();
     let dist = UniformLinear::new(ds.dim()).expect("dist");
-    let mut reduce_t = Duration::MAX;
-    let mut reduction = None;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let r = Reduction::compute(ds, spec).expect("reduction");
-        reduce_t = reduce_t.min(t0.elapsed());
-        reduction = Some(r);
-    }
-    let reduction = reduction.expect("at least one rep");
-    let mut build_t = Duration::MAX;
-    let mut built = None;
-    for _ in 0..reps {
-        // The same seed every rep and every leg: one utility stream, so
-        // arr values are comparable across kept universes.
+    let (reduce_t, reduction) = best_of(reps, || Reduction::compute(ds, spec).expect("reduction"));
+    // The same seed every rep, every leg and both builds: one utility
+    // stream, so arr values are comparable across kept universes.
+    let (build_t, built) = best_of(reps, || {
         let mut rng = StdRng::seed_from_u64(42);
-        let t0 = Instant::now();
-        let pair =
-            ScoreMatrix::from_distribution_tiled(ds, &dist, n_samples, &mut rng, reduction.kept())
-                .expect("tiled build");
-        build_t = build_t.min(t0.elapsed());
-        built = Some(pair);
-    }
-    let (matrix, stats) = built.expect("at least one rep");
+        let functions: Vec<Arc<dyn UtilityFunction>> =
+            (0..n_samples).map(|_| dist.sample(&mut rng)).collect();
+        reduction.score_matrix(ds, &functions).expect("skyline-sourced build")
+    });
+    let (full_stream_t, full_stream) = best_of(reps, || {
+        let mut rng = StdRng::seed_from_u64(42);
+        ScoreMatrix::from_distribution_tiled(ds, &dist, n_samples, &mut rng, reduction.kept())
+            .expect("full-stream build")
+    });
+    assert_bit_equal(&label, &built, &full_stream);
+    drop(full_stream);
+    let (matrix, stats) = built;
     // An aggressive coreset can keep fewer than `k` candidates; solve
     // for what is there and report the effective k.
     let k = k.min(reduction.kept().len());
-    let mut solve_t = Duration::MAX;
-    let mut selection = None;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let sel = add_greedy(&matrix, k).expect("solve");
-        solve_t = solve_t.min(t0.elapsed());
-        selection = Some(sel);
-    }
-    let selection = selection.expect("at least one rep");
+    let (solve_t, selection) = best_of(reps, || add_greedy(&matrix, k).expect("solve"));
     // Measure quality against the skyline universe's bests (= the full
     // database's bests) so lossy legs pay for what they pruned. The
     // selection's original ids are a subset of the skyline, so they
@@ -112,11 +144,12 @@ fn run_leg(
         None => selection.objective.expect("add-greedy reports arr"),
     };
     let leg = Leg {
-        label: spec.fingerprint(),
+        label,
         k,
         kept: reduction.kept().len(),
         reduce: reduce_t,
         build: build_t,
+        full_stream_build: full_stream_t,
         solve: solve_t,
         arr,
         stats,
@@ -156,12 +189,13 @@ fn bench_reduce(c: &mut Criterion) {
         let (sky, sky_reduction, sky_matrix) =
             run_leg(&ds, ReduceSpec::skyline(), n_samples, k, reps, None);
         eprintln!(
-            "n={n} d={dim}: skyline kept {} ({:.4}%), reduce {:?} + build {:?} + solve {:?}, \
-             arr {:.6}",
+            "n={n} d={dim}: skyline kept {} ({:.4}%), reduce {:?} + build {:?} \
+             (full stream {:?}) + solve {:?}, arr {:.6}",
             sky.kept,
             100.0 * sky.kept as f64 / n as f64,
             sky.reduce,
             sky.build,
+            sky.full_stream_build,
             sky.solve,
             sky.arr
         );
@@ -177,11 +211,13 @@ fn bench_reduce(c: &mut Criterion) {
                 Some((&sky_reduction, &sky_matrix)),
             );
             eprintln!(
-                "n={n} d={dim}: {} kept {} ({:.4}%), arr {:.6} (delta {:+.6}), \
-                 max shortfall {:.6}",
+                "n={n} d={dim}: {} kept {} ({:.4}%), build {:?} (full stream {:?}), \
+                 arr {:.6} (delta {:+.6}), max shortfall {:.6}",
                 leg.label,
                 leg.kept,
                 100.0 * leg.kept as f64 / n as f64,
+                leg.build,
+                leg.full_stream_build,
                 leg.arr,
                 leg.arr - sky.arr,
                 leg.stats.max_shortfall
@@ -191,13 +227,15 @@ fn bench_reduce(c: &mut Criterion) {
             }
             coreset_json.push_str(&format!(
                 "{{\"eps\":{eps},\"k\":{},\"kept\":{},\"kept_fraction\":{:.8},\
-                 \"reduce_ms\":{:.3},\"build_ms\":{:.3},\"solve_ms\":{:.3},\"arr\":{:.6},\
-                 \"arr_delta\":{:.6},\"max_shortfall\":{:.6},\"mean_shortfall\":{:.6}}}",
+                 \"reduce_ms\":{:.3},\"build_ms\":{:.3},\"full_stream_build_ms\":{:.3},\
+                 \"solve_ms\":{:.3},\"arr\":{:.6},\"arr_delta\":{:.6},\"max_shortfall\":{:.6},\
+                 \"mean_shortfall\":{:.6}}}",
                 leg.k,
                 leg.kept,
                 leg.kept as f64 / n as f64,
                 leg.reduce.as_secs_f64() * 1e3,
                 leg.build.as_secs_f64() * 1e3,
+                leg.full_stream_build.as_secs_f64() * 1e3,
                 leg.solve.as_secs_f64() * 1e3,
                 leg.arr,
                 leg.arr - sky.arr,
@@ -211,13 +249,15 @@ fn bench_reduce(c: &mut Criterion) {
         }
         scale_json.push_str(&format!(
             "{{\"n\":{n},\"dim\":{dim},\"generate_ms\":{:.3},\"skyline\":{{\"kept\":{},\
-             \"kept_fraction\":{:.8},\"reduce_ms\":{:.3},\"build_ms\":{:.3},\"solve_ms\":{:.3},\
-             \"arr\":{:.6}}},\"coresets\":[{coreset_json}]}}",
+             \"kept_fraction\":{:.8},\"reduce_ms\":{:.3},\"build_ms\":{:.3},\
+             \"full_stream_build_ms\":{:.3},\"solve_ms\":{:.3},\"arr\":{:.6}}},\
+             \"coresets\":[{coreset_json}]}}",
             generate.as_secs_f64() * 1e3,
             sky.kept,
             sky.kept as f64 / n as f64,
             sky.reduce.as_secs_f64() * 1e3,
             sky.build.as_secs_f64() * 1e3,
+            sky.full_stream_build.as_secs_f64() * 1e3,
             sky.solve.as_secs_f64() * 1e3,
             sky.arr,
         ));

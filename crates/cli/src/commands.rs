@@ -241,9 +241,10 @@ pub fn solve(a: &ParsedArgs) -> Result<String, String> {
 
 /// The `--param reduce=skyline|coreset` path of `fam solve`: compute the
 /// candidate reduction on coordinates first, then build the score matrix
-/// *tiled over the kept points only* — the full dataset is streamed in
-/// bands, the dense `N × n` matrix is never resident, and the
-/// `FAM_MAX_MATRIX_BYTES` budget is applied to the `N × kept` footprint.
+/// *over the kept points only*, scored from the skyline
+/// ([`reduced_build`]) — no dominated point is scored, the dense `N × n`
+/// matrix is never resident, and the `FAM_MAX_MATRIX_BYTES` budget is
+/// applied to the `N × kept` footprint.
 /// This is what lets `fam solve` answer on million-point datasets whose
 /// unreduced build would exceed the budget. The solver runs on the
 /// reduced universe with `reduce` cleared (and seeds remapped); the
@@ -271,20 +272,10 @@ fn solve_reduced(a: &ParsedArgs, ds: &Dataset, spec: &fam::SolverSpec) -> Result
             spec.params.k
         ));
     }
-    // Budget-check the *reduced* footprint (the tiled build re-checks it
-    // internally); `checked_sample_count` over the full `n` would reject
-    // exactly the datasets reduction exists to serve.
     let n_samples = sample_count(a)?;
     let mut rng = seeded(a)?;
     let dist = make_dist(a, ds.dim())?;
-    let (m, stats) = ScoreMatrix::from_distribution_tiled(
-        ds,
-        dist.as_ref(),
-        n_samples,
-        &mut rng,
-        reduction.kept(),
-    )
-    .map_err(|e| e.to_string())?;
+    let (m, stats) = reduced_build(&reduction, ds, dist.as_ref(), n_samples, &mut rng)?;
     let reduced_ds = reduction.restrict_dataset(ds).map_err(|e| e.to_string())?;
     let mut inner = spec.clone();
     inner.params.reduce = ReduceKind::None;
@@ -296,15 +287,8 @@ fn solve_reduced(a: &ParsedArgs, ds: &Dataset, spec: &fam::SolverSpec) -> Result
     reduction.remap_output(&mut out).map_err(|e| e.to_string())?;
     out.notes.push(("reduced_from", reduction.source_len() as f64));
     out.notes.push(("reduced_to", reduction.kept().len() as f64));
-    // Evaluate on a fresh tiled sample (same kept universe) for honesty.
-    let (fresh, _) = ScoreMatrix::from_distribution_tiled(
-        ds,
-        dist.as_ref(),
-        n_samples,
-        &mut rng,
-        reduction.kept(),
-    )
-    .map_err(|e| e.to_string())?;
+    // Evaluate on a fresh sample (same kept universe) for honesty.
+    let (fresh, _) = reduced_build(&reduction, ds, dist.as_ref(), n_samples, &mut rng)?;
     let mut report = solver_report(ds, &out, &fresh, &reduced_indices, n_samples, sigma_of(a)?)?;
     report.push_str(&format!(
         "\nreduction: {} kept {} of {} points ({:.4}% of the database), \
@@ -317,6 +301,29 @@ fn solve_reduced(a: &ParsedArgs, ds: &Dataset, spec: &fam::SolverSpec) -> Result
         stats.mean_shortfall,
     ));
     Ok(report)
+}
+
+/// One reduced build: `n_samples` functions drawn from `dist` (the
+/// stream `ScoreMatrix::from_distribution_tiled` draws), scored from the
+/// skyline by [`fam::Reduction::score_matrix`]. The budget is checked
+/// against the *reduced* footprint; `checked_sample_count` over the full
+/// `n` would reject exactly the datasets reduction exists to serve.
+fn reduced_build(
+    reduction: &fam::Reduction,
+    ds: &Dataset,
+    dist: &dyn UtilityDistribution,
+    n_samples: usize,
+    rng: &mut StdRng,
+) -> Result<(ScoreMatrix, fam::TiledBuildStats), String> {
+    if n_samples == 0 {
+        let e =
+            FamError::InvalidParameter { name: "n_samples", message: "must be at least 1".into() };
+        return Err(e.to_string());
+    }
+    fam::check_matrix_budget(n_samples, reduction.kept().len()).map_err(|e| e.to_string())?;
+    let functions: Vec<Arc<dyn UtilityFunction>> =
+        (0..n_samples).map(|_| dist.sample(rng)).collect();
+    reduction.score_matrix(ds, &functions).map_err(|e| e.to_string())
 }
 
 /// `fam algos` — list the solver registry with per-algorithm

@@ -68,7 +68,7 @@ fn usage() -> String {
      [--samples N | --epsilon E --sigma G] [--dist uniform|simplex] [--seed S] [--labelled]\n            \
      (NAME is any registry entry - see `fam algos`; params: seed=i,j,.. measure=box|angle\n            \
      max-passes=N prune|lazy|cache|exact=true|false reduce=none|skyline|coreset reduce-eps=E;\n            \
-     reduce=skyline prunes candidates losslessly and streams the score build in tiles, so\n            \
+     reduce=skyline prunes candidates losslessly and scores only the skyline, so\n            \
      million-point datasets fit the matrix budget)\n  \
      select    --data FILE --k K [--algo greedy-shrink|add-greedy|mrr-greedy|sky-dom|k-hit|dp|brute-force]\n            \
      [--samples N | --epsilon E --sigma G] [--dist uniform|simplex] [--seed S] [--compact] [--labelled]\n  \

@@ -238,16 +238,21 @@ pub struct ScoreMatrix {
     best_value: Vec<f64>,
 }
 
-/// Per-sample summary of what a tiled reduced build
-/// ([`ScoreMatrix::from_distribution_tiled`]) left behind: how far the
+/// Per-sample summary of what a reduced build left behind: how far the
 /// kept universe's best satisfaction falls short of the full database's,
 /// aggregated over samples. A skyline `keep` yields exactly `0.0`
 /// shortfall (the skyline contains a best point for every monotone
 /// utility); a coreset's shortfall is the regret actually introduced by
 /// reduction, to be compared against its declared `ε`.
+///
+/// Every producer folds through [`TiledBuildStats::from_bests`] — the
+/// tiled builds ([`ScoreMatrix::from_functions_tiled`]), the production
+/// skyline-sourced build (`fam_reduce::Reduction::score_matrix`) and the
+/// engine's restriction of a pre-built matrix — so one reduction reports
+/// the same bits however its matrix arrived.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TiledBuildStats {
-    /// Points in the full (streamed) dataset.
+    /// Points in the full dataset the reduction was computed over.
     pub source_points: usize,
     /// Points kept — the built matrix's column count.
     pub kept_points: usize,
@@ -256,6 +261,41 @@ pub struct TiledBuildStats {
     pub max_shortfall: f64,
     /// Mean per-sample relative shortfall (uniform over samples).
     pub mean_shortfall: f64,
+}
+
+impl TiledBuildStats {
+    /// Folds per-sample bests into the stats: `full_best[u]` is
+    /// `sat(D, f_u)`, `kept_best[u]` is `sat(kept, f_u)`. The max and the
+    /// mean go through [`crate::kernels::lane_max`] /
+    /// [`crate::kernels::lane_sum`], the canonical fold every producer
+    /// shares.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two slices differ in length.
+    pub fn from_bests(
+        source_points: usize,
+        kept_points: usize,
+        full_best: &[f64],
+        kept_best: &[f64],
+    ) -> Self {
+        assert_eq!(full_best.len(), kept_best.len(), "one best per sample on both sides");
+        let shortfall = |u: usize| {
+            let (full, kept) = (full_best[u], kept_best[u]);
+            if full > kept {
+                (full - kept) / full
+            } else {
+                0.0
+            }
+        };
+        let n = kept_best.len();
+        TiledBuildStats {
+            source_points,
+            kept_points,
+            max_shortfall: crate::kernels::lane_max(0.0, n, shortfall),
+            mean_shortfall: crate::kernels::lane_sum(n, shortfall) / n as f64,
+        }
+    }
 }
 
 impl ScoreMatrix {
@@ -358,13 +398,19 @@ impl ScoreMatrix {
     }
 
     /// Builds a matrix over the `keep` subset of `dataset`'s points by
-    /// sampling `n_samples` functions from `dist`, streaming the **full**
-    /// dataset in point bands so the dense `N × n` matrix is never
+    /// sampling `n_samples` functions from `dist`, streaming **every**
+    /// point of `dataset` in bands so the dense `N × n` matrix is never
     /// resident — only the `N × keep.len()` result is allocated, and the
     /// [`crate::sampling::check_matrix_budget`] guard is applied to that
-    /// reduced footprint. This is what lets candidate reduction
-    /// (`fam-reduce`) put `n = 10^6`-point datasets in front of solvers
-    /// whose dense build would blow `FAM_MAX_MATRIX_BYTES`.
+    /// reduced footprint.
+    ///
+    /// This is the full-stream reference: it scores every point just to
+    /// learn each sample's full-database best. Production reduced builds
+    /// (`fam_reduce::Reduction::score_matrix`) call
+    /// [`ScoreMatrix::from_functions_tiled`] with the *skyline* as
+    /// `dataset` instead — for monotone utilities the skyline's best is
+    /// the full database's best bit for bit — and the reduction bench
+    /// and tests pin the two against each other.
     ///
     /// The sample stream is identical to [`ScoreMatrix::from_distribution`]
     /// (`dist.sample(rng)` per sample, in order), and the produced matrix
@@ -510,21 +556,15 @@ impl ScoreMatrix {
         );
         let mut best_index = Vec::with_capacity(n_samples);
         let mut best_value = Vec::with_capacity(n_samples);
-        let mut shortfall = Vec::with_capacity(n_samples);
+        let mut full_best = Vec::with_capacity(n_samples);
         for chunk in per_chunk {
             for ((bi, bv), full_bv) in chunk? {
-                shortfall.push(if full_bv > bv { (full_bv - bv) / full_bv } else { 0.0 });
+                full_best.push(full_bv);
                 best_index.push(bi);
                 best_value.push(bv);
             }
         }
-        let stats = TiledBuildStats {
-            source_points: full_n,
-            kept_points: n_points,
-            max_shortfall: crate::kernels::lane_max(0.0, shortfall.len(), |u| shortfall[u]),
-            mean_shortfall: crate::kernels::lane_sum(shortfall.len(), |u| shortfall[u])
-                / n_samples as f64,
-        };
+        let stats = TiledBuildStats::from_bests(full_n, n_points, &full_best, &best_value);
         let m = Self::assemble(scores, n_samples, n_points, weights, true, best_index, best_value);
         Ok((m, stats))
     }

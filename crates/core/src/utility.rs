@@ -36,6 +36,19 @@ pub trait UtilityFunction: Send + Sync {
     fn linear_weights(&self) -> Option<&[f64]> {
         None
     }
+
+    /// Whether this function is monotone over the coordinates.
+    ///
+    /// Returning `true` is a promise that `utility(i, p)` ignores the
+    /// index `i` and that `utility(_, p) >= utility(_, q)` **in floating
+    /// point** whenever `p` dominates `q`. That is the capability skyline
+    /// reduction needs (`fam-reduce`): the skyline then holds a point
+    /// scoring exactly the full database's best, so a reduced build may
+    /// score the skyline alone. The default `false` makes reduction refuse
+    /// the function rather than guess.
+    fn is_monotone(&self) -> bool {
+        false
+    }
 }
 
 /// Linear utility `f(p) = w · p` with non-negative weights.
@@ -110,6 +123,12 @@ impl UtilityFunction for LinearUtility {
     fn linear_weights(&self) -> Option<&[f64]> {
         Some(&self.weights)
     }
+
+    /// Monotone: with non-negative weights every multiply and add of the
+    /// [`crate::kernels::dot`] chain is monotone under rounding.
+    fn is_monotone(&self) -> bool {
+        true
+    }
 }
 
 /// Cobb–Douglas utility `f(p) = prod_i p_i^{w_i}` — a standard non-linear,
@@ -170,6 +189,12 @@ impl UtilityFunction for CobbDouglasUtility {
 
     fn kind(&self) -> &'static str {
         "cobb-douglas"
+    }
+
+    /// Monotone: `ln`, the non-negative-weighted sum and `exp` are each
+    /// monotone, and a zero coordinate only ever lowers the score to 0.
+    fn is_monotone(&self) -> bool {
+        true
     }
 }
 

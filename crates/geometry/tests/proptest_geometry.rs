@@ -42,6 +42,21 @@ proptest! {
         prop_assert_eq!(&a, &c);
     }
 
+    /// On coordinates quantized to multiples of 1/8, duplicates and runs
+    /// of equal x are the rule, and every run sits on an edge of
+    /// `skyline_2d`'s bucket table: its pre-filter must still drop only
+    /// dominated points and keep every duplicate of a skyline point.
+    #[test]
+    fn skyline_2d_matches_bnl_on_quantized_coordinates(
+        rows in proptest::collection::vec(proptest::collection::vec(0u32..=8, 2), 1..=200),
+    ) {
+        let ds = Dataset::from_rows(
+            rows.iter().map(|r| r.iter().map(|&q| f64::from(q) / 8.0).collect()).collect(),
+        )
+        .unwrap();
+        prop_assert_eq!(skyline_2d(&ds), skyline_bnl(&ds));
+    }
+
     /// Dominance is a strict partial order: irreflexive, asymmetric,
     /// transitive.
     #[test]
@@ -148,4 +163,71 @@ proptest! {
         back.sort_unstable();
         prop_assert_eq!(&back, &base);
     }
+}
+
+fn ds2(rows: &[[f64; 2]]) -> Dataset {
+    Dataset::from_rows(rows.iter().map(|r| r.to_vec()).collect()).unwrap()
+}
+
+/// `skyline_2d` against the block-nested-loop reference.
+fn assert_2d_matches_bnl(ds: &Dataset) {
+    assert_eq!(skyline_2d(ds), skyline_bnl(ds));
+}
+
+#[test]
+fn skyline_2d_with_every_x_equal() {
+    // A zero x-range puts every point in one bucket; only the largest y
+    // (and its duplicates) survive.
+    let ds = ds2(&[[0.5, 0.1], [0.5, 0.9], [0.5, 0.3], [0.5, 0.9]]);
+    assert_eq!(skyline_2d(&ds), vec![1, 3]);
+    assert_2d_matches_bnl(&ds);
+}
+
+#[test]
+fn skyline_2d_with_a_one_ulp_x_range() {
+    let lo = 0.75f64;
+    let hi = f64::from_bits(lo.to_bits() + 1);
+    let ds = ds2(&[[lo, 0.9], [hi, 0.2], [lo, 0.1], [hi, 0.2], [lo, 0.95]]);
+    assert_eq!(skyline_2d(&ds), vec![1, 3, 4]);
+    assert_2d_matches_bnl(&ds);
+}
+
+#[test]
+fn skyline_2d_with_a_subnormal_x_range() {
+    // `buckets / range` overflows to infinity here; the clamped scale
+    // must still map x monotonically into the table.
+    let tiny = f64::from_bits(1);
+    let ds = ds2(&[
+        [0.0, 0.4],
+        [tiny, 0.3],
+        [2.0 * tiny, 0.2],
+        [tiny, 0.5],
+        [0.0, 0.6],
+        [2.0 * tiny, 0.2],
+    ]);
+    assert_eq!(skyline_2d(&ds), vec![2, 3, 4, 5]);
+    assert_2d_matches_bnl(&ds);
+}
+
+#[test]
+fn skyline_2d_of_a_single_point() {
+    assert_eq!(skyline_2d(&ds2(&[[0.3, 0.7]])), vec![0]);
+}
+
+#[test]
+fn skyline_2d_matches_sfs_on_a_large_anti_correlated_set() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(2019);
+    let rows: Vec<Vec<f64>> = (0..100_000)
+        .map(|_| {
+            let x: f64 = rng.gen_range(0.0..1.0);
+            let y = (1.0 - x + rng.gen_range(-0.05f64..0.05)).clamp(0.0, 1.0);
+            vec![x, y]
+        })
+        .collect();
+    let ds = Dataset::from_rows(rows).unwrap();
+    let sky = skyline_2d(&ds);
+    assert!(sky.len() > 10 && sky.len() < 5_000, "skyline of {} points", sky.len());
+    assert_eq!(sky, skyline_sfs(&ds));
 }

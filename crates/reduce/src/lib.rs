@@ -16,14 +16,18 @@
 //! * [`CoresetReducer`] — **ε-kernel-style**: keeps each per-direction
 //!   argmax over a deterministic net of positive-orthant directions, with
 //!   a declared regret target `ε`. Sound for heuristic solvers; the
-//!   achieved loss is reported by the tiled build's shortfall stats and
-//!   the reduction bench.
+//!   achieved loss is reported by the reduced build's shortfall stats
+//!   and the reduction bench.
 //!
 //! The pipeline composes as *skyline → coreset* and produces a
 //! [`Reduction`]: the ascending kept original ids plus the remap that
 //! the registry (`fam-algos`), the engine facade, the CLI, and
 //! `fam-serve` apply to every [`fam_core::SolveOutput`] — callers always
-//! see original point ids. Everything here is deterministic and
+//! see original point ids. [`Reduction::score_matrix`] builds the
+//! kept universe's score matrix from the skyline alone, bit-identical
+//! to scoring every point; it refuses utilities that are not
+//! [`fam_core::UtilityFunction::is_monotone`], the capability the
+//! skyline argument rests on. Everything here is deterministic and
 //! single-pass (no RNG, no ambient state), so reductions are
 //! bit-identical across runs, thread counts, and feature configurations.
 

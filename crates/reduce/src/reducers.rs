@@ -61,7 +61,7 @@ impl CandidateReducer for SkylineReducer {
         check_candidates(dataset, candidates)?;
         if candidates.len() == dataset.len() {
             // Full universe: the dimension-dispatched algorithms
-            // (`O(n log n)` sweep in 2-D, sort-filter otherwise).
+            // (bucket-filtered sweep in 2-D, sort-filter otherwise).
             return Ok(fam_geometry::skyline(dataset));
         }
         // Subset skyline via the same sort-filter scheme: descending
@@ -104,7 +104,7 @@ impl CandidateReducer for SkylineReducer {
 /// coarser nets (larger `eps`) keep fewer points and lose more. In 2-D
 /// the net is an angular grid whose spacing shrinks linearly in `eps`;
 /// in higher dimensions the net size grows only linearly in `d/ε`, so
-/// the bound is heuristic — the tiled build's shortfall stats and
+/// the bound is heuristic — the reduced build's shortfall stats and
 /// `reduction_equivalence.rs` measure the loss actually achieved. Run it
 /// after [`SkylineReducer`] (the [`crate::Reduction`] pipeline always
 /// does) so the scan touches only skyline members.

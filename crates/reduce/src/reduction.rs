@@ -1,14 +1,15 @@
 //! The composed reduction pipeline and its result: original-id
-//! bookkeeping, output remapping, and incremental repair under dynamic
-//! updates.
+//! bookkeeping, the skyline-sourced score-matrix build, output
+//! remapping, and incremental repair under dynamic updates.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use fam_core::solve::{ReduceKind, SolveOutput};
-use fam_core::{Dataset, FamError, Result};
+use fam_core::{Dataset, FamError, Result, ScoreMatrix, TiledBuildStats, UtilityFunction};
 use fam_geometry::dominance::{dom_compare, DomOrdering};
 
-use crate::reducers::{CandidateReducer, CoresetReducer, SkylineReducer};
+use crate::reducers::{CandidateReducer, CoresetReducer};
 use crate::ReduceSpec;
 
 /// The result of running a [`ReduceSpec`] pipeline over a dataset: which
@@ -54,20 +55,76 @@ impl Reduction {
         if n == 0 {
             return Err(FamError::EmptyDataset);
         }
-        let all: Vec<usize> = (0..n).collect();
+        // The full-universe skyline needs no candidate list: the
+        // dimension-dispatched algorithm reads the dataset directly.
         let (skyline, kept) = match spec.kind {
-            ReduceKind::None => (all.clone(), all),
+            ReduceKind::None => {
+                let all: Vec<usize> = (0..n).collect();
+                (all.clone(), all)
+            }
             ReduceKind::Skyline => {
-                let sky = SkylineReducer.reduce(dataset, &all)?;
+                let sky = fam_geometry::skyline(dataset);
                 (sky.clone(), sky)
             }
             ReduceKind::Coreset => {
-                let sky = SkylineReducer.reduce(dataset, &all)?;
+                let sky = fam_geometry::skyline(dataset);
                 let core = CoresetReducer::new(spec.eps)?.reduce(dataset, &sky)?;
                 (sky, core)
             }
         };
         Ok(Reduction { spec, source_len: n, skyline, kept })
+    }
+
+    /// Scores the kept universe under `functions` and reports the
+    /// shortfall stats — the build every reduced caller (the engine
+    /// builder, `fam-serve`, `fam solve --param reduce=…`) runs.
+    ///
+    /// Only the skyline is scored: it is the source of
+    /// [`ScoreMatrix::from_functions_tiled`], with the kept ids'
+    /// positions inside the skyline as `keep`. No dominated point is
+    /// touched. For a monotone utility the skyline holds a point scoring
+    /// exactly the full database's best, and the max is exact, so rows,
+    /// bests and stats are bit-identical to the full-stream
+    /// `from_functions_tiled(full, functions, None, self.kept())` —
+    /// pinned by `reduction_equivalence.rs` and the reduce bench. The
+    /// stats report `source_points = full.len()`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FamError::InvalidParameter`] (`reduce`) before scoring
+    /// anything when a function is not monotone
+    /// ([`UtilityFunction::is_monotone`]): dominance pruning is unsound
+    /// for it (and an index-based table would be read at skyline
+    /// positions). Returns [`FamError::DimensionMismatch`] when `full` is
+    /// not the dataset this reduction was computed over, and the build's
+    /// own errors otherwise.
+    pub fn score_matrix(
+        &self,
+        full: &Dataset,
+        functions: &[Arc<dyn UtilityFunction>],
+    ) -> Result<(ScoreMatrix, TiledBuildStats)> {
+        if full.len() != self.source_len {
+            return Err(FamError::DimensionMismatch { expected: self.source_len, got: full.len() });
+        }
+        if let Some(u) = functions.iter().position(|f| !f.is_monotone()) {
+            return Err(FamError::InvalidParameter {
+                name: "reduce",
+                message: format!(
+                    "the `{}` reduction needs monotone utilities, but sample {u} is a `{}` \
+                     function; build without reduction",
+                    self.fingerprint(),
+                    functions[u].kind()
+                ),
+            });
+        }
+        let keep: Vec<usize> = self
+            .kept
+            .iter()
+            .map(|id| self.skyline.binary_search(id).expect("kept ids are skyline members"))
+            .collect();
+        let skyline = full.subset(&self.skyline)?;
+        let (matrix, stats) = ScoreMatrix::from_functions_tiled(&skyline, functions, None, &keep)?;
+        Ok((matrix, TiledBuildStats { source_points: full.len(), ..stats }))
     }
 
     /// The spec this reduction was computed under.
@@ -294,6 +351,42 @@ mod tests {
         assert_eq!(out.selection.indices, vec![0, 3]);
         let mut bad = SolveOutput::new(fam_core::Selection::new(vec![7], "test"));
         assert!(r.remap_output(&mut bad).is_err());
+    }
+
+    #[test]
+    fn score_matrix_matches_the_full_stream_and_refuses_non_monotone_functions() {
+        use fam_core::{LinearUtility, TableUtility};
+        let data = ds(vec![
+            vec![1.0, 0.0],
+            vec![0.5, 0.5],
+            vec![0.4, 0.4], // dominated
+            vec![0.0, 1.0],
+        ]);
+        let fns: Vec<Arc<dyn UtilityFunction>> = [[0.3, 0.7], [0.9, 0.1], [0.5, 0.5]]
+            .iter()
+            .map(|w| Arc::new(LinearUtility::new(w.to_vec()).unwrap()) as Arc<dyn UtilityFunction>)
+            .collect();
+        for spec in [ReduceSpec::skyline(), ReduceSpec::coreset(0.2)] {
+            let r = Reduction::compute(&data, spec).unwrap();
+            let (m, stats) = r.score_matrix(&data, &fns).unwrap();
+            let (full, full_stats) =
+                ScoreMatrix::from_functions_tiled(&data, &fns, None, r.kept()).unwrap();
+            for u in 0..fns.len() {
+                assert_eq!(m.row(u), full.row(u), "{spec:?}: row {u}");
+            }
+            assert_eq!(stats, full_stats, "{spec:?}");
+            assert_eq!(stats.source_points, 4);
+            // A dataset other than the reduction's own is rejected.
+            assert!(r.score_matrix(&data.subset(&[0, 1]).unwrap(), &fns).is_err());
+        }
+        // Index-based tables are refused before anything is scored.
+        let table: Arc<dyn UtilityFunction> =
+            Arc::new(TableUtility::new(vec![0.1, 0.2, 0.9, 0.3]).unwrap());
+        let r = Reduction::compute(&data, ReduceSpec::skyline()).unwrap();
+        match r.score_matrix(&data, &[fns[0].clone(), table]) {
+            Err(FamError::InvalidParameter { name: "reduce", .. }) => {}
+            other => panic!("expected a `reduce` refusal, got {other:?}"),
+        }
     }
 
     #[test]

@@ -82,10 +82,12 @@ pub struct ServeOptions {
     /// `1 - sigma`.
     pub sigma: f64,
     /// Build-time candidate reduction (`fam_reduce`). When non-none, the
-    /// resident matrix is built **tiled over the kept points only** —
-    /// the full dataset is streamed in bands and the dense `N × n`
-    /// matrix is never resident — so million-point datasets can be
-    /// served under the default `FAM_MAX_MATRIX_BYTES` budget. Every
+    /// resident matrix covers **the kept points only**, scored from the
+    /// skyline by [`fam_reduce::Reduction::score_matrix`] — no dominated
+    /// point is scored and the dense `N × n` matrix is never resident —
+    /// so million-point datasets can be served under the default
+    /// `FAM_MAX_MATRIX_BYTES` budget. The utility distribution must be
+    /// monotone (both `DistKind`s are linear). Every
     /// answer is remapped to original point ids; updates repair the
     /// reduction incrementally ([`fam_reduce::Reduction::repair`]) and
     /// recompute it only when a kept member is deleted.
@@ -329,8 +331,8 @@ impl DatasetService {
             Some(r)
         };
         // Budget the *resident* footprint: on a reduced build that is the
-        // kept universe only — the tiled scoring pass streams the full
-        // dataset in bands and never materializes the dense `N × n`.
+        // kept universe only — `Reduction::score_matrix` scores the
+        // skyline alone and never materializes the dense `N × n`.
         let budget_points = reduction.as_ref().map_or(dataset.len(), |r| r.kept().len());
         check_matrix_budget(opts.samples, budget_points)?;
         let dist = opts.dist.build(dataset.dim())?;
@@ -342,8 +344,7 @@ impl DatasetService {
                 (ScoreMatrix::from_functions(dataset, &functions, None)?, dataset.clone(), None)
             }
             Some(reduction) => {
-                let (matrix, stats) =
-                    ScoreMatrix::from_functions_tiled(dataset, &functions, None, reduction.kept())?;
+                let (matrix, stats) = reduction.score_matrix(dataset, &functions)?;
                 let mirror = reduction.restrict_dataset(dataset)?;
                 let cols = reduction.kept().to_vec();
                 let state = ReducedResident {

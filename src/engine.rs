@@ -22,10 +22,12 @@
 //! assert_eq!(out.selection.len(), 2);
 //! ```
 
+use std::sync::Arc;
+
 use fam_algos::{Registry, SolverSpec};
 use fam_core::{
     chernoff_epsilon, regret, Dataset, FamError, PrecisionSpec, ReduceKind, RegretReport, Result,
-    ScoreMatrix, SolveOutput, TiledBuildStats, UniformLinear, UtilityDistribution,
+    ScoreMatrix, SolveOutput, TiledBuildStats, UniformLinear, UtilityDistribution, UtilityFunction,
 };
 use fam_reduce::{ReduceSpec, Reduction};
 use rand::rngs::StdRng;
@@ -43,9 +45,9 @@ pub const DEFAULT_SOLVER: &str = "greedy-shrink";
 /// solver name. All solving dispatches through [`Registry::global`].
 ///
 /// When built with [`EngineBuilder::reduce`], the resident matrix covers
-/// only the reduction's kept universe (scored by the tiled streaming
-/// build, so the full `N × n` matrix never exists), and every answer is
-/// remapped back to original point ids.
+/// only the reduction's kept universe (scored from the skyline alone by
+/// [`Reduction::score_matrix`], so the full `N × n` matrix never exists),
+/// and every answer is remapped back to original point ids.
 pub struct Engine {
     dataset: Option<Dataset>,
     matrix: ScoreMatrix,
@@ -55,7 +57,7 @@ pub struct Engine {
 
 /// The reduced-resident substrate: which original points survive, the
 /// materialized kept-universe dataset coordinate solvers see, and the
-/// tiled build's shortfall statistics.
+/// build's shortfall statistics.
 struct ReducedState {
     reduction: Reduction,
     dataset: Dataset,
@@ -170,7 +172,7 @@ impl Engine {
         self.reduced.as_ref().map(|r| &r.reduction)
     }
 
-    /// The tiled build's shortfall statistics, when the engine is
+    /// The reduced build's shortfall statistics, when the engine is
     /// reduced-resident: how far the kept universe's per-sample bests
     /// fall short of the full database's (exactly zero for a skyline
     /// reduction).
@@ -342,11 +344,18 @@ impl EngineBuilder {
     /// Reduces the candidate universe at build time (`fam-reduce`):
     /// `ReduceKind::Skyline` keeps the exact Pareto frontier,
     /// `ReduceKind::Coreset` additionally thins it under the configured
-    /// [`EngineBuilder::reduce_eps`] regret target. The score matrix is
-    /// then built by the tiled streaming pass over the kept universe
-    /// only — the dense `N × n` matrix never exists, which is what lets
-    /// million-point datasets through the `FAM_MAX_MATRIX_BYTES` budget.
-    /// Requires a dataset (reduction is a coordinate-stage operation).
+    /// [`EngineBuilder::reduce_eps`] regret target. The sampled functions
+    /// are then scored by [`Reduction::score_matrix`] over the skyline
+    /// only — no dominated point is scored and the dense `N × n` matrix
+    /// never exists, which is what lets million-point datasets through
+    /// the `FAM_MAX_MATRIX_BYTES` budget — and the answer is bit-identical
+    /// to scoring the full dataset. Requires a dataset (reduction is a
+    /// coordinate-stage operation) and a monotone utility distribution:
+    /// [`EngineBuilder::build`] refuses a sample whose
+    /// [`fam_core::UtilityFunction::is_monotone`] is `false` (e.g. a
+    /// `TableUtility` atom) before scoring. A pre-built
+    /// [`EngineBuilder::matrix`] is restricted to the kept columns
+    /// instead.
     #[must_use]
     pub fn reduce(mut self, kind: ReduceKind) -> Self {
         self.reduce.kind = kind;
@@ -424,26 +433,18 @@ impl EngineBuilder {
                     Some(r) => {
                         // A pre-built matrix already paid the dense cost;
                         // restrict it and derive the shortfall stats from
-                        // the full-universe bests it knows.
+                        // the full-universe bests it knows, through the
+                        // same fold the reduced scoring build uses.
                         let reduced = m.restrict_columns(r.kept())?;
-                        let n = m.n_samples();
-                        let mut max_shortfall = 0.0;
-                        let mut sum = 0.0;
-                        for u in 0..n {
-                            let full = m.best_value(u);
-                            let kept = reduced.best_value(u);
-                            let s = if full > kept { (full - kept) / full } else { 0.0 };
-                            if s > max_shortfall {
-                                max_shortfall = s;
-                            }
-                            sum += s;
-                        }
-                        let stats = TiledBuildStats {
-                            source_points: ds.len(),
-                            kept_points: r.kept().len(),
-                            max_shortfall,
-                            mean_shortfall: sum / n as f64,
+                        let bests = |m: &ScoreMatrix| -> Vec<f64> {
+                            (0..m.n_samples()).map(|u| m.best_value(u)).collect()
                         };
+                        let stats = TiledBuildStats::from_bests(
+                            ds.len(),
+                            r.kept().len(),
+                            &bests(&m),
+                            &bests(&reduced),
+                        );
                         (reduced, Some(stats))
                     }
                 }
@@ -480,13 +481,10 @@ impl EngineBuilder {
                         None,
                     ),
                     Some(r) => {
-                        let (m, stats) = ScoreMatrix::from_distribution_tiled(
-                            ds,
-                            dist.as_ref(),
-                            samples,
-                            &mut rng,
-                            r.kept(),
-                        )?;
+                        // The sample stream `from_distribution_tiled` draws.
+                        let functions: Vec<Arc<dyn UtilityFunction>> =
+                            (0..samples).map(|_| dist.sample(&mut rng)).collect();
+                        let (m, stats) = r.score_matrix(ds, &functions)?;
                         (m, Some(stats))
                     }
                 }
@@ -699,6 +697,92 @@ mod tests {
             .reduce_eps(0.0)
             .build()
             .is_err());
+    }
+
+    #[test]
+    fn prebuilt_and_sampled_reduced_builds_report_the_same_stats_bits() {
+        // The same population two ways: sampled by the builder (scored
+        // from the skyline) and pre-built densely from the same RNG
+        // stream (restricted to the kept columns). A 3-D coreset leaves
+        // a non-zero shortfall, so the mean's fold order shows.
+        let mut rng = StdRng::seed_from_u64(11);
+        let ds =
+            fam_data::synthetic(1500, 3, fam_data::Correlation::AntiCorrelated, &mut rng).unwrap();
+        for eps in [0.05, 0.2] {
+            let sampled = Engine::builder()
+                .dataset(ds.clone())
+                .samples(600)
+                .seed(5)
+                .reduce(ReduceKind::Coreset)
+                .reduce_eps(eps)
+                .build()
+                .unwrap();
+            let dist = UniformLinear::new(3).unwrap();
+            let dense =
+                ScoreMatrix::from_distribution(&ds, &dist, 600, &mut StdRng::seed_from_u64(5))
+                    .unwrap();
+            let prebuilt = Engine::builder()
+                .dataset(ds.clone())
+                .matrix(dense)
+                .reduce(ReduceKind::Coreset)
+                .reduce_eps(eps)
+                .build()
+                .unwrap();
+            let (a, b) = (sampled.reduce_stats().unwrap(), prebuilt.reduce_stats().unwrap());
+            assert!(a.mean_shortfall > 0.0, "eps {eps}: the coreset must lose something");
+            assert_eq!((a.source_points, a.kept_points), (b.source_points, b.kept_points));
+            assert_eq!(a.max_shortfall.to_bits(), b.max_shortfall.to_bits(), "eps {eps}: max");
+            assert_eq!(a.mean_shortfall.to_bits(), b.mean_shortfall.to_bits(), "eps {eps}: mean");
+            for u in 0..600 {
+                assert_eq!(sampled.matrix().row(u), prebuilt.matrix().row(u), "eps {eps}: row {u}");
+            }
+        }
+    }
+
+    #[test]
+    fn reduction_refuses_non_monotone_utilities_before_scoring() {
+        use fam_core::{DiscreteDistribution, TableUtility, UtilityFunction};
+        let table = |scores: Vec<f64>| -> Arc<dyn UtilityFunction> {
+            Arc::new(TableUtility::new(scores).unwrap())
+        };
+        let population = |atoms: Vec<Arc<dyn UtilityFunction>>| {
+            Box::new(DiscreteDistribution::uniform(atoms, 2).unwrap())
+        };
+        let tables = || vec![table(vec![0.2, 0.9, 0.1, 0.4]), table(vec![0.1, 0.2, 0.9, 0.3])];
+        // Table 1's favourite is point 2, which the skyline drops:
+        // dominance pruning is unsound for index-based tables.
+        let ds = Dataset::from_rows(vec![
+            vec![0.9, 0.2],
+            vec![0.7, 0.6],
+            vec![0.3, 0.3],
+            vec![0.1, 0.95],
+        ])
+        .unwrap();
+        let unreduced =
+            Engine::builder().dataset(ds.clone()).distribution(population(tables())).samples(8);
+        assert!(unreduced.build().is_ok(), "tables score fine without reduction");
+        let refused = Engine::builder()
+            .dataset(ds.clone())
+            .distribution(population(tables()))
+            .samples(8)
+            .reduce(ReduceKind::Skyline)
+            .build();
+        match refused {
+            Err(FamError::InvalidParameter { name: "reduce", message }) => {
+                assert!(message.contains("monotone"), "{message}")
+            }
+            Err(e) => panic!("expected a `reduce` refusal, got {e}"),
+            Ok(_) => panic!("a reduced build over tables must be refused"),
+        }
+        // The refusal comes before any scoring: a one-entry table would
+        // panic on its first out-of-range index if a point were scored.
+        let refused = Engine::builder()
+            .dataset(ds)
+            .distribution(population(vec![table(vec![1.0])]))
+            .samples(8)
+            .reduce(ReduceKind::Skyline)
+            .build();
+        assert!(matches!(refused, Err(FamError::InvalidParameter { name: "reduce", .. })));
     }
 
     #[test]
