@@ -20,7 +20,7 @@ use fam_core::{FamError, Result, ScoreSource, Selection, SelectionEvaluator};
 ///
 /// Returns an error when `k` is zero or exceeds the number of points.
 pub fn add_greedy<S: ScoreSource + ?Sized>(m: &S, k: usize) -> Result<Selection> {
-    run(m, &[], k, "add-greedy")
+    add_greedy_from_counted(m, &[], k).map(|(sel, _)| sel)
 }
 
 /// Warm-started ADD-GREEDY: starts from `seed` (a previous selection that
@@ -36,15 +36,16 @@ pub fn add_greedy_from<S: ScoreSource + ?Sized>(
     seed: &[usize],
     k: usize,
 ) -> Result<Selection> {
-    run(m, seed, k, if seed.is_empty() { "add-greedy" } else { "add-greedy-warm" })
+    add_greedy_from_counted(m, seed, k).map(|(sel, _)| sel)
 }
 
-fn run<S: ScoreSource + ?Sized>(
+/// [`add_greedy_from`] plus the `arr` evaluations it spent: the initial
+/// marginals of every unselected candidate plus the lazy re-evaluations.
+pub(crate) fn add_greedy_from_counted<S: ScoreSource + ?Sized>(
     m: &S,
     seed: &[usize],
     k: usize,
-    algorithm: &'static str,
-) -> Result<Selection> {
+) -> Result<(Selection, u64)> {
     let n = m.n_points();
     if k == 0 || k > n {
         return Err(FamError::InvalidK { k, n });
@@ -58,11 +59,13 @@ fn run<S: ScoreSource + ?Sized>(
     }
     let start = QueryTimer::start();
     let mut ev = SelectionEvaluator::new_with(m, seed);
-    crate::repair::lazy_grow(&mut ev, k);
+    let evaluations = crate::repair::lazy_grow(&mut ev, k);
     let objective = ev.arr();
-    Ok(Selection::new(ev.selection(), algorithm)
+    let algorithm = if seed.is_empty() { "add-greedy" } else { "add-greedy-warm" };
+    let sel = Selection::new(ev.selection(), algorithm)
         .with_objective(objective)
-        .with_query_time(start.elapsed()))
+        .with_query_time(start.elapsed());
+    Ok((sel, evaluations))
 }
 
 #[cfg(test)]

@@ -103,7 +103,8 @@ pub fn mrr_greedy_sampled<S: ScoreSource + ?Sized>(m: &S, k: usize) -> Result<Se
         // per candidate (contiguous when a point-major mirror exists),
         // fanned out over all cores; the merge keeps the highest regret
         // with a lowest-index tie-break, matching the serial scan.
-        let sat_ref = &sat;
+        let sat_ref = &sat[..];
+        let bests = &m.best_values()[..sat_ref.len()];
         let in_sel_ref = &in_sel;
         let best = fam_core::par::arg_reduce(
             n,
@@ -116,11 +117,14 @@ pub fn mrr_greedy_sampled<S: ScoreSource + ?Sized>(m: &S, k: usize) -> Result<Se
                 // result is bit-identical to the serial
                 // `if gain > regret` fold it replaces.
                 let regret = match m.column_slice(p) {
-                    Some(col) => fam_core::kernels::lane_max(0.0, col.len(), |u| {
-                        (col[u] - sat_ref[u]) / m.best_value(u)
-                    }),
+                    Some(col) => {
+                        let col = &col[..sat_ref.len()];
+                        fam_core::kernels::lane_max(0.0, col.len(), |u| {
+                            (col[u] - sat_ref[u]) / bests[u]
+                        })
+                    }
                     None => fam_core::kernels::lane_max(0.0, sat_ref.len(), |u| {
-                        (m.score(u, p) - sat_ref[u]) / m.best_value(u)
+                        (m.score(u, p) - sat_ref[u]) / bests[u]
                     }),
                 };
                 Some(regret)

@@ -665,7 +665,9 @@ impl Solver for AddGreedySolver {
     }
 
     fn solve(&self, ctx: &SolveCtx<'_>) -> Result<SolveOutput> {
-        crate::add_greedy_from(ctx.matrix, &ctx.params.seed, ctx.params.k).map(SolveOutput::new)
+        let (sel, evaluations) =
+            crate::add_greedy::add_greedy_from_counted(ctx.matrix, &ctx.params.seed, ctx.params.k)?;
+        Ok(SolveOutput::new(sel).with_note("arr_evaluations", evaluations as f64))
     }
 
     fn solve_range(
@@ -679,7 +681,13 @@ impl Solver for AddGreedySolver {
                 "range harvesting starts from the empty set; drop the warm seed",
             ));
         }
-        Ok(crate::add_greedy_range(ctx.matrix, ks)?.into_iter().map(SolveOutput::new).collect())
+        let outs = crate::trajectory::add_greedy_range_counted(ctx.matrix, ks)?;
+        Ok(outs
+            .into_iter()
+            .map(|(sel, evaluations)| {
+                SolveOutput::new(sel).with_note("arr_evaluations", evaluations as f64)
+            })
+            .collect())
     }
 }
 
@@ -1056,6 +1064,33 @@ mod tests {
                 panic!("{}: {e}", solver.name());
             });
             assert_eq!(out.selection.len(), 3, "{}", solver.name());
+        }
+    }
+
+    #[test]
+    fn add_greedy_harvest_spends_what_cold_solves_spend() {
+        // One lazy heap per harvest: the entry at every k is the first k
+        // iterations of one loop, so it reports exactly the arr
+        // evaluations of a cold solve at that k. A harvest that rebuilt
+        // the heap per k would re-score every unselected candidate each
+        // time and report more.
+        let mut rng = StdRng::seed_from_u64(41);
+        let r = Registry::standard();
+        for trial in 0..4 {
+            let n = rng.gen_range(12..40);
+            let (_, m) = instance(&mut rng, n);
+            let hi = rng.gen_range(3..=8);
+            let lo = rng.gen_range(1..=hi);
+            let spec = SolverSpec::new("add-greedy", hi);
+            let outs = r.solve_range(&spec, &m, None, lo..=hi).unwrap();
+            assert_eq!(outs.len(), hi - lo + 1);
+            for (i, out) in outs.iter().enumerate() {
+                let k = lo + i;
+                let cold = r.solve(&SolverSpec::new("add-greedy", k), &m, None).unwrap();
+                let harvested = out.note("arr_evaluations");
+                assert!(harvested.is_some_and(|e| e >= n as f64), "trial {trial}: k={k}");
+                assert_eq!(harvested, cold.note("arr_evaluations"), "trial {trial}: k={k}");
+            }
         }
     }
 

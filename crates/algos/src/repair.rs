@@ -50,14 +50,16 @@ impl PartialOrd for Entry {
 
 /// Reusable buffers for the lazy grow/shrink loops.
 ///
-/// A trajectory harvest (and the serve layer's `POST /update` re-harvest
-/// behind it) calls [`lazy_grow`]/[`lazy_shrink`] once per `k` on one
-/// evaluator; each call used to allocate the candidate list, the marginal
-/// buffer, and the heap's backing storage from scratch. Holding one
-/// `RepairScratch` across the sweep retains those capacities, so
-/// steady-state repair iterations allocate nothing. Purely an allocation
-/// cache — every buffer is cleared before use, so reusing or dropping it
-/// never changes results.
+/// GREEDY-SHRINK's trajectory harvest (and the serve layer's `POST
+/// /update` re-harvest behind it) calls [`lazy_shrink`] once per `k` on
+/// one evaluator, and [`reoptimize`] chains a grow and a shrink; each call
+/// used to allocate the member list, the marginal buffer, and the heap's
+/// backing storage from scratch. Holding one `RepairScratch` across the
+/// sweep retains those capacities, so steady-state repair iterations
+/// allocate nothing. (ADD-GREEDY's harvest runs a single grow loop — see
+/// [`lazy_grow_each`] — so nothing runs the grow loop once per `k`.)
+/// Purely an allocation cache — every buffer is cleared before use, so
+/// reusing or dropping it never changes results.
 #[derive(Default)]
 pub(crate) struct RepairScratch {
     /// Unselected candidate points (grow).
@@ -100,6 +102,25 @@ pub(crate) fn lazy_grow_with<S: ScoreSource + ?Sized>(
     k: usize,
     scratch: &mut RepairScratch,
 ) -> u64 {
+    lazy_grow_each(ev, k, scratch, |_, _| {})
+}
+
+/// [`lazy_grow_with`] that calls `on_pick(ev, evaluations)` after every
+/// pick, with the `arr` evaluations spent so far (initial marginals plus
+/// lazy re-evaluations). No iteration of the loop depends on `k`, so the
+/// state seen after the `j`-th pick is exactly the state a grow to
+/// `ev.len()` would end in: one loop to the largest size harvests every
+/// smaller one, evaluation counts included.
+pub(crate) fn lazy_grow_each<S, F>(
+    ev: &mut SelectionEvaluator<'_, S>,
+    k: usize,
+    scratch: &mut RepairScratch,
+    mut on_pick: F,
+) -> u64
+where
+    S: ScoreSource + ?Sized,
+    F: FnMut(&SelectionEvaluator<'_, S>, u64),
+{
     debug_assert!(ev.len() <= k && k <= ev.n_points());
     let deficit = k - ev.len();
     if deficit == 0 {
@@ -131,6 +152,7 @@ pub(crate) fn lazy_grow_with<S: ScoreSource + ?Sized>(
             }
             if head.stamp == iter {
                 ev.add(head.point as usize);
+                on_pick(ev, evaluations);
                 break;
             }
             let value = ev.addition_delta(head.point as usize);

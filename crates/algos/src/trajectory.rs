@@ -11,18 +11,23 @@
 //!   the shrink from `n` to `k` passes through the exact states of every
 //!   intermediate `greedy_shrink(m, k')` with `k' > k`.
 //!
-//! Both properties are exact at the bit level, not just set-equal: each
-//! harvested snapshot reuses the lazy warm entry points ([`lazy_grow`] /
-//! [`lazy_shrink`]) on one continuously evolving [`SelectionEvaluator`],
-//! which is the same object state a cold run truncated at that size holds
-//! (the lazy heaps always pick the unique (value, lowest-index) argmin —
-//! Lemmas 2/3 — so rebuilding the heap between snapshots changes nothing).
+//! Both properties are exact at the bit level, not just set-equal. For
+//! ADD-GREEDY the prefix property is structural: [`add_greedy_range`]
+//! runs `add_greedy`'s own lazy loop once, up to `ks.end()`, and
+//! snapshots the evaluator after each pick. No iteration of that loop
+//! depends on the target size, so a cold `add_greedy(m, k)` *is* its
+//! first `k` iterations — the same heap, the same re-evaluations, the
+//! same `arr` evaluation count. GREEDY-SHRINK's harvest reuses the lazy
+//! warm entry point ([`lazy_shrink`]) once per `k` on one continuously
+//! evolving [`SelectionEvaluator`], which is the same object state a cold
+//! run truncated at that size holds (the lazy heap always picks the
+//! unique (value, lowest-index) argmin — Lemmas 2/3 — so rebuilding it
+//! between snapshots changes nothing).
 //! `tests::*_range_matches_cold_solves` pins selections *and* objective
 //! bits against per-`k` cold runs; the serving layer's result cache leans
 //! on that contract to serve cached answers indistinguishable from fresh
 //! solves.
 //!
-//! [`lazy_grow`]: crate::repair
 //! [`lazy_shrink`]: crate::repair
 
 use fam_core::solve::QueryTimer;
@@ -30,7 +35,7 @@ use std::ops::RangeInclusive;
 
 use fam_core::{FamError, Result, ScoreSource, Selection, SelectionEvaluator};
 
-use crate::repair::{lazy_grow_with, lazy_shrink_with, RepairScratch};
+use crate::repair::{lazy_grow_each, lazy_shrink_with, RepairScratch};
 
 fn validate_range<S: ScoreSource + ?Sized>(m: &S, ks: &RangeInclusive<usize>) -> Result<()> {
     let (lo, hi) = (*ks.start(), *ks.end());
@@ -59,23 +64,30 @@ pub fn add_greedy_range<S: ScoreSource + ?Sized>(
     m: &S,
     ks: RangeInclusive<usize>,
 ) -> Result<Vec<Selection>> {
+    Ok(add_greedy_range_counted(m, ks)?.into_iter().map(|(sel, _)| sel).collect())
+}
+
+/// [`add_greedy_range`] plus, per entry, the `arr` evaluations the
+/// trajectory had spent when it reached that size — exactly what a cold
+/// `add_greedy(m, k)` spends, since the cold run is the trajectory's
+/// first `k` iterations.
+pub(crate) fn add_greedy_range_counted<S: ScoreSource + ?Sized>(
+    m: &S,
+    ks: RangeInclusive<usize>,
+) -> Result<Vec<(Selection, u64)>> {
     validate_range(m, &ks)?;
     let start = QueryTimer::start();
     let mut ev = SelectionEvaluator::new_with(m, &[]);
     let mut out = Vec::with_capacity(ks.end() - ks.start() + 1);
-    // One scratch across the whole sweep: each grow step reuses the
-    // candidate/marginal/heap buffers of the previous one.
-    let mut scratch = RepairScratch::default();
-    for k in 1..=*ks.end() {
-        lazy_grow_with(&mut ev, k, &mut scratch);
-        if k >= *ks.start() {
-            out.push(
-                Selection::new(ev.selection(), "add-greedy")
-                    .with_objective(ev.arr())
-                    .with_query_time(start.elapsed()),
-            );
+    let lo = *ks.start();
+    lazy_grow_each(&mut ev, *ks.end(), &mut RepairScratch::default(), |ev, evaluations| {
+        if ev.len() >= lo {
+            let sel = Selection::new(ev.selection(), "add-greedy")
+                .with_objective(ev.arr())
+                .with_query_time(start.elapsed());
+            out.push((sel, evaluations));
         }
-    }
+    });
     Ok(out)
 }
 

@@ -20,13 +20,21 @@
 //! `FAM_ENGINE_SHRINK_REPS` pairs, default `3 × FAM_ENGINE_REPS`), so a
 //! short shrink leg never inherits the thermal state of a ~10 s
 //! addition sweep.
+//!
+//! The **dispatch** leg times ADD-GREEDY through `Registry::solve` — the
+//! `&dyn ScoreSource` path every front end takes — against the generic
+//! `add_greedy` on the same matrix (best of 5 alternating pairs) and
+//! fails unless both agree bit for bit and the registry stays within
+//! 1.25× of the generic build. A per-element trait call in a hot loop
+//! costs an indirect call per sample and blocks vectorization (≈2× on
+//! ADD-GREEDY), so this leg catches one creeping back in.
 
 use std::io::Write as _;
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fam::prelude::*;
-use fam::{add_greedy, greedy_shrink, ScoreMatrix};
+use fam::{add_greedy, greedy_shrink, ScoreMatrix, ScoreSource};
 use fam_core::{kernels, par};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -105,6 +113,19 @@ fn add_once(m: &ScoreMatrix, k: usize) -> (Vec<usize>, f64, Duration) {
     let dt = t.elapsed();
     (added.indices, added.objective.unwrap_or(f64::NAN), dt)
 }
+
+/// One timed ADD-GREEDY pass through the registry, which hands the
+/// solver a `&dyn ScoreSource`.
+fn add_via_registry(m: &dyn ScoreSource, k: usize) -> (Vec<usize>, f64, Duration) {
+    let spec = SolverSpec::new("add-greedy", k);
+    let t = Instant::now();
+    let out = Registry::global().solve(&spec, m, None).expect("registry add-greedy");
+    let dt = t.elapsed();
+    (out.selection.indices, out.selection.objective.unwrap_or(f64::NAN), dt)
+}
+
+/// Largest registry/generic time ratio the dispatch leg accepts.
+const MAX_DISPATCH_RATIO: f64 = 1.25;
 
 /// The scoring pass exactly as it existed before the kernel layer: a
 /// virtual `utility` call per element (two-rounding multiply-add inside),
@@ -270,6 +291,30 @@ fn bench_engine(c: &mut Criterion) {
         "add_greedy engines must report bit-identical arr"
     );
 
+    // Dispatch A/B: the same ADD-GREEDY through `&dyn ScoreSource` (the
+    // registry) and through the generic entry point, same matrix, same
+    // execution mode.
+    let (d_generic, d_registry) =
+        ab_minimum(5, || add_once(&matrix, k), || add_via_registry(&matrix, k));
+    assert_eq!(d_registry.selection, d_generic.selection, "dispatch legs must select alike");
+    assert_eq!(
+        d_registry.objective.to_bits(),
+        d_generic.objective.to_bits(),
+        "dispatch legs must report bit-identical arr"
+    );
+    let dispatch_ratio = d_registry.best.as_secs_f64() / d_generic.best.as_secs_f64().max(1e-12);
+    eprintln!(
+        "dispatch:      add_greedy via registry {:?} vs generic {:?} ({dispatch_ratio:.2}x)",
+        d_registry.best, d_generic.best
+    );
+    assert!(
+        dispatch_ratio <= MAX_DISPATCH_RATIO,
+        "add_greedy through the registry ({:?}) is {dispatch_ratio:.2}x the generic build ({:?}); \
+         a hot loop is calling ScoreSource per element (see docs/PERFORMANCE.md, Dispatch)",
+        d_registry.best,
+        d_generic.best
+    );
+
     let speedup = s_base.best.as_secs_f64() / s_engine.best.as_secs_f64().max(1e-12);
     let add_speedup = a_base.best.as_secs_f64() / a_engine.best.as_secs_f64().max(1e-12);
     eprintln!(
@@ -366,6 +411,8 @@ fn bench_engine(c: &mut Criterion) {
          \"greedy_shrink_speedup\":{speedup:.3},\
          \"add_greedy_row_serial_ms\":{:.3},\"add_greedy_columnar_parallel_ms\":{:.3},\
          \"add_greedy_speedup\":{add_speedup:.3},\
+         \"add_greedy_registry_ms\":{:.3},\"add_greedy_generic_ms\":{:.3},\
+         \"dispatch_ratio\":{dispatch_ratio:.3},\
          \"pool_forkjoin_overhead_us\":{pool_forkjoin_overhead_us:.3},\
          \"scoped_spawn_overhead_us\":{scoped_spawn_overhead_us:.3},\
          \"thread_scaling\":{thread_scaling}}}\n",
@@ -377,6 +424,8 @@ fn bench_engine(c: &mut Criterion) {
         s_engine.best.as_secs_f64() * 1e3,
         a_base.best.as_secs_f64() * 1e3,
         a_engine.best.as_secs_f64() * 1e3,
+        d_registry.best.as_secs_f64() * 1e3,
+        d_generic.best.as_secs_f64() * 1e3,
     );
     match std::fs::File::create(&out_path).and_then(|mut f| f.write_all(json.as_bytes())) {
         Ok(()) => eprintln!("wrote {out_path}"),

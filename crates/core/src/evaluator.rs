@@ -516,14 +516,12 @@ impl<'a, S: ScoreSource + ?Sized> SelectionEvaluator<'a, S> {
                 self.second_owners[self.top2[u] as usize].push(u as u32);
             }
         }
-        let (top1_val, m) = (&self.top1_val, self.m);
+        let (top1_val, w, best) = (&self.top1_val, self.m.weights(), self.m.best_values());
         // Identical fold shape to `rebuild`: lane-decomposed sum per fixed
         // chunk, chunk partials added in order.
         let parts = par::map_chunks(n_samples, par::CHUNK, |range| {
-            kernels::lane_sum(range.len(), |j| {
-                let u = range.start + j;
-                m.weight(u) * (1.0 - top1_val[u] / m.best_value(u))
-            })
+            let (w, best, top1_val) = (&w[range.clone()], &best[range.clone()], &top1_val[range]);
+            kernels::lane_sum(w.len(), |j| w[j] * (1.0 - top1_val[j] / best[j]))
         });
         self.arr = 0.0;
         for part in parts {
@@ -546,14 +544,13 @@ impl<'a, S: ScoreSource + ?Sized> SelectionEvaluator<'a, S> {
         self.second_owners.iter_mut().for_each(Vec::clear);
         let m = self.m;
         let members = &self.members;
+        let (w, best) = (m.weights(), m.best_values());
         let chunks = par::map_chunks(m.n_samples(), par::CHUNK, |range| {
             let tops: Vec<_> = range.clone().map(|u| top_two(m, u, members, NONE)).collect();
             // Same lane-decomposed fold shape as `resync`, so an
             // incrementally maintained arr resyncs to exactly this value.
-            let arr = kernels::lane_sum(range.len(), |j| {
-                let u = range.start + j;
-                m.weight(u) * (1.0 - tops[j].1 / m.best_value(u))
-            });
+            let (w, best) = (&w[range.clone()], &best[range]);
+            let arr = kernels::lane_sum(tops.len(), |j| w[j] * (1.0 - tops[j].1 / best[j]));
             (tops, arr)
         });
         self.arr = 0.0;
@@ -648,6 +645,7 @@ impl<'a, S: ScoreSource + ?Sized> SelectionEvaluator<'a, S> {
         debug_assert!(self.in_sel[p], "removal_delta on unselected point {p}");
         self.counters.delta_evals += 1;
         self.epoch += 1;
+        let (w, best) = (self.m.weights(), self.m.best_values());
         let mut delta = 0.0;
         for &u in &self.owners[p] {
             let u = u as usize;
@@ -656,8 +654,7 @@ impl<'a, S: ScoreSource + ?Sized> SelectionEvaluator<'a, S> {
             }
             self.stamp[u] = self.epoch;
             self.counters.delta_rows_touched += 1;
-            delta +=
-                self.m.weight(u) * (self.top1_val[u] - self.top2_val[u]) / self.m.best_value(u);
+            delta += w[u] * (self.top1_val[u] - self.top2_val[u]) / best[u];
         }
         delta
     }
@@ -675,20 +672,23 @@ impl<'a, S: ScoreSource + ?Sized> SelectionEvaluator<'a, S> {
     /// Panics (debug) if `p` is already selected.
     pub fn addition_delta(&self, p: usize) -> f64 {
         debug_assert!(!self.in_sel[p], "addition_delta on selected point {p}");
-        let (m, top1_val) = (self.m, &self.top1_val);
+        let m = self.m;
+        let n = self.top1_val.len();
+        let (w, best, top1_val) = (&m.weights()[..n], &m.best_values()[..n], &self.top1_val[..]);
         // Branchless form of `if s > t { delta -= w * (s - t) / b }`: a
         // non-improving sample contributes `-(w * 0.0 / b) == -0.0`, which
         // is an identity on the non-negative lane accumulators, so the sum
         // is bit-identical to the branching loop. Both layouts fold the
         // identical lane shape — the mirror changes memory traffic only.
-        match self.m.column_slice(p) {
+        match m.column_slice(p) {
             // Columnar fast path: stream point p's scores contiguously.
-            Some(col) => kernels::lane_sum(col.len(), |u| {
-                -(m.weight(u) * (col[u] - top1_val[u]).max(0.0) / m.best_value(u))
-            }),
-            None => kernels::lane_sum(m.n_samples(), |u| {
-                -(m.weight(u) * (m.score(u, p) - top1_val[u]).max(0.0) / m.best_value(u))
-            }),
+            Some(col) => {
+                let col = &col[..n];
+                kernels::lane_sum(n, |u| -(w[u] * (col[u] - top1_val[u]).max(0.0) / best[u]))
+            }
+            None => {
+                kernels::lane_sum(n, |u| -(w[u] * (m.score(u, p) - top1_val[u]).max(0.0) / best[u]))
+            }
         }
     }
 
@@ -737,10 +737,11 @@ impl<'a, S: ScoreSource + ?Sized> SelectionEvaluator<'a, S> {
         }
         let mut pairs = std::mem::take(&mut self.scratch.pairs);
         self.scan_runner_ups(&fresh, &mut pairs);
+        let (w, best) = (self.m.weights(), self.m.best_values());
         for ((&u32u, &old_val), &(b2, v2)) in fresh.iter().zip(old_vals.iter()).zip(pairs.iter()) {
             let u = u32u as usize;
             self.apply_runner_up(u, b2, v2);
-            self.arr += self.m.weight(u) * (old_val - self.top1_val[u]) / self.m.best_value(u);
+            self.arr += w[u] * (old_val - self.top1_val[u]) / best[u];
         }
 
         // Samples whose runner-up was p: rescan for a new runner-up (the
@@ -831,22 +832,19 @@ impl<'a, S: ScoreSource + ?Sized> SelectionEvaluator<'a, S> {
         assert!(!self.in_sel[p], "cannot add selected point {p}");
         self.in_sel[p] = true;
         self.members.push(p as u32);
-        let mut pushed_owner = false;
-        let mut pushed_second = false;
         let m = self.m;
-        let col = m.column_slice(p);
-        for u in 0..m.n_samples() {
+        let (col, w, best) = (m.column_slice(p), m.weights(), m.best_values());
+        for u in 0..self.top1.len() {
             // Columnar fast path mirrors addition_delta's.
             let s = match col {
                 Some(c) => c[u],
-                None => self.m.score(u, p),
+                None => m.score(u, p),
             };
             if self.top1[u] == NONE || s > self.top1_val[u] {
                 self.counters.promotions += 1;
                 // Old best becomes the runner-up.
                 if self.top1[u] != NONE {
                     self.second_owners[self.top1[u] as usize].push(u as u32);
-                    pushed_second = true;
                 }
                 self.top2[u] = self.top1[u];
                 self.top2_val[u] = self.top1_val[u];
@@ -854,16 +852,13 @@ impl<'a, S: ScoreSource + ?Sized> SelectionEvaluator<'a, S> {
                 self.top1[u] = p as u32;
                 self.top1_val[u] = s;
                 self.owners[p].push(u as u32);
-                pushed_owner = true;
-                self.arr -= self.m.weight(u) * (s - old_val) / self.m.best_value(u);
+                self.arr -= w[u] * (s - old_val) / best[u];
             } else if self.top2[u] == NONE || s > self.top2_val[u] {
                 self.top2[u] = p as u32;
                 self.top2_val[u] = s;
                 self.second_owners[p].push(u as u32);
-                pushed_second = true;
             }
         }
-        let _ = (pushed_owner, pushed_second);
     }
 
     /// Debug helper: recomputes `arr(S)` from scratch and checks it against

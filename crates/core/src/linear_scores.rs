@@ -19,8 +19,8 @@ use crate::scores::ScoreSource;
 /// demand as dot products.
 #[derive(Debug, Clone)]
 pub struct LinearScores {
-    /// `N × d` row-major utility weights.
-    weights: Vec<f64>,
+    /// `N × d` row-major utility weight vectors.
+    vectors: Vec<f64>,
     dim: usize,
     dataset: Dataset,
     sample_weights: Vec<f64>,
@@ -149,7 +149,7 @@ impl LinearScores {
             }
         }
         Ok(LinearScores {
-            weights,
+            vectors: weights,
             dim: d,
             dataset,
             sample_weights: vec![1.0 / n_samples as f64; n_samples],
@@ -214,7 +214,7 @@ impl LinearScores {
         for chunk in per_sample {
             bests.extend(chunk?);
         }
-        self.weights.extend_from_slice(&staged);
+        self.vectors.extend_from_slice(&staged);
         for (bi, bv) in bests {
             self.best_index.push(bi);
             self.best_value.push(bv);
@@ -310,13 +310,13 @@ impl LinearScores {
 
     /// The weight vector of sample `u`.
     pub fn weight_vector(&self, u: usize) -> &[f64] {
-        &self.weights[u * self.dim..(u + 1) * self.dim]
+        &self.vectors[u * self.dim..(u + 1) * self.dim]
     }
 
     /// Approximate heap footprint in bytes — `O(d(N + n))`, versus the
     /// `O(nN)` of a materialized [`crate::ScoreMatrix`].
     pub fn approx_bytes(&self) -> usize {
-        (self.weights.len()
+        (self.vectors.len()
             + self.dataset.as_flat().len()
             + self.sample_weights.len()
             + self.best_value.len())
@@ -338,23 +338,23 @@ impl ScoreSource for LinearScores {
 
     #[inline]
     fn score(&self, u: usize, p: usize) -> f64 {
-        let w = &self.weights[u * self.dim..(u + 1) * self.dim];
+        let w = &self.vectors[u * self.dim..(u + 1) * self.dim];
         crate::kernels::dot(w, self.dataset.point(p))
     }
 
     #[inline]
-    fn weight(&self, u: usize) -> f64 {
-        self.sample_weights[u]
+    fn weights(&self) -> &[f64] {
+        &self.sample_weights
+    }
+
+    #[inline]
+    fn best_values(&self) -> &[f64] {
+        &self.best_value
     }
 
     #[inline]
     fn best_index(&self, u: usize) -> usize {
         self.best_index[u] as usize
-    }
-
-    #[inline]
-    fn best_value(&self, u: usize) -> f64 {
-        self.best_value[u]
     }
 }
 

@@ -30,7 +30,7 @@ pub fn rr<S: ScoreSource + ?Sized>(m: &S, u: usize, selection: &[usize]) -> f64 
 
 /// Regret ratio of every sample, in sample order.
 pub fn rr_all<S: ScoreSource + ?Sized>(m: &S, selection: &[usize]) -> Vec<f64> {
-    (0..m.n_samples()).map(|u| rr(m, u, selection)).collect()
+    m.best_values().iter().enumerate().map(|(u, &best)| 1.0 - sat(m, u, selection) / best).collect()
 }
 
 /// `arr(S)` — probability-weighted average regret ratio (Definition 4 /
@@ -50,9 +50,10 @@ pub fn arr<S: ScoreSource + ?Sized>(m: &S, selection: &[usize]) -> Result<f64> {
 /// `arr(S)` without selection validation; also accepts the empty selection
 /// (which has average regret ratio 1 by Definition 2).
 pub fn arr_unchecked<S: ScoreSource + ?Sized>(m: &S, selection: &[usize]) -> f64 {
+    let (w, best) = (m.weights(), m.best_values());
     let mut acc = 0.0;
-    for u in 0..m.n_samples() {
-        acc += m.weight(u) * rr(m, u, selection);
+    for (u, (&w, &best)) in w.iter().zip(best).enumerate() {
+        acc += w * (1.0 - sat(m, u, selection) / best);
     }
     acc
 }
@@ -65,8 +66,7 @@ pub fn arr_unchecked<S: ScoreSource + ?Sized>(m: &S, selection: &[usize]) -> f64
 pub fn vrr<S: ScoreSource + ?Sized>(m: &S, selection: &[usize]) -> Result<f64> {
     validate_selection(m, selection)?;
     let rrs = rr_all(m, selection);
-    let ws: Vec<f64> = (0..m.n_samples()).map(|u| m.weight(u)).collect();
-    Ok(stats::weighted_variance(&rrs, &ws))
+    Ok(stats::weighted_variance(&rrs, m.weights()))
 }
 
 /// Standard deviation of the regret ratio (plotted in Figures 3 and 10).
@@ -86,8 +86,9 @@ pub fn rr_std_dev<S: ScoreSource + ?Sized>(m: &S, selection: &[usize]) -> Result
 /// Returns an error for invalid selections.
 pub fn mrr_sampled<S: ScoreSource + ?Sized>(m: &S, selection: &[usize]) -> Result<f64> {
     validate_selection(m, selection)?;
+    let bests = m.best_values().iter().enumerate();
     // fam-lint: allow(K001) -- mrr is a max (exact under any grouping), computed once per report, not per-candidate
-    Ok((0..m.n_samples()).fold(0.0f64, |acc, u| acc.max(rr(m, u, selection))))
+    Ok(bests.fold(0.0f64, |acc, (u, &best)| acc.max(1.0 - sat(m, u, selection) / best)))
 }
 
 /// Regret ratio at the given user percentiles (the paper's "regret ratio
@@ -104,8 +105,7 @@ pub fn rr_percentiles<S: ScoreSource + ?Sized>(
 ) -> Result<Vec<f64>> {
     validate_selection(m, selection)?;
     let rrs = rr_all(m, selection);
-    let mut pairs: Vec<(f64, f64)> =
-        rrs.iter().enumerate().map(|(u, &r)| (r, m.weight(u))).collect();
+    let mut pairs: Vec<(f64, f64)> = rrs.iter().copied().zip(m.weights().iter().copied()).collect();
     pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
     Ok(percentiles.iter().map(|&q| stats::weighted_percentile_sorted(&pairs, q)).collect())
 }
@@ -134,13 +134,14 @@ pub fn report<S: ScoreSource + ?Sized>(m: &S, selection: &[usize]) -> Result<Reg
     let mut mean = 0.0;
     let mut mrr = 0.0f64;
     let rrs = rr_all(m, selection);
-    for (u, &r) in rrs.iter().enumerate() {
-        mean += m.weight(u) * r;
+    let w = m.weights();
+    for (&w, &r) in w.iter().zip(&rrs) {
+        mean += w * r;
         mrr = mrr.max(r);
     }
-    let dev = |(u, r): (usize, &f64)| m.weight(u) * (r - mean) * (r - mean);
+    let dev = |(&w, &r): (&f64, &f64)| w * (r - mean) * (r - mean);
     // fam-lint: allow(K001) -- diagnostic variance for reports; computed once per call and never compared across binaries
-    let vrr = rrs.iter().enumerate().map(dev).sum::<f64>();
+    let vrr = w.iter().zip(&rrs).map(dev).sum::<f64>();
     Ok(RegretReport { arr: mean, vrr, std_dev: vrr.sqrt(), mrr })
 }
 

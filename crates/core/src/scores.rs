@@ -32,10 +32,12 @@
 //! laid out at `stride ≥ n_points` (point insertions fill the slack,
 //! re-laying with doubled slack only when it runs out) and mirror columns
 //! at `col_stride ≥ n_samples` (the sample-axis twin, used by progressive
-//! sample appends). Scoring, validation, and the best-point pass go
-//! through the cache-blocked kernels in [`crate::kernels`]; the full
-//! memory-layout and performance model is documented in
-//! `docs/PERFORMANCE.md`.
+//! sample appends). A caller that keeps the source and wants a patched
+//! copy uses [`ScoreMatrix::with_point_edits`], which lays the copy out
+//! at exactly the width the batch needs instead of cloning the slack.
+//! Scoring, validation, and the best-point pass go through the
+//! cache-blocked kernels in [`crate::kernels`]; the full memory-layout
+//! and performance model is documented in `docs/PERFORMANCE.md`.
 
 use std::sync::Arc;
 
@@ -60,12 +62,29 @@ pub trait ScoreSource: Send + Sync {
     fn n_points(&self) -> usize;
     /// Score of point `p` under sample `u`.
     fn score(&self, u: usize, p: usize) -> f64;
-    /// Probability mass of sample `u` (sums to 1 over all samples).
-    fn weight(&self, u: usize) -> f64;
+    /// Probability mass of every sample, in sample order (sums to 1).
+    ///
+    /// Per-sample loops take this slice (and [`ScoreSource::best_values`])
+    /// once, outside the loop: through a `&dyn ScoreSource` every
+    /// per-element [`ScoreSource::weight`] call is an indirect call that
+    /// also keeps the loop from vectorizing.
+    fn weights(&self) -> &[f64];
+    /// `sat(D, f_u)` of every sample, in sample order.
+    fn best_values(&self) -> &[f64];
     /// Index of sample `u`'s best point in the full database.
     fn best_index(&self, u: usize) -> usize;
+
+    /// Probability mass of sample `u` (sums to 1 over all samples).
+    #[inline]
+    fn weight(&self, u: usize) -> f64 {
+        self.weights()[u]
+    }
+
     /// `sat(D, f_u)` — sample `u`'s best database score.
-    fn best_value(&self, u: usize) -> f64;
+    #[inline]
+    fn best_value(&self, u: usize) -> f64 {
+        self.best_values()[u]
+    }
 
     /// Contiguous slice of sample `u`'s scores over all points, when the
     /// substrate stores samples contiguously. Algorithms use this to turn
@@ -154,18 +173,18 @@ impl ScoreSource for ScoreMatrix {
     }
 
     #[inline]
-    fn weight(&self, u: usize) -> f64 {
-        ScoreMatrix::weight(self, u)
+    fn weights(&self) -> &[f64] {
+        &self.weights
+    }
+
+    #[inline]
+    fn best_values(&self) -> &[f64] {
+        &self.best_value
     }
 
     #[inline]
     fn best_index(&self, u: usize) -> usize {
         ScoreMatrix::best_index(self, u)
-    }
-
-    #[inline]
-    fn best_value(&self, u: usize) -> f64 {
-        ScoreMatrix::best_value(self, u)
     }
 
     #[inline]
@@ -781,6 +800,12 @@ impl ScoreMatrix {
         self.best_value[u]
     }
 
+    /// Every sample's `sat(D, f_u)`, in sample order.
+    #[inline]
+    pub fn best_values(&self) -> &[f64] {
+        &self.best_value
+    }
+
     /// Validates candidate point columns for [`ScoreMatrix::insert_points`]
     /// without mutating the matrix: each column must hold exactly
     /// `n_samples` finite, non-negative scores.
@@ -793,6 +818,13 @@ impl ScoreMatrix {
     ///
     /// Returns the same errors [`ScoreMatrix::insert_points`] would.
     pub fn validate_new_points(&self, cols: &[Vec<f64>]) -> Result<()> {
+        self.validate_columns_at(cols, self.n_points)
+    }
+
+    /// [`ScoreMatrix::validate_new_points`] for columns that will land at
+    /// indices `first..` (errors name the column an insert would give
+    /// the point).
+    fn validate_columns_at(&self, cols: &[Vec<f64>], first: usize) -> Result<()> {
         for (j, col) in cols.iter().enumerate() {
             if col.len() != self.n_samples {
                 return Err(FamError::DimensionMismatch {
@@ -802,10 +834,10 @@ impl ScoreMatrix {
             }
             for (u, &v) in col.iter().enumerate() {
                 if !v.is_finite() {
-                    return Err(FamError::NonFinite { row: u, col: self.n_points + j });
+                    return Err(FamError::NonFinite { row: u, col: first + j });
                 }
                 if v < 0.0 {
-                    return Err(FamError::NegativeValue { row: u, col: self.n_points + j });
+                    return Err(FamError::NegativeValue { row: u, col: first + j });
                 }
             }
         }
@@ -869,25 +901,7 @@ impl ScoreMatrix {
             // Amortized growth: one re-lay with doubled slack, so a steady
             // insert stream pays O(1) re-lays per point overall.
             let stride_new = n_new.max(self.stride.saturating_mul(2));
-            let mut scores = vec![0.0f64; self.n_samples * stride_new];
-            let old = &self.scores;
-            let stride_old = self.stride;
-            let rows_per_chunk = (crate::par::CHUNK / stride_new.max(1)).max(1);
-            crate::par::for_each_chunk_mut(
-                &mut scores,
-                rows_per_chunk * stride_new,
-                |chunk, out| {
-                    let first_row = chunk * rows_per_chunk;
-                    for (local, row) in out.chunks_mut(stride_new).enumerate() {
-                        let u = first_row + local;
-                        row[..n_old].copy_from_slice(&old[u * stride_old..u * stride_old + n_old]);
-                        for (j, col) in cols.iter().enumerate() {
-                            row[n_old + j] = col[u];
-                        }
-                    }
-                },
-            );
-            self.scores = scores;
+            self.scores = self.relaid_rows(stride_new, cols);
             self.stride = stride_new;
         }
         for (u, (bi, bv)) in self.best_index.iter_mut().zip(&mut self.best_value).enumerate() {
@@ -1042,6 +1056,84 @@ impl ScoreMatrix {
         self.best_index = best_index;
         self.best_value = best_value;
         Ok(remap)
+    }
+
+    /// The sample-major buffer re-laid at row stride `stride_new`: each
+    /// row holds its live points, then `cols`' entries for that sample
+    /// (one column per appended point), then zero slack. Shared by the
+    /// insert path's amortized growth and [`ScoreMatrix::with_point_edits`].
+    fn relaid_rows(&self, stride_new: usize, cols: &[Vec<f64>]) -> Vec<f64> {
+        let n_old = self.n_points;
+        debug_assert!(n_old + cols.len() <= stride_new);
+        let mut scores = vec![0.0f64; self.n_samples * stride_new];
+        let old = &self.scores;
+        let stride_old = self.stride;
+        let rows_per_chunk = (crate::par::CHUNK / stride_new.max(1)).max(1);
+        crate::par::for_each_chunk_mut(&mut scores, rows_per_chunk * stride_new, |chunk, out| {
+            let first_row = chunk * rows_per_chunk;
+            for (local, row) in out.chunks_mut(stride_new).enumerate() {
+                let u = first_row + local;
+                row[..n_old].copy_from_slice(&old[u * stride_old..u * stride_old + n_old]);
+                for (j, col) in cols.iter().enumerate() {
+                    row[n_old + j] = col[u];
+                }
+            }
+        });
+        scores
+    }
+
+    /// A copy of the matrix with one point batch applied: `delete` (swap-
+    /// remove, indexing the current points) and then `insert` (appended
+    /// point columns, as in [`ScoreMatrix::insert_points`]). Rows, bests,
+    /// weights, mirror columns and the returned remap are **bit-identical**
+    /// to `clone()` followed by [`ScoreMatrix::delete_points`] and
+    /// [`ScoreMatrix::insert_points`] — those two run unchanged on the
+    /// copy — but the copy is laid out once at exactly the width the batch
+    /// needs (`max(n_points, n_points − deletes + inserts)`, so neither
+    /// call re-lays or reallocates), where a clone would copy the source's
+    /// slack and an insert past it would double the stride. This is how a
+    /// served generation derives the next one while the source keeps
+    /// serving; [`crate::DynamicEngine`] keeps patching in place.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error `delete_points` or `insert_points` would, with
+    /// the source untouched. Delete indices, then the inserted columns,
+    /// are checked before anything is copied; a sample the deletes leave
+    /// with no positive score ([`FamError::DegenerateUtility`]) is found
+    /// on the copy.
+    pub fn with_point_edits(
+        &self,
+        delete: &[usize],
+        insert: &[Vec<f64>],
+    ) -> Result<(ScoreMatrix, Vec<Option<u32>>)> {
+        if !delete.is_empty() {
+            swap_remove_remap(self.n_points, delete)?;
+            if delete.len() == self.n_points {
+                return Err(FamError::EmptyDataset);
+            }
+        }
+        let survivors = self.n_points - delete.len();
+        self.validate_columns_at(insert, survivors)?;
+        let width = self.n_points.max(survivors + insert.len());
+        let mut next = ScoreMatrix {
+            scores: self.relaid_rows(width, &[]),
+            columns: self.columns.as_ref().map(|c| {
+                let mut copy = Vec::with_capacity(width * self.col_stride);
+                copy.extend_from_slice(c);
+                copy
+            }),
+            n_samples: self.n_samples,
+            n_points: self.n_points,
+            stride: width,
+            col_stride: self.col_stride,
+            weights: self.weights.clone(),
+            best_index: self.best_index.clone(),
+            best_value: self.best_value.clone(),
+        };
+        let remap = next.delete_points(delete)?;
+        next.insert_points_prevalidated(insert);
+        Ok((next, remap))
     }
 
     /// Physical stride plus the row count per parallel chunk used by the

@@ -10,12 +10,13 @@
 //! `/stats`) clone the `Arc` (nanoseconds under a read lock that is
 //! only ever held for pointer copies) and answer from the snapshot
 //! without blocking anyone. Writers (`/update`, `/refine`) serialize on
-//! a small per-dataset mutex, deep-clone the current generation **off
-//! the read path**, patch the clone's score matrix (point deletes and
-//! inserts, or a sample append), re-harvest the cache into the clone,
-//! and publish it with a single swap — so a failed or panicking writer
-//! publishes nothing and the previous generation keeps serving
-//! bit-identical answers.
+//! a small per-dataset mutex, clone the current generation **off the
+//! read path** (the clone shares the score matrix, so no matrix is
+//! copied), give the clone its next matrix (an update builds one copy
+//! with the point batch applied, a refine copies and appends samples),
+//! re-harvest the cache into the clone, and publish it with a single
+//! swap — so a failed or panicking writer publishes nothing and the
+//! previous generation keeps serving bit-identical answers.
 //!
 //! A dedicated acceptor thread feeds a **bounded** connection queue;
 //! when the queue is full, new connections are shed immediately with
@@ -708,8 +709,8 @@ fn update(state: &ServerState, req: &Request) -> (u16, String) {
     };
     let t0 = Instant::now();
     // One writer per dataset; readers keep serving the published
-    // generation throughout. The whole build happens on a private deep
-    // copy: any failure below simply discards it.
+    // generation throughout. The whole build happens on a private copy
+    // (its new matrix included): any failure below simply discards it.
     let _turn = ds.writer_turn();
     let prev = ds.snapshot();
     let mut next = prev.service.clone();

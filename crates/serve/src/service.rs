@@ -12,9 +12,10 @@
 //! current database — pinned by the trajectory tests and re-pinned
 //! end-to-end over TCP by `tests/live_server.rs` — so a cached answer is
 //! indistinguishable from a fresh one, and each `(algorithm, k,
-//! generation)` has exactly one answer. Updates (`POST /update`) patch
-//! the matrix in place (validate the inserted columns, refuse a batch
-//! that leaves fewer than the cached maximum `k` points, delete by
+//! generation)` has exactly one answer. Updates (`POST /update`) replace
+//! the matrix with one copy that has the batch applied (validate the
+//! inserted columns, refuse a batch that leaves fewer than the cached
+//! maximum `k` points, then [`ScoreMatrix::with_point_edits`]: delete by
 //! swap-remove, append), permute the retained coordinates with the
 //! matrix's index remap (so coordinate-based solvers like `dp-2d` answer
 //! against the *current* point universe), and then re-harvest the cache
@@ -180,19 +181,25 @@ pub struct RefineSummary {
 /// A named dataset being served: sampled population, resident score
 /// matrix, live coordinates, multi-`k` cache.
 ///
-/// `Clone` is the snapshot-serving primitive: a writer deep-copies the
-/// current service (matrix, cache, coordinates, **and** the continuing
-/// RNG stream), mutates the copy off to the side, and publishes it as
-/// the next generation only on success — so a failed or panicking
-/// writer leaves the served state untouched, and a retried writer
-/// converges to exactly the state an unfailed run would have produced
-/// (the RNG never advances on a discarded copy).
+/// `Clone` is the snapshot-serving primitive: a writer copies the
+/// current service (cache, coordinates, **and** the continuing RNG
+/// stream), mutates the copy off to the side, and publishes it as the
+/// next generation only on success — so a failed or panicking writer
+/// leaves the served state untouched, and a retried writer converges to
+/// exactly the state an unfailed run would have produced (the RNG never
+/// advances on a discarded copy). The score matrix is not copied: the
+/// clone shares it through an `Arc`, and an update builds the next
+/// matrix once, as a copy with the batch applied
+/// ([`ScoreMatrix::with_point_edits`]), so no writer deep-copies a
+/// matrix only to patch it.
 #[derive(Clone)]
 pub struct DatasetService {
     name: String,
     dim: usize,
     functions: Vec<Arc<dyn UtilityFunction>>,
-    matrix: ScoreMatrix,
+    /// Shared with the generations this one was cloned from or into
+    /// until an update or refine replaces it.
+    matrix: Arc<ScoreMatrix>,
     /// The current point coordinates, in the matrix's column order —
     /// kept in lockstep with the matrix through every update so
     /// coordinate-based solvers answer against the live universe. On a
@@ -370,7 +377,7 @@ impl DatasetService {
             name: name.to_string(),
             dim: dataset.dim(),
             functions,
-            matrix,
+            matrix: Arc::new(matrix),
             dataset: mirror,
             cache,
             cache_k: opts.cache_k.clone(),
@@ -601,7 +608,7 @@ impl DatasetService {
                 ));
             }
         }
-        let m = &self.matrix;
+        let m = &*self.matrix;
         let out = registry.solve(spec, m, Some(&self.dataset))?;
         let arr = match out.selection.objective {
             Some(v) if solver.capabilities().reports_arr => v,
@@ -647,7 +654,7 @@ impl DatasetService {
     /// reduced service) ids outside the kept candidate set.
     pub fn evaluate(&self, selection: &[usize]) -> Result<RegretReport> {
         let columns = self.to_columns(selection)?;
-        regret::report(&self.matrix, &columns)
+        regret::report(&*self.matrix, &columns)
     }
 
     /// Applies a parsed op stream as one atomic batch — deletes index the
@@ -733,11 +740,13 @@ impl DatasetService {
         })
     }
 
-    /// Patches the resident matrix with one point batch, in an order
-    /// that leaves it untouched on any error: score and validate the
-    /// inserted columns, refuse a batch that would leave fewer than the
-    /// cached maximum `k` points, delete (swap-remove), then append.
-    /// Returns the remap of the pre-batch columns
+    /// Replaces the resident matrix with a copy that has one point batch
+    /// applied, in an order that leaves it untouched on any error: score
+    /// and validate the inserted columns, refuse a batch that would
+    /// leave fewer than the cached maximum `k` points, then build the
+    /// copy ([`ScoreMatrix::with_point_edits`]: delete by swap-remove,
+    /// then append). The previous matrix stays with whichever generation
+    /// still holds it. Returns the remap of the pre-batch columns
     /// ([`ScoreMatrix::delete_points`]); inserted columns follow the
     /// survivors in batch order.
     fn patch_matrix(&mut self, delete: &[usize], insert: &[&[f64]]) -> Result<Vec<Option<u32>>> {
@@ -753,8 +762,8 @@ impl DatasetService {
         if n_post.is_none_or(|n| n < hi) {
             return Err(FamError::InvalidK { k: hi, n: n_post.unwrap_or(0) });
         }
-        let remap = self.matrix.delete_points(delete)?;
-        self.matrix.insert_points(&cols)?;
+        let (matrix, remap) = self.matrix.with_point_edits(delete, &cols)?;
+        self.matrix = Arc::new(matrix);
         Ok(remap)
     }
 
@@ -953,7 +962,7 @@ impl DatasetService {
         deadline.check()?;
         // The append is atomic: a failure leaves the matrix (and so the
         // cache) untouched.
-        self.matrix.append_functions(&self.dataset, &fresh)?;
+        Arc::make_mut(&mut self.matrix).append_functions(&self.dataset, &fresh)?;
         self.functions.extend(fresh);
         // The matrix has grown: the old cache's entries no longer equal
         // cold solves on the resident database. If the re-harvest fails,
@@ -1145,6 +1154,38 @@ mod tests {
             assert_eq!(hit.indices, cold.indices, "k={k}");
             assert_eq!(hit.arr.to_bits(), cold.objective.unwrap().to_bits(), "k={k}");
         }
+    }
+
+    #[test]
+    fn clones_share_the_matrix_and_updates_leave_the_source_alone() {
+        let svc = DatasetService::build("demo", &dataset(30), &options()).unwrap();
+        let rows = |s: &DatasetService| -> Vec<Vec<u64>> {
+            let m = s.matrix();
+            (0..m.n_samples()).map(|u| m.row(u).iter().map(|v| v.to_bits()).collect()).collect()
+        };
+        let before = rows(&svc);
+        // A generation snapshot copies no matrix.
+        let mut next = svc.clone();
+        assert!(std::ptr::eq(next.matrix(), svc.matrix()));
+        next.apply_update_text("insert,0.9,0.8,0.7\ndelete,3\ninsert,0.2,0.9,0.4\n", "test ops")
+            .unwrap();
+        assert!(!std::ptr::eq(next.matrix(), svc.matrix()));
+        assert_eq!(rows(&svc), before, "the update must not touch the source generation");
+        assert_eq!((svc.n_points(), next.n_points()), (30, 31));
+        // The next matrix is the in-place patch of a private copy, bit
+        // for bit.
+        let mut patched = svc.matrix().clone();
+        patched.delete_points(&[3]).unwrap();
+        let inserted: Vec<Vec<f64>> = [29, 30]
+            .iter()
+            .map(|&p| (0..patched.n_samples()).map(|u| next.matrix().score(u, p)).collect())
+            .collect();
+        patched.insert_points(&inserted).unwrap();
+        let bits = |m: &ScoreMatrix| -> Vec<u64> {
+            let rows = (0..m.n_samples()).flat_map(|u| m.row(u).iter());
+            rows.chain(m.best_values()).map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(next.matrix()), bits(&patched));
     }
 
     #[test]
