@@ -33,26 +33,11 @@ pub fn k_hit<S: ScoreSource + ?Sized>(m: &S, k: usize) -> Result<Selection> {
     // includes the best-point computation the original algorithm performs;
     // it streams each sample's row and fans out over sample chunks.
     let bests = fam_core::par::map_adaptive(n_samples, n, |range| {
-        range
-            .map(|u| {
-                match m.row_slice(u) {
-                    // Tiled first-strict-argmax — exactly the serial
-                    // scan's winner (first occurrence of the row max).
-                    Some(row) => fam_core::kernels::row_best(row).0,
-                    None => {
-                        let (mut best, mut best_v) = (0usize, m.score(u, 0));
-                        for p in 1..n {
-                            let v = m.score(u, p);
-                            if v > best_v {
-                                best = p;
-                                best_v = v;
-                            }
-                        }
-                        best as u32
-                    }
-                }
-            })
-            .collect::<Vec<_>>()
+        let mut buf = Vec::new();
+        // Tiled first-strict-argmax — exactly the serial scan's winner
+        // (first occurrence of the row max) — over each sample's row,
+        // borrowed or computed.
+        range.map(|u| fam_core::kernels::row_best(m.row_scores(u, &mut buf)).0).collect::<Vec<_>>()
     })
     .concat();
     let mut hits: Vec<Vec<u32>> = vec![Vec::new(); n];

@@ -14,7 +14,7 @@
 
 use fam_core::solve::QueryTimer;
 
-use fam_core::{Dataset, FamError, Result, ScoreSource, Selection};
+use fam_core::{kernels, Dataset, FamError, LinearColumns, Result, ScoreSource, Selection};
 use fam_geometry::skyline;
 
 use crate::mrr::witness_regret;
@@ -68,6 +68,37 @@ pub fn mrr_greedy_exact(dataset: &Dataset, k: usize) -> Result<Selection> {
     Ok(Selection::new(selection, "mrr-greedy").with_query_time(start.elapsed()))
 }
 
+/// Candidate `p`'s witness regret over the bands of its column that `m`
+/// lends (a mirror) or gathers. Out of line, as is [`fused_regret`], so
+/// neither scan's code shapes the other's.
+#[inline(never)]
+fn banded_regret<S: ScoreSource + ?Sized>(m: &S, p: usize, sat: &[f64], bests: &[f64]) -> f64 {
+    let n_samples = sat.len();
+    let mut regret = kernels::LaneMax::new(0.0);
+    let mut buf = [0.0f64; kernels::BAND];
+    for b0 in (0..n_samples).step_by(kernels::BAND) {
+        let b1 = (b0 + kernels::BAND).min(n_samples);
+        let col = &m.column_scores(p, b0..b1, &mut buf)[..b1 - b0];
+        let (sat, bests) = (&sat[b0..b1], &bests[b0..b1]);
+        regret.fold(b0, col.len(), |i| kernels::regret_term(col[i], sat[i], bests[i]));
+    }
+    regret.total()
+}
+
+/// Candidate `p`'s witness regret on a computing substrate: each band's
+/// scores are computed as the fold consumes them
+/// ([`kernels::linear_regret_fold`]).
+#[inline(never)]
+fn fused_regret(linear: &LinearColumns<'_>, p: usize, sat: &[f64], bests: &[f64]) -> f64 {
+    let n_samples = sat.len();
+    let mut regret = kernels::LaneMax::new(0.0);
+    for b0 in (0..n_samples).step_by(kernels::BAND) {
+        let b1 = (b0 + kernels::BAND).min(n_samples);
+        linear.regret_fold(p, b0, &sat[b0..b1], &bests[b0..b1], &mut regret);
+    }
+    regret.total()
+}
+
 /// Sampled MRR-GREEDY: identical structure, but the per-candidate regret is
 /// measured against the sampled utility functions of `m`.
 ///
@@ -96,58 +127,46 @@ pub fn mrr_greedy_sampled<S: ScoreSource + ?Sized>(m: &S, k: usize) -> Result<Se
     let mut in_sel = vec![false; n];
     in_sel[seed] = true;
     // sat_u(S) maintained incrementally.
-    let mut sat: Vec<f64> = (0..m.n_samples()).map(|u| m.score(u, seed)).collect();
+    let n_samples = m.n_samples();
+    let mut sat: Vec<f64> = m.column_scores(seed, 0..n_samples, &mut vec![0.0; n_samples]).to_vec();
     while selection.len() < k {
         // For each candidate, its sampled witness regret:
         // max_u (score(u,p) − sat_u) / best_u. One independent column scan
-        // per candidate (contiguous when a point-major mirror exists),
-        // fanned out over all cores; the merge keeps the highest regret
-        // with a lowest-index tie-break, matching the serial scan.
+        // per candidate — bands of its column, borrowed from a point-major
+        // mirror or filled by a computing substrate — fanned out over all
+        // cores; the merge keeps the highest regret with a lowest-index
+        // tie-break, matching the serial scan.
         let sat_ref = &sat[..];
-        let bests = &m.best_values()[..sat_ref.len()];
+        let bests = &m.best_values()[..n_samples];
+        let linear = m.linear_columns();
         let in_sel_ref = &in_sel;
         let best = fam_core::par::arg_reduce(
             n,
-            m.n_samples(),
+            n_samples,
             |p| {
                 if in_sel_ref[p] {
                     return None;
                 }
-                // Lane-decomposed max: `max` does no arithmetic, so the
-                // result is bit-identical to the serial
-                // `if gain > regret` fold it replaces.
-                let regret = match m.column_slice(p) {
-                    Some(col) => {
-                        let col = &col[..sat_ref.len()];
-                        fam_core::kernels::lane_max(0.0, col.len(), |u| {
-                            (col[u] - sat_ref[u]) / bests[u]
-                        })
-                    }
-                    None => fam_core::kernels::lane_max(0.0, sat_ref.len(), |u| {
-                        (m.score(u, p) - sat_ref[u]) / bests[u]
-                    }),
-                };
-                Some(regret)
+                // Lane-decomposed max carried across the bands: `max`
+                // does no arithmetic, so the result is bit-identical to
+                // the serial `if gain > regret` fold it replaces.
+                Some(match linear {
+                    Some(linear) => fused_regret(&linear, p, sat_ref, bests),
+                    None => banded_regret(m, p, sat_ref, bests),
+                })
             },
             |a, b| a > b,
         );
         let (_, p) = best.expect("k <= n guarantees a candidate");
         selection.push(p);
         in_sel[p] = true;
-        match m.column_slice(p) {
-            Some(col) => {
-                for (u, &s) in col.iter().enumerate() {
-                    if s > sat[u] {
-                        sat[u] = s;
-                    }
-                }
-            }
-            None => {
-                for (u, s) in sat.iter_mut().enumerate() {
-                    let v = m.score(u, p);
-                    if v > *s {
-                        *s = v;
-                    }
+        let mut buf = [0.0f64; kernels::BAND];
+        for b0 in (0..n_samples).step_by(kernels::BAND) {
+            let b1 = (b0 + kernels::BAND).min(n_samples);
+            let col = m.column_scores(p, b0..b1, &mut buf);
+            for (s, &v) in sat[b0..b1].iter_mut().zip(col) {
+                if v > *s {
+                    *s = v;
                 }
             }
         }

@@ -28,13 +28,24 @@
 //! 1.25× of the generic build. A per-element trait call in a hot loop
 //! costs an indirect call per sample and blocks vectorization (≈2× on
 //! ADD-GREEDY), so this leg catches one creeping back in.
+//!
+//! The **compact** leg runs the serve layer's work — the ADD-GREEDY and
+//! GREEDY-SHRINK range harvests, plus cold local-search (`max-passes=1`),
+//! MRR-GREEDY and K-HIT — through the registry on the compact
+//! `LinearScores` backing and on the mirrored `ScoreMatrix` built from
+//! the same weights, best of 5 alternating pairs. It fails unless every
+//! answer agrees bit for bit and each solver's compact time stays within
+//! 1.5× the mirror's: the banded fills measured 0.85–1.23×, while a
+//! per-element `score(u, p)` fallback costs 5–6×.
 
 use std::io::Write as _;
+use std::ops::RangeInclusive;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fam::prelude::*;
-use fam::{add_greedy, greedy_shrink, ScoreMatrix, ScoreSource};
+use fam::{add_greedy, greedy_shrink, LinearScores, ScoreMatrix, ScoreSource};
 use fam_core::{kernels, par};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -126,6 +137,104 @@ fn add_via_registry(m: &dyn ScoreSource, k: usize) -> (Vec<usize>, f64, Duration
 
 /// Largest registry/generic time ratio the dispatch leg accepts.
 const MAX_DISPATCH_RATIO: f64 = 1.25;
+
+/// Largest compact/mirror time ratio the compact leg accepts per solver.
+const MAX_COMPACT_RATIO: f64 = 1.5;
+
+/// Every answer of one registry run: indices and objective bits per `k`.
+type Answers = Vec<(Vec<usize>, Option<u64>)>;
+
+/// One timed registry run: a range harvest over `1..=k` when `range` is
+/// set, else a cold solve.
+fn registry_answers(
+    m: &dyn ScoreSource,
+    spec: &SolverSpec,
+    range: Option<RangeInclusive<usize>>,
+) -> (Answers, Duration) {
+    let registry = Registry::global();
+    let t = Instant::now();
+    let outs = match range {
+        Some(ks) => registry.solve_range(spec, m, None, ks),
+        None => registry.solve(spec, m, None).map(|o| vec![o]),
+    }
+    .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+    let dt = t.elapsed();
+    let answers = outs
+        .into_iter()
+        .map(|o| (o.selection.indices, o.selection.objective.map(f64::to_bits)))
+        .collect();
+    (answers, dt)
+}
+
+/// One solver of the compact leg: best times on the compact backing and
+/// on the mirror, and their ratio.
+struct CompactLeg {
+    name: &'static str,
+    compact: Duration,
+    mirror: Duration,
+}
+
+impl CompactLeg {
+    fn ratio(&self) -> f64 {
+        self.compact.as_secs_f64() / self.mirror.as_secs_f64().max(1e-12)
+    }
+}
+
+/// The compact leg: each solver on `compact` and on `mirror` (the same
+/// scores), best of `pairs` alternating pairs, answers bit-identical.
+fn compact_legs(
+    compact: &LinearScores,
+    mirror: &ScoreMatrix,
+    k: usize,
+    pairs: usize,
+) -> Vec<CompactLeg> {
+    let local = SolverSpec::parse("local-search", k, &[("max-passes", "1")]).expect("spec");
+    let legs = [
+        ("add-greedy", SolverSpec::new("add-greedy", k), Some(1..=k)),
+        ("greedy-shrink", SolverSpec::new("greedy-shrink", k), Some(1..=k)),
+        ("local-search", local, None),
+        ("mrr-greedy", SolverSpec::new("mrr-greedy", k), None),
+        ("k-hit", SolverSpec::new("k-hit", k), None),
+    ];
+    let sides: [&dyn ScoreSource; 2] = [compact, mirror];
+    legs.into_iter()
+        .map(|(name, spec, range)| {
+            let mut best = [Duration::MAX; 2];
+            let mut answers: [Option<Answers>; 2] = [None, None];
+            for pair in 0..pairs {
+                for side in if pair % 2 == 0 { [0, 1] } else { [1, 0] } {
+                    let (got, dt) = registry_answers(sides[side], &spec, range.clone());
+                    best[side] = best[side].min(dt);
+                    match &answers[side] {
+                        Some(first) => assert_eq!(first, &got, "{name}: answers must be stable"),
+                        None => answers[side] = Some(got),
+                    }
+                }
+            }
+            assert_eq!(
+                answers[0], answers[1],
+                "{name}: the compact backing must answer bit-identically to the mirror"
+            );
+            let leg = CompactLeg { name, compact: best[0], mirror: best[1] };
+            eprintln!(
+                "compact:       {name} {:?} vs mirror {:?} ({:.2}x)",
+                leg.compact,
+                leg.mirror,
+                leg.ratio()
+            );
+            assert!(
+                leg.ratio() <= MAX_COMPACT_RATIO,
+                "{name} on LinearScores ({:?}) is {:.2}x the mirrored matrix ({:?}); a hot loop \
+                 is scoring per element instead of filling bands (see docs/PERFORMANCE.md, \
+                 Compact served generations)",
+                leg.compact,
+                leg.ratio(),
+                leg.mirror
+            );
+            leg
+        })
+        .collect()
+}
 
 /// The scoring pass exactly as it existed before the kernel layer: a
 /// virtual `utility` call per element (two-rounding multiply-add inside),
@@ -315,6 +424,28 @@ fn bench_engine(c: &mut Criterion) {
         d_generic.best
     );
 
+    // Compact A/B: the served backing against the mirror, same weights
+    // (`from_distribution` samples exactly these functions, in order).
+    let mut r = StdRng::seed_from_u64(7);
+    let functions: Vec<Arc<dyn UtilityFunction>> =
+        (0..n_samples).map(|_| dist.sample(&mut r)).collect();
+    let compact = LinearScores::from_functions(ds.clone(), &functions).expect("compact backing");
+    drop(functions);
+    let compact_legs = compact_legs(&compact, &matrix, k, 5);
+    let compact_json = compact_legs
+        .iter()
+        .map(|l| {
+            format!(
+                "\"{}\":{{\"compact_ms\":{:.3},\"mirror_ms\":{:.3},\"ratio\":{:.3}}}",
+                l.name,
+                l.compact.as_secs_f64() * 1e3,
+                l.mirror.as_secs_f64() * 1e3,
+                l.ratio()
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",");
+
     let speedup = s_base.best.as_secs_f64() / s_engine.best.as_secs_f64().max(1e-12);
     let add_speedup = a_base.best.as_secs_f64() / a_engine.best.as_secs_f64().max(1e-12);
     eprintln!(
@@ -415,6 +546,7 @@ fn bench_engine(c: &mut Criterion) {
          \"dispatch_ratio\":{dispatch_ratio:.3},\
          \"pool_forkjoin_overhead_us\":{pool_forkjoin_overhead_us:.3},\
          \"scoped_spawn_overhead_us\":{scoped_spawn_overhead_us:.3},\
+         \"compact\":{{{compact_json}}},\
          \"thread_scaling\":{thread_scaling}}}\n",
         scoring_scalar.as_secs_f64() * 1e3,
         scoring_fused.as_secs_f64() * 1e3,

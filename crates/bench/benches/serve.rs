@@ -13,7 +13,10 @@
 //!   /update` batches. Readers are wait-free: each update builds the
 //!   next generation off to the side and publishes it with one swap, so
 //!   `mixed_rps` should sit within a small factor of `cached_rps`
-//!   rather than collapsing behind a write lock.
+//!   rather than collapsing behind a write lock. The leg runs for at
+//!   least the leg duration **and** until [`MIN_MIXED_UPDATES`] updates
+//!   have landed, so `update_p50_ms` / `update_p95_ms` are quantiles of
+//!   a real sample, never one update.
 //!
 //! Scale via `FAM_SERVE_POINTS`, `FAM_SERVE_SAMPLES`, `FAM_SERVE_CACHE_K`
 //! and duration via `FAM_SERVE_MILLIS`; emits one JSON trajectory point
@@ -32,21 +35,37 @@ use fam::serve::{Client, ClientOptions, DatasetService, DistKind, ServeOptions, 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// Updates the mixed leg waits for before it stops, whatever its
+/// duration: enough for a p50 and a p95 of the update latency.
+const MIN_MIXED_UPDATES: u64 = 10;
+
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
+/// Nearest-rank quantile `q` of sorted values (NaN when empty).
+fn quantile_ms(sorted_nanos: &[u64], q: f64) -> f64 {
+    if sorted_nanos.is_empty() {
+        return f64::NAN;
+    }
+    let rank = ((q * sorted_nanos.len() as f64).ceil() as usize).clamp(1, sorted_nanos.len());
+    sorted_nanos[rank - 1] as f64 / 1e6
+}
+
 /// Runs `clients` reader threads — each holding one keep-alive
-/// connection — against `path_of(i)` for `millis`, returning total
-/// completed requests.
+/// connection — against `path_of(i)` until `millis` have passed and
+/// `more()` returns false, returning total completed requests and the
+/// time the leg ran.
 fn hammer(
     addr: SocketAddr,
     clients: usize,
     millis: u64,
+    more: impl Fn() -> bool,
     path_of: impl Fn(usize, usize) -> String + Send + Sync,
-) -> u64 {
+) -> (u64, Duration) {
     let stop = AtomicBool::new(false);
     let served = AtomicU64::new(0);
+    let start = Instant::now();
     std::thread::scope(|s| {
         for c in 0..clients {
             let (stop, served, path_of) = (&stop, &served, &path_of);
@@ -62,9 +81,12 @@ fn hammer(
             });
         }
         std::thread::sleep(Duration::from_millis(millis));
+        while more() {
+            std::thread::sleep(Duration::from_millis(10));
+        }
         stop.store(true, Ordering::SeqCst);
     });
-    served.load(Ordering::Relaxed)
+    (served.load(Ordering::Relaxed), start.elapsed())
 }
 
 fn bench_serve(c: &mut Criterion) {
@@ -98,18 +120,26 @@ fn bench_serve(c: &mut Criterion) {
     let server_thread = std::thread::spawn(move || server.run());
 
     // Cached leg: k rotates inside the cache range.
-    let cached = hammer(addr, clients, millis, |c, i| {
-        format!("/solve?dataset=bench&k={}&algo=add-greedy", 1 + (c + i) % cache_hi)
-    });
-    let cached_rps = cached as f64 / (millis as f64 / 1e3);
+    let (cached, leg) = hammer(
+        addr,
+        clients,
+        millis,
+        || false,
+        |c, i| format!("/solve?dataset=bench&k={}&algo=add-greedy", 1 + (c + i) % cache_hi),
+    );
+    let cached_rps = cached as f64 / leg.as_secs_f64();
     eprintln!("cached   : {cached} requests in {millis} ms = {cached_rps:.0} req/s");
 
     // Uncached leg: k just above the cache range forces cold solves.
     let k_cold = (cache_hi + 1).min(n);
-    let uncached = hammer(addr, clients, millis, |_, _| {
-        format!("/solve?dataset=bench&k={k_cold}&algo=add-greedy")
-    });
-    let uncached_rps = uncached as f64 / (millis as f64 / 1e3);
+    let (uncached, leg) = hammer(
+        addr,
+        clients,
+        millis,
+        || false,
+        |_, _| format!("/solve?dataset=bench&k={k_cold}&algo=add-greedy"),
+    );
+    let uncached_rps = uncached as f64 / leg.as_secs_f64();
     eprintln!("uncached : {uncached} requests in {millis} ms = {uncached_rps:.0} req/s");
 
     // Mixed leg: cached readers racing an update writer. Each update
@@ -145,28 +175,25 @@ fn bench_serve(c: &mut Criterion) {
             }
         })
     };
-    let mixed = hammer(addr, clients, millis, |c, i| {
+    let landed = || updates_done.load(Ordering::Relaxed) < MIN_MIXED_UPDATES;
+    let (mixed, mixed_leg) = hammer(addr, clients, millis, landed, |c, i| {
         format!("/solve?dataset=bench&k={}&algo=add-greedy", 1 + (c + i) % cache_hi)
     });
     stop_writer.store(true, Ordering::SeqCst);
     writer.join().expect("writer");
-    let mixed_rps = mixed as f64 / (millis as f64 / 1e3);
+    let mixed_rps = mixed as f64 / mixed_leg.as_secs_f64();
     let updates = updates_done.load(Ordering::Relaxed);
-    // Mean and median per-update latency: the median is what a steady
-    // writer experiences; the mean additionally absorbs the cold first
-    // update (page-cache and allocator warmup on the clone).
+    // Quantiles of the per-update latency over every update that landed
+    // (at least MIN_MIXED_UPDATES): the p50 is what a steady writer
+    // experiences, the p95 its tail under the readers.
     let mut durations = update_nanos.lock().expect("durations lock").clone();
     durations.sort_unstable();
-    let (update_ms, update_p50_ms) = if durations.is_empty() {
-        (f64::NAN, f64::NAN)
-    } else {
-        let mean = durations.iter().sum::<u64>() as f64 / durations.len() as f64 / 1e6;
-        (mean, durations[durations.len() / 2] as f64 / 1e6)
-    };
+    let (update_p50_ms, update_p95_ms) =
+        (quantile_ms(&durations, 0.5), quantile_ms(&durations, 0.95));
     eprintln!(
-        "mixed    : {mixed} reads = {mixed_rps:.0} req/s alongside {updates} updates \
-         (mean {update_ms:.1} ms, p50 {update_p50_ms:.1} ms each: clone + apply + cache \
-         re-harvest + publish)"
+        "mixed    : {mixed} reads = {mixed_rps:.0} req/s alongside {updates} updates in \
+         {mixed_leg:?} (p50 {update_p50_ms:.1} ms, p95 {update_p95_ms:.1} ms each: clone + \
+         apply + cache re-harvest + publish)"
     );
 
     let out_path = std::env::var("FAM_BENCH_SERVE_OUT").unwrap_or_else(|_| {
@@ -176,9 +203,10 @@ fn bench_serve(c: &mut Criterion) {
         "{{\"bench\":\"serve\",\"n\":{n},\"n_samples\":{n_samples},\"cache_k\":{cache_hi},\
          \"clients\":{clients},\"leg_ms\":{millis},\"host_threads\":{threads},\
          \"build_ms\":{:.3},\"cached_rps\":{cached_rps:.1},\"uncached_rps\":{uncached_rps:.1},\
-         \"mixed_rps\":{mixed_rps:.1},\"updates_during_mixed\":{updates},\
-         \"update_ms_mean\":{update_ms:.3},\"update_p50_ms\":{update_p50_ms:.3}}}\n",
+         \"mixed_rps\":{mixed_rps:.1},\"mixed_ms\":{:.0},\"updates_during_mixed\":{updates},\
+         \"update_p50_ms\":{update_p50_ms:.3},\"update_p95_ms\":{update_p95_ms:.3}}}\n",
         build.as_secs_f64() * 1e3,
+        mixed_leg.as_secs_f64() * 1e3,
     );
     match std::fs::File::create(&out_path).and_then(|mut f| f.write_all(json.as_bytes())) {
         Ok(()) => eprintln!("wrote {out_path}"),

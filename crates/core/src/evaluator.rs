@@ -14,60 +14,99 @@
 //!
 //! # Layout and parallelism
 //!
-//! The evaluator is layout-aware: full rebuilds and runner-up rescans
-//! stream [`ScoreSource::row_slice`] when the substrate is sample-major,
-//! and addition scans stream [`ScoreSource::column_slice`] when a
-//! point-major mirror exists (see the dual-layout notes in
-//! [`crate::scores`]). With the default `parallel` feature, [`rebuild`]
-//! and the batched rescans triggered by [`remove`] fan out over all cores
-//! through [`crate::par`]; reductions fold fixed chunks in order, so the
-//! maintained `arr` is bit-identical between serial and parallel runs.
-//! The scans themselves go through the cache-blocked kernels of
-//! [`crate::kernels`] (`top_two_dense` / `top_two_gather` for removals,
-//! `lane_sum` for the arr folds) — `docs/PERFORMANCE.md` documents the
-//! layout trade-offs and the determinism argument.
+//! The evaluator reads scores through [`ScoreSource`]'s borrow-or-fill
+//! accessors, so it runs unchanged on a stored matrix and on a computing
+//! substrate: full rebuilds and runner-up rescans read each sample's row
+//! ([`ScoreSource::row_scores`], or just the members' scores through
+//! [`ScoreSource::member_scores`]), and addition scans walk a candidate's
+//! column in bands of [`kernels::BAND`] samples, folded with the carried
+//! lane accumulator [`kernels::LaneSum`] — the same terms in the same
+//! order as one `lane_sum` over the column. A stored matrix lends each
+//! band ([`ScoreSource::column_scores`]); a computing substrate scores
+//! each sample as the fold consumes it ([`ScoreSource::linear_columns`])
+//! (see the dual-layout notes in [`crate::scores`]). With the default
+//! `parallel` feature, [`rebuild`] and the batched rescans triggered by
+//! [`remove`] fan out over all cores through [`crate::par`]; reductions
+//! fold fixed chunks in order, so the maintained `arr` is bit-identical
+//! between serial and parallel runs. The scans themselves go through the
+//! cache-blocked kernels of [`crate::kernels`] (`top_two_dense` /
+//! `top_two_gather` for removals, `lane_sum` for the arr folds) —
+//! `docs/PERFORMANCE.md` documents the layout trade-offs and the
+//! determinism argument.
 //!
 //! [`rebuild`]: SelectionEvaluator::new_full
 //! [`remove`]: SelectionEvaluator::remove
 
 use crate::kernels;
 use crate::par;
-use crate::scores::{ScoreMatrix, ScoreSource};
+use crate::scores::{MemberScores, ScoreMatrix, ScoreSource};
 
 const NONE: u32 = kernels::NO_POINT;
 
-/// Best and runner-up of sample `u` over `members`, skipping `exclude`
-/// (pass [`NONE`] to skip nothing). Streams the sample's row through
-/// [`kernels::top_two_gather`] when the substrate is sample-major.
-/// Returned values are 0.0 when the corresponding index is [`NONE`].
+/// Best and runner-up of sample `u` over `members` in list order,
+/// skipping `exclude` (pass [`NONE`] to skip nothing), through
+/// [`kernels::top_two_gather`] on the sample's row or
+/// [`kernels::top_two_listed`] on the members' scores — the same scan
+/// either way. `buf` is the caller's row scratch. Returned values are
+/// 0.0 when the corresponding index is [`NONE`].
 fn top_two<S: ScoreSource + ?Sized>(
     m: &S,
     u: usize,
     members: &[u32],
     exclude: u32,
+    buf: &mut Vec<f64>,
 ) -> (u32, f64, u32, f64) {
-    match m.row_slice(u) {
-        Some(row) => kernels::top_two_gather(row, members, exclude),
-        None => {
-            let (mut b1, mut v1, mut b2, mut v2) = (NONE, 0.0f64, NONE, 0.0f64);
-            for &p in members {
-                if p == exclude {
-                    continue;
-                }
-                let s = m.score(u, p as usize);
-                if b1 == NONE || s > v1 {
-                    b2 = b1;
-                    v2 = v1;
-                    b1 = p;
-                    v1 = s;
-                } else if b2 == NONE || s > v2 {
-                    b2 = p;
-                    v2 = s;
-                }
-            }
-            (b1, if b1 == NONE { 0.0 } else { v1 }, b2, if b2 == NONE { 0.0 } else { v2 })
-        }
+    match m.member_scores(u, members, buf) {
+        MemberScores::Row(row) => kernels::top_two_gather(row, members, exclude),
+        MemberScores::Listed(scores) => kernels::top_two_listed(members, scores, exclude),
     }
+}
+
+/// [`SelectionEvaluator::addition_delta`] over the bands of point `p`'s
+/// column that `m` lends (a mirror) or gathers. Out of line, as is
+/// [`fused_addition_delta`], so neither scan's code shapes the other's.
+#[inline(never)]
+fn banded_addition_delta<S: ScoreSource + ?Sized>(
+    m: &S,
+    p: usize,
+    w: &[f64],
+    best: &[f64],
+    top1_val: &[f64],
+) -> f64 {
+    let n = top1_val.len();
+    let mut sum = kernels::LaneSum::new();
+    let mut buf = [0.0f64; kernels::BAND];
+    for b0 in (0..n).step_by(kernels::BAND) {
+        let b1 = (b0 + kernels::BAND).min(n);
+        let len = b1 - b0;
+        // Re-sliced to the band: equal lengths let the fold drop its
+        // bounds checks and vectorize.
+        let col = &m.column_scores(p, b0..b1, &mut buf)[..len];
+        let (w, best, top1_val) = (&w[b0..b1], &best[b0..b1], &top1_val[b0..b1]);
+        sum.fold(b0, len, |i| kernels::addition_term(w[i], col[i], top1_val[i], best[i]));
+    }
+    sum.total()
+}
+
+/// [`SelectionEvaluator::addition_delta`] on a computing substrate: each
+/// band's scores are computed as the fold consumes them
+/// ([`kernels::linear_addition_fold`]), so the multiply-adds overlap the
+/// divisions.
+#[inline(never)]
+fn fused_addition_delta(
+    linear: &crate::LinearColumns<'_>,
+    p: usize,
+    w: &[f64],
+    best: &[f64],
+    top1_val: &[f64],
+) -> f64 {
+    let n = top1_val.len();
+    let mut sum = kernels::LaneSum::new();
+    for b0 in (0..n).step_by(kernels::BAND) {
+        let b1 = (b0 + kernels::BAND).min(n);
+        linear.addition_fold(p, b0, &w[b0..b1], &top1_val[b0..b1], &best[b0..b1], &mut sum);
+    }
+    sum.total()
 }
 
 /// Instrumentation counters for the efficiency claims of Appendix C.
@@ -411,8 +450,8 @@ impl<'a, S: ScoreSource + ?Sized> SelectionEvaluator<'a, S> {
         // like scan_runner_ups; per-sample outputs are independent).
         let (matrix, mem) = (ev.m, &ev.members);
         let mut full = vec![(NONE, 0.0, NONE, 0.0); full_rescan.len()];
-        par::fill_adaptive(&mut full, mem.len(), |i| {
-            top_two(matrix, full_rescan[i] as usize, mem, NONE)
+        par::fill_adaptive_with(&mut full, mem.len(), Vec::new, |buf, i| {
+            top_two(matrix, full_rescan[i] as usize, mem, NONE, buf)
         });
         for (&u32u, (b1, v1, b2, v2)) in full_rescan.iter().zip(full) {
             let u = u32u as usize;
@@ -424,9 +463,9 @@ impl<'a, S: ScoreSource + ?Sized> SelectionEvaluator<'a, S> {
         }
         let top1 = &ev.top1;
         let mut runner = vec![(NONE, 0.0); runner_rescan.len()];
-        par::fill_adaptive(&mut runner, mem.len(), |i| {
+        par::fill_adaptive_with(&mut runner, mem.len(), Vec::new, |buf, i| {
             let u = runner_rescan[i] as usize;
-            let (b2, v2, _, _) = top_two(matrix, u, mem, top1[u]);
+            let (b2, v2, _, _) = top_two(matrix, u, mem, top1[u], buf);
             (b2, v2)
         });
         for (&u32u, (b2, v2)) in runner_rescan.iter().zip(runner) {
@@ -482,7 +521,9 @@ impl<'a, S: ScoreSource + ?Sized> SelectionEvaluator<'a, S> {
         // fanned out like the update-resume rescans).
         let (matrix, mem) = (ev.m, &ev.members);
         let mut fresh = vec![(NONE, 0.0, NONE, 0.0); n_samples - first_new];
-        par::fill_adaptive(&mut fresh, mem.len(), |i| top_two(matrix, first_new + i, mem, NONE));
+        par::fill_adaptive_with(&mut fresh, mem.len(), Vec::new, |buf, i| {
+            top_two(matrix, first_new + i, mem, NONE, buf)
+        });
         for (b1, v1, b2, v2) in fresh {
             ev.counters.rescans += 1;
             ev.top1.push(b1);
@@ -546,7 +587,9 @@ impl<'a, S: ScoreSource + ?Sized> SelectionEvaluator<'a, S> {
         let members = &self.members;
         let (w, best) = (m.weights(), m.best_values());
         let chunks = par::map_chunks(m.n_samples(), par::CHUNK, |range| {
-            let tops: Vec<_> = range.clone().map(|u| top_two(m, u, members, NONE)).collect();
+            let mut buf = Vec::new();
+            let tops: Vec<_> =
+                range.clone().map(|u| top_two(m, u, members, NONE, &mut buf)).collect();
             // Same lane-decomposed fold shape as `resync`, so an
             // incrementally maintained arr resyncs to exactly this value.
             let (w, best) = (&w[range.clone()], &best[range]);
@@ -678,17 +721,13 @@ impl<'a, S: ScoreSource + ?Sized> SelectionEvaluator<'a, S> {
         // Branchless form of `if s > t { delta -= w * (s - t) / b }`: a
         // non-improving sample contributes `-(w * 0.0 / b) == -0.0`, which
         // is an identity on the non-negative lane accumulators, so the sum
-        // is bit-identical to the branching loop. Both layouts fold the
-        // identical lane shape — the mirror changes memory traffic only.
-        match m.column_slice(p) {
-            // Columnar fast path: stream point p's scores contiguously.
-            Some(col) => {
-                let col = &col[..n];
-                kernels::lane_sum(n, |u| -(w[u] * (col[u] - top1_val[u]).max(0.0) / best[u]))
-            }
-            None => {
-                kernels::lane_sum(n, |u| -(w[u] * (m.score(u, p) - top1_val[u]).max(0.0) / best[u]))
-            }
+        // is bit-identical to the branching loop. Every substrate folds the
+        // identical lane shape band by band — a matrix lends its column, a
+        // computing substrate scores each sample as the fold consumes it —
+        // so the layout changes memory traffic and arithmetic overlap only.
+        match m.linear_columns() {
+            Some(linear) => fused_addition_delta(&linear, p, w, best, top1_val),
+            None => banded_addition_delta(m, p, w, best, top1_val),
         }
     }
 
@@ -798,18 +837,14 @@ impl<'a, S: ScoreSource + ?Sized> SelectionEvaluator<'a, S> {
         let dense = members.len() * 4 >= in_sel.len();
         out.clear();
         out.resize(samples.len(), (NONE, 0.0));
-        par::fill_adaptive(out, members.len(), |i| {
+        par::fill_adaptive_with(out, members.len(), Vec::new, |buf, i| {
             let u = samples[i] as usize;
-            match m.row_slice(u) {
-                Some(row) if dense => {
-                    let (b2, v2, _, _) = kernels::top_two_dense(row, in_sel, top1[u]);
-                    (b2, v2)
-                }
-                _ => {
-                    let (b2, v2, _, _) = top_two(m, u, members, top1[u]);
-                    (b2, v2)
-                }
-            }
+            let (b2, v2, _, _) = if dense {
+                kernels::top_two_dense(m.row_scores(u, buf), in_sel, top1[u])
+            } else {
+                top_two(m, u, members, top1[u], buf)
+            };
+            (b2, v2)
         });
     }
 
@@ -833,31 +868,40 @@ impl<'a, S: ScoreSource + ?Sized> SelectionEvaluator<'a, S> {
         self.in_sel[p] = true;
         self.members.push(p as u32);
         let m = self.m;
-        let (col, w, best) = (m.column_slice(p), m.weights(), m.best_values());
-        for u in 0..self.top1.len() {
-            // Columnar fast path mirrors addition_delta's.
-            let s = match col {
-                Some(c) => c[u],
-                None => m.score(u, p),
-            };
-            if self.top1[u] == NONE || s > self.top1_val[u] {
-                self.counters.promotions += 1;
-                // Old best becomes the runner-up.
-                if self.top1[u] != NONE {
-                    self.second_owners[self.top1[u] as usize].push(u as u32);
-                }
-                self.top2[u] = self.top1[u];
-                self.top2_val[u] = self.top1_val[u];
-                let old_val = self.top1_val[u];
-                self.top1[u] = p as u32;
-                self.top1_val[u] = s;
-                self.owners[p].push(u as u32);
-                self.arr -= w[u] * (s - old_val) / best[u];
-            } else if self.top2[u] == NONE || s > self.top2_val[u] {
-                self.top2[u] = p as u32;
-                self.top2_val[u] = s;
-                self.second_owners[p].push(u as u32);
+        let (w, best) = (m.weights(), m.best_values());
+        let n = self.top1.len();
+        let mut buf = [0.0f64; kernels::BAND];
+        for b0 in (0..n).step_by(kernels::BAND) {
+            let b1 = (b0 + kernels::BAND).min(n);
+            // Point p's scores band by band, as addition_delta reads them.
+            let col = m.column_scores(p, b0..b1, &mut buf);
+            for (u, &s) in (b0..b1).zip(col) {
+                self.add_sample(u, p, s, w[u], best[u]);
             }
+        }
+    }
+
+    /// [`SelectionEvaluator::add`]'s per-sample step: point `p` scoring
+    /// `s` on sample `u` becomes its best or runner-up when it beats them.
+    #[inline]
+    fn add_sample(&mut self, u: usize, p: usize, s: f64, w: f64, best: f64) {
+        if self.top1[u] == NONE || s > self.top1_val[u] {
+            self.counters.promotions += 1;
+            // Old best becomes the runner-up.
+            if self.top1[u] != NONE {
+                self.second_owners[self.top1[u] as usize].push(u as u32);
+            }
+            self.top2[u] = self.top1[u];
+            self.top2_val[u] = self.top1_val[u];
+            let old_val = self.top1_val[u];
+            self.top1[u] = p as u32;
+            self.top1_val[u] = s;
+            self.owners[p].push(u as u32);
+            self.arr -= w * (s - old_val) / best;
+        } else if self.top2[u] == NONE || s > self.top2_val[u] {
+            self.top2[u] = p as u32;
+            self.top2_val[u] = s;
+            self.second_owners[p].push(u as u32);
         }
     }
 

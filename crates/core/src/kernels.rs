@@ -5,13 +5,18 @@
 //! Every dense pass in the workspace is one of four stream shapes:
 //!
 //! * **dot products** over a point's coordinates ([`dot`],
-//!   [`linear_score_row`], [`linear_best`]) — the `O(nN)` scoring pass;
+//!   [`linear_score_row`], [`linear_best`], [`linear_best_checked`]) —
+//!   the `O(nN)` scoring pass — and their transposed-operand twin
+//!   [`linear_fill`], which computes the rows and column bands of the
+//!   compact [`crate::LinearScores`] substrate, also fused into the two
+//!   hot column folds ([`linear_addition_fold`], [`linear_regret_fold`]);
 //! * **row argmax** ([`row_best`], [`validate_row_best`]) — the per-sample
 //!   best-point pass, fused with validation;
-//! * **ordered folds** ([`lane_sum`], [`lane_max`]) — the evaluator's
-//!   `arr` refold and addition/candidate sweeps;
-//! * **top-two scans** ([`top_two_gather`], [`top_two_dense`]) — the
-//!   evaluator's removal rescans;
+//! * **ordered folds** ([`lane_sum`], [`lane_max`], and their band-carried
+//!   accumulators [`LaneSum`], [`LaneMax`]) — the evaluator's `arr`
+//!   refold and addition/candidate sweeps;
+//! * **top-two scans** ([`top_two_gather`], [`top_two_listed`],
+//!   [`top_two_dense`]) — the evaluator's removal rescans;
 //!
 //! plus the cache-blocked transposes ([`transpose_band`],
 //! [`transpose_into`], [`transpose`]) that maintain the point-major
@@ -391,8 +396,334 @@ pub fn linear_best(weights: &[f64], points: &[f64], dim: usize) -> (u32, f64) {
     (bi, bv)
 }
 
+/// First-strict-argmax of `dot(weights, point_p)` over a flat coordinate
+/// buffer, with [`validate_row_best`]'s checks: the kernel behind
+/// [`crate::LinearScores`]' validated best-point pass. Scores stream
+/// through a [`TILE`]-sized stack buffer exactly as in [`linear_best`];
+/// the first tile that fails validation is rescanned for its first
+/// offending element, so the result (and the error) equals
+/// `validate_row_best` on the materialized [`linear_score_row`].
+///
+/// # Errors
+///
+/// The first offending score in point order, classified as in
+/// [`validate_row_best`].
+///
+/// # Panics
+///
+/// As [`linear_best`].
+pub fn linear_best_checked(
+    weights: &[f64],
+    points: &[f64],
+    dim: usize,
+) -> Result<(u32, f64), RowIssue> {
+    assert!(dim > 0, "points must have at least one coordinate");
+    assert_eq!(points.len() % dim, 0, "flat coordinate buffer must be a whole number of points");
+    let n = points.len() / dim;
+    let mut buf = [0.0f64; TILE];
+    let (mut bi, mut bv) = (0u32, f64::NEG_INFINITY);
+    let mut t0 = 0;
+    while t0 < n {
+        let t1 = (t0 + TILE).min(n);
+        let tile = &mut buf[..t1 - t0];
+        let (tbi, tbv, ok) = linear_score_row(weights, &points[t0 * dim..t1 * dim], dim, tile);
+        if !ok {
+            return Err(match validate_row_best(tile) {
+                Err(RowIssue::NonFinite { col }) => RowIssue::NonFinite { col: t0 + col },
+                Err(RowIssue::Negative { col }) => RowIssue::Negative { col: t0 + col },
+                Ok(_) => unreachable!("a tile that failed the mask holds an offending score"),
+            });
+        }
+        if tbv > bv {
+            bi = t0 as u32 + tbi;
+            bv = tbv;
+        }
+        t0 = t1;
+    }
+    Ok((bi, bv))
+}
+
+/// Samples per band of a banded column fold: a [`linear_fill`] band of
+/// this many scores (4 KiB) is folded while it is still L1-resident.
+/// A multiple of [`LANES`], so [`LaneSum`] and [`LaneMax`] carry the
+/// lane assignment of [`lane_sum`] / [`lane_max`] across bands.
+pub const BAND: usize = 512;
+
+/// Fills `out[i] = dot(v, t_{first + i})` where `t` holds `v.len()`
+/// coordinate rows of `stride` entries (`t[j * stride + q]` is
+/// coordinate `j` of item `q`) — the compact substrate's score fill over
+/// *transposed* operands:
+///
+/// * a **row** fill passes one sample's weight vector as `v` and the
+///   coordinates transposed to `d × n`;
+/// * a **column band** fill passes one point's coordinates as `v` and
+///   the weights transposed to `d × N`.
+///
+/// Each score runs [`dot`]'s [`fmadd`] chain over `j = 0..d` in order
+/// (the product inside `fmadd` is exact and commutative, so which operand
+/// comes from `v` changes no bit): every written score is bit-identical
+/// to `dot(weights, point)`. The chains of a block of consecutive items
+/// run side by side with the accumulators in registers, so the fill
+/// streams `t` once and vectorizes across items.
+///
+/// # Panics
+///
+/// Panics if `t` is shorter than `v.len()` rows of `stride` entries, or
+/// `first + out.len() > stride`.
+pub fn linear_fill(v: &[f64], t: &[f64], stride: usize, first: usize, out: &mut [f64]) {
+    let len = out.len();
+    assert!(first + len <= stride, "fill range exceeds the transposed row length");
+    assert!(t.len() >= v.len() * stride, "transposed buffer is shorter than its rows");
+    match v.len() {
+        1 => fill_transposed::<1>(v, t, stride, first, out),
+        2 => fill_transposed::<2>(v, t, stride, first, out),
+        3 => fill_transposed::<3>(v, t, stride, first, out),
+        4 => fill_transposed::<4>(v, t, stride, first, out),
+        5 => fill_transposed::<5>(v, t, stride, first, out),
+        6 => fill_transposed::<6>(v, t, stride, first, out),
+        7 => fill_transposed::<7>(v, t, stride, first, out),
+        8 => fill_transposed::<8>(v, t, stride, first, out),
+        _ => fill_transposed_dyn(v, t, stride, first, out),
+    }
+}
+
+/// Items per register block of [`linear_fill`]: two [`LANES`]-wide
+/// accumulator vectors. Wider blocks measured slower (the accumulators
+/// stop fitting the register file next to the `D` weights).
+const FILL_BLOCK: usize = 2 * LANES;
+
+/// [`linear_fill`] with the dimension known at compile time: each block
+/// of [`FILL_BLOCK`] items keeps its accumulators in registers while the
+/// `D` coordinate rows stream past.
+#[inline(always)]
+fn fill_transposed<const D: usize>(
+    v: &[f64],
+    t: &[f64],
+    stride: usize,
+    first: usize,
+    out: &mut [f64],
+) {
+    let len = out.len();
+    let v: [f64; D] = v.try_into().expect("dispatch guarantees v.len() == D");
+    let rows: [&[f64]; D] =
+        std::array::from_fn(|j| &t[j * stride + first..j * stride + first + len]);
+    let full = len / FILL_BLOCK * FILL_BLOCK;
+    let mut i0 = 0;
+    while i0 < full {
+        let mut acc = [0.0f64; FILL_BLOCK];
+        for j in 0..D {
+            let row: &[f64; FILL_BLOCK] =
+                rows[j][i0..i0 + FILL_BLOCK].try_into().expect("block-sized row slice");
+            for l in 0..FILL_BLOCK {
+                acc[l] = fmadd(v[j], row[l], acc[l]);
+            }
+        }
+        out[i0..i0 + FILL_BLOCK].copy_from_slice(&acc);
+        i0 += FILL_BLOCK;
+    }
+    for (i, o) in out.iter_mut().enumerate().skip(full) {
+        let mut acc = 0.0f64;
+        for j in 0..D {
+            acc = fmadd(v[j], rows[j][i], acc);
+        }
+        *o = acc;
+    }
+}
+
+/// Runtime-dimension fallback of [`fill_transposed`] for `d > 8`: the
+/// same per-item chain, one coordinate row at a time over the output.
+fn fill_transposed_dyn(v: &[f64], t: &[f64], stride: usize, first: usize, out: &mut [f64]) {
+    out.fill(0.0);
+    for (j, &vj) in v.iter().enumerate() {
+        let row = &t[j * stride + first..j * stride + first + out.len()];
+        for (o, &x) in out.iter_mut().zip(row) {
+            *o = fmadd(vj, x, *o);
+        }
+    }
+}
+
+/// What a candidate scoring `score` on a sample adds to the addition delta
+/// `arr(S ∪ {p}) − arr(S)`: `−weight · max(score − top1, 0) / best`.
+/// The evaluator's addition scan folds this term over every sample,
+/// whichever substrate supplies the scores.
+#[inline(always)]
+pub fn addition_term(weight: f64, score: f64, top1: f64, best: f64) -> f64 {
+    -(weight * (score - top1).max(0.0) / best)
+}
+
+/// A candidate's witness regret on one sample, `(score − sat) / best`:
+/// the term MRR-GREEDY's candidate scan takes the maximum of.
+#[inline(always)]
+pub fn regret_term(score: f64, sat: f64, best: f64) -> f64 {
+    (score - sat) / best
+}
+
+/// [`linear_fill`]'s register blocks, each handed to `each(lane, i,
+/// score)` as it completes, in increasing `i`, with `lane = i % LANES`
+/// (the lane [`LaneSum::fold`] gives term `i` of a band that starts on a
+/// lane boundary).
+#[inline(always)]
+fn fold_transposed<const D: usize>(
+    v: &[f64],
+    t: &[f64],
+    stride: usize,
+    first: usize,
+    len: usize,
+    mut each: impl FnMut(usize, usize, f64),
+) {
+    let v: [f64; D] = v.try_into().expect("dispatch guarantees v.len() == D");
+    let rows: [&[f64]; D] =
+        std::array::from_fn(|j| &t[j * stride + first..j * stride + first + len]);
+    let full = len / FILL_BLOCK * FILL_BLOCK;
+    let mut i0 = 0;
+    while i0 < full {
+        let mut acc = [0.0f64; FILL_BLOCK];
+        for j in 0..D {
+            let row: &[f64; FILL_BLOCK] =
+                rows[j][i0..i0 + FILL_BLOCK].try_into().expect("block-sized row slice");
+            for l in 0..FILL_BLOCK {
+                acc[l] = fmadd(v[j], row[l], acc[l]);
+            }
+        }
+        for (l, &score) in acc.iter().enumerate() {
+            each(l % LANES, i0 + l, score);
+        }
+        i0 += FILL_BLOCK;
+    }
+    for i in full..len {
+        let mut acc = 0.0f64;
+        for (row, &vj) in rows.iter().zip(&v) {
+            acc = fmadd(vj, row[i], acc);
+        }
+        each(i % LANES, i, acc);
+    }
+}
+
+/// Runtime-dimension fallback of [`fold_transposed`] for `d > 8`: one
+/// block at a time through [`fill_transposed_dyn`].
+fn fold_transposed_dyn(
+    v: &[f64],
+    t: &[f64],
+    stride: usize,
+    first: usize,
+    len: usize,
+    mut each: impl FnMut(usize, usize, f64),
+) {
+    let mut block = [0.0f64; FILL_BLOCK];
+    let mut i0 = 0;
+    while i0 < len {
+        let b = (len - i0).min(FILL_BLOCK);
+        fill_transposed_dyn(v, t, stride, first + i0, &mut block[..b]);
+        for (l, &score) in block[..b].iter().enumerate() {
+            each((i0 + l) % LANES, i0 + l, score);
+        }
+        i0 += b;
+    }
+}
+
+/// Dispatches [`fold_transposed`] on the dimension, as [`linear_fill`]
+/// dispatches its fill.
+macro_rules! fold_by_dim {
+    ($v:expr, $t:expr, $stride:expr, $first:expr, $len:expr, $each:expr) => {
+        match $v.len() {
+            1 => fold_transposed::<1>($v, $t, $stride, $first, $len, $each),
+            2 => fold_transposed::<2>($v, $t, $stride, $first, $len, $each),
+            3 => fold_transposed::<3>($v, $t, $stride, $first, $len, $each),
+            4 => fold_transposed::<4>($v, $t, $stride, $first, $len, $each),
+            5 => fold_transposed::<5>($v, $t, $stride, $first, $len, $each),
+            6 => fold_transposed::<6>($v, $t, $stride, $first, $len, $each),
+            7 => fold_transposed::<7>($v, $t, $stride, $first, $len, $each),
+            8 => fold_transposed::<8>($v, $t, $stride, $first, $len, $each),
+            _ => fold_transposed_dyn($v, $t, $stride, $first, $len, $each),
+        }
+    };
+}
+
+/// [`linear_fill`] fused with the addition scan's fold: adds
+/// [`addition_term`]`(weights[i], score_i, top1[i], best[i])` to `sum`
+/// for the band `first..first + weights.len()`, each `score_i =
+/// dot(w_{first+i}, point)` computed in registers as the fold consumes
+/// it. Bit-identical to `linear_fill` into a buffer followed by
+/// [`LaneSum::fold`] of the same term; faster, because the fill's
+/// multiply-adds run beside the fold's divisions instead of before them.
+///
+/// # Panics
+///
+/// As [`linear_fill`], or if `top1` or `best` is shorter than `weights`;
+/// `first` must be a multiple of [`LANES`].
+#[allow(clippy::too_many_arguments)]
+pub fn linear_addition_fold(
+    point: &[f64],
+    weights_t: &[f64],
+    stride: usize,
+    first: usize,
+    weights: &[f64],
+    top1: &[f64],
+    best: &[f64],
+    sum: &mut LaneSum,
+) {
+    let len = weights.len();
+    assert!(first + len <= stride, "fold range exceeds the transposed row length");
+    assert!(weights_t.len() >= point.len() * stride, "transposed buffer is shorter than its rows");
+    debug_assert_eq!(first % LANES, 0, "bands start on a lane boundary");
+    let (top1, best, acc) = (&top1[..len], &best[..len], &mut sum.0);
+    fold_by_dim!(point, weights_t, stride, first, len, |lane: usize, i: usize, score: f64| {
+        acc[lane] += addition_term(weights[i], score, top1[i], best[i]);
+    });
+}
+
+/// [`linear_fill`] fused with MRR-GREEDY's candidate fold: folds
+/// [`regret_term`]`(score_i, sat[i], best[i])` into `max` for the band
+/// `first..first + sat.len()`, bit-identical to `linear_fill` followed
+/// by [`LaneMax::fold`] of the same term.
+///
+/// # Panics
+///
+/// As [`linear_addition_fold`].
+pub fn linear_regret_fold(
+    point: &[f64],
+    weights_t: &[f64],
+    stride: usize,
+    first: usize,
+    sat: &[f64],
+    best: &[f64],
+    max: &mut LaneMax,
+) {
+    let len = sat.len();
+    assert!(first + len <= stride, "fold range exceeds the transposed row length");
+    assert!(weights_t.len() >= point.len() * stride, "transposed buffer is shorter than its rows");
+    debug_assert_eq!(first % LANES, 0, "bands start on a lane boundary");
+    let (best, acc) = (&best[..len], &mut max.0);
+    fold_by_dim!(point, weights_t, stride, first, len, |lane: usize, i: usize, score: f64| {
+        acc[lane] = acc[lane].max(regret_term(score, sat[i], best[i]));
+    });
+}
+
 /// Sentinel point index meaning "no point" in the top-two kernels.
 pub const NO_POINT: u32 = u32::MAX;
+
+/// The top-two scan every variant below shares: keeps the first strict
+/// best and runner-up of `(point, score)` pairs in iteration order,
+/// skipping `exclude`. Values are `0.0` where the index is [`NO_POINT`].
+#[inline(always)]
+fn top_two_scan(scored: impl Iterator<Item = (u32, f64)>, exclude: u32) -> (u32, f64, u32, f64) {
+    let (mut b1, mut v1, mut b2, mut v2) = (NO_POINT, 0.0f64, NO_POINT, 0.0f64);
+    for (p, s) in scored {
+        if p == exclude {
+            continue;
+        }
+        if b1 == NO_POINT || s > v1 {
+            b2 = b1;
+            v2 = v1;
+            b1 = p;
+            v1 = s;
+        } else if b2 == NO_POINT || s > v2 {
+            b2 = p;
+            v2 = s;
+        }
+    }
+    (b1, if b1 == NO_POINT { 0.0 } else { v1 }, b2, if b2 == NO_POINT { 0.0 } else { v2 })
+}
 
 /// Best and runner-up scores of one sample row over an explicit member
 /// list (a *gather*: `members` need not be sorted — the scan order is the
@@ -405,23 +736,20 @@ pub const NO_POINT: u32 = u32::MAX;
 /// order statistics of the same multiset and always agree bit-for-bit.
 #[inline]
 pub fn top_two_gather(row: &[f64], members: &[u32], exclude: u32) -> (u32, f64, u32, f64) {
-    let (mut b1, mut v1, mut b2, mut v2) = (NO_POINT, 0.0f64, NO_POINT, 0.0f64);
-    for &p in members {
-        if p == exclude {
-            continue;
-        }
-        let s = row[p as usize];
-        if b1 == NO_POINT || s > v1 {
-            b2 = b1;
-            v2 = v1;
-            b1 = p;
-            v1 = s;
-        } else if b2 == NO_POINT || s > v2 {
-            b2 = p;
-            v2 = s;
-        }
-    }
-    (b1, if b1 == NO_POINT { 0.0 } else { v1 }, b2, if b2 == NO_POINT { 0.0 } else { v2 })
+    top_two_scan(members.iter().map(|&p| (p, row[p as usize])), exclude)
+}
+
+/// [`top_two_gather`] over scores already gathered in list order
+/// (`scores[i]` is the score of `members[i]`): the same scan, the same
+/// tie-breaks, so the result is identical to gathering from the row.
+///
+/// # Panics
+///
+/// Panics (debug) if the two slices differ in length.
+#[inline]
+pub fn top_two_listed(members: &[u32], scores: &[f64], exclude: u32) -> (u32, f64, u32, f64) {
+    debug_assert_eq!(members.len(), scores.len(), "one score per member");
+    top_two_scan(members.iter().copied().zip(scores.iter().copied()), exclude)
 }
 
 /// [`top_two_gather`] for *dense* selections: streams the whole row in
@@ -476,22 +804,66 @@ pub fn top_two_dense(row: &[f64], in_sel: &[bool], exclude: u32) -> (u32, f64, u
 /// assert_eq!(lane_sum(v.len(), |i| v[i]), 17.5);
 /// ```
 #[inline]
-pub fn lane_sum<F: FnMut(usize) -> f64>(n: usize, mut f: F) -> f64 {
-    let mut acc = [0.0f64; LANES];
-    let mut i = 0;
-    while i + LANES <= n {
-        for (l, lane) in acc.iter_mut().enumerate() {
-            *lane += f(i + l);
+pub fn lane_sum<F: FnMut(usize) -> f64>(n: usize, f: F) -> f64 {
+    let mut sum = LaneSum::new();
+    sum.fold(0, n, f);
+    sum.total()
+}
+
+/// [`lane_sum`]'s accumulator, carried across bands: term `i` always
+/// lands in lane `i % LANES` (the main loop's lanes, and the tail's,
+/// since every band starts on a multiple of [`LANES`]), so folding
+/// `0..n` band by band adds exactly the terms `lane_sum(n, f)` adds, in
+/// the same order per lane — the sum is bit-identical for any band size
+/// that is a multiple of `LANES` (see [`BAND`]).
+#[derive(Debug, Clone, Copy)]
+pub struct LaneSum([f64; LANES]);
+
+impl LaneSum {
+    /// An empty sum.
+    #[inline]
+    pub const fn new() -> Self {
+        LaneSum([0.0; LANES])
+    }
+
+    /// Adds `f(0), …, f(len-1)` as the terms at indices
+    /// `start..start + len`. Every band but the last must have a length
+    /// that is a multiple of [`LANES`].
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug) if `start` is not a multiple of [`LANES`].
+    #[inline]
+    pub fn fold<F: FnMut(usize) -> f64>(&mut self, start: usize, len: usize, mut f: F) {
+        debug_assert_eq!(start % LANES, 0, "bands start on a lane boundary");
+        let acc = &mut self.0;
+        let mut i = 0;
+        while i + LANES <= len {
+            for (l, lane) in acc.iter_mut().enumerate() {
+                *lane += f(i + l);
+            }
+            i += LANES;
         }
-        i += LANES;
+        let mut l = 0;
+        while i < len {
+            acc[l] += f(i);
+            i += 1;
+            l += 1;
+        }
     }
-    let mut l = 0;
-    while i < n {
-        acc[l] += f(i);
-        i += 1;
-        l += 1;
+
+    /// The sum: the lanes combine as `(a0 + a1) + (a2 + a3)`.
+    #[inline]
+    pub fn total(self) -> f64 {
+        let a = self.0;
+        (a[0] + a[1]) + (a[2] + a[3])
     }
-    (acc[0] + acc[1]) + (acc[2] + acc[3])
+}
+
+impl Default for LaneSum {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// Maximum of `init` and `f(0), …, f(n-1)` over [`LANES`] lanes. `max`
@@ -500,22 +872,55 @@ pub fn lane_sum<F: FnMut(usize) -> f64>(n: usize, mut f: F) -> f64 {
 /// sign of a zero when `±0.0` tie, which no caller observes) — safe to
 /// drop into existing scans without re-pinning anything.
 #[inline]
-pub fn lane_max<F: FnMut(usize) -> f64>(init: f64, n: usize, mut f: F) -> f64 {
-    let mut acc = [init; LANES];
-    let mut i = 0;
-    while i + LANES <= n {
-        for (l, lane) in acc.iter_mut().enumerate() {
-            *lane = lane.max(f(i + l));
+pub fn lane_max<F: FnMut(usize) -> f64>(init: f64, n: usize, f: F) -> f64 {
+    let mut max = LaneMax::new(init);
+    max.fold(0, n, f);
+    max.total()
+}
+
+/// [`lane_max`]'s accumulator, carried across bands exactly as
+/// [`LaneSum`] carries [`lane_sum`]'s.
+#[derive(Debug, Clone, Copy)]
+pub struct LaneMax([f64; LANES]);
+
+impl LaneMax {
+    /// A maximum seeded with `init` in every lane.
+    #[inline]
+    pub const fn new(init: f64) -> Self {
+        LaneMax([init; LANES])
+    }
+
+    /// Folds `f(0), …, f(len-1)` as the terms at indices
+    /// `start..start + len` (see [`LaneSum::fold`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug) if `start` is not a multiple of [`LANES`].
+    #[inline]
+    pub fn fold<F: FnMut(usize) -> f64>(&mut self, start: usize, len: usize, mut f: F) {
+        debug_assert_eq!(start % LANES, 0, "bands start on a lane boundary");
+        let acc = &mut self.0;
+        let mut i = 0;
+        while i + LANES <= len {
+            for (l, lane) in acc.iter_mut().enumerate() {
+                *lane = lane.max(f(i + l));
+            }
+            i += LANES;
         }
-        i += LANES;
+        let mut l = 0;
+        while i < len {
+            acc[l] = acc[l].max(f(i));
+            i += 1;
+            l += 1;
+        }
     }
-    let mut l = 0;
-    while i < n {
-        acc[l] = acc[l].max(f(i));
-        i += 1;
-        l += 1;
+
+    /// The maximum over every lane.
+    #[inline]
+    pub fn total(self) -> f64 {
+        let a = self.0;
+        (a[0].max(a[1])).max(a[2].max(a[3]))
     }
-    (acc[0].max(acc[1])).max(acc[2].max(acc[3]))
 }
 
 /// Cache-blocked transpose of one band of columns: rows `0..n_rows` of
@@ -687,6 +1092,142 @@ mod tests {
                 let (ci, cv) = linear_best(&w, &flat, dim);
                 assert_eq!((ci, cv.to_bits()), (bi, bv.to_bits()), "linear_best must agree");
             }
+        }
+    }
+
+    /// Lengths straddling the lane width, the fill block and the band.
+    fn fill_lengths() -> Vec<usize> {
+        vec![1, LANES - 1, LANES, LANES + 1, FILL_BLOCK + 1, BAND - 1, BAND, BAND + 1, 2 * BAND + 3]
+    }
+
+    #[test]
+    fn fills_are_bitwise_dot_per_item() {
+        let mut rng = StdRng::seed_from_u64(18);
+        // 1–8 take the const-specialized fill, 9 and 12 the dynamic one.
+        for dim in (1..=9).chain([12]) {
+            let w: Vec<f64> = (0..dim).map(|_| rng.gen_range(0.0..1.0)).collect();
+            for len in fill_lengths() {
+                // Row fill: one weight vector against transposed
+                // coordinates; the band starts past the first points.
+                let first = 3;
+                let n = first + len + 2;
+                let flat: Vec<f64> = (0..n * dim).map(|_| rng.gen_range(0.0..1.0)).collect();
+                let coords_t = transpose(&flat, n, dim, dim);
+                let mut out = vec![0.0; len];
+                linear_fill(&w, &coords_t, n, first, &mut out);
+                for (i, got) in out.iter().enumerate() {
+                    let p = first + i;
+                    let want = dot(&w, &flat[p * dim..(p + 1) * dim]);
+                    assert_eq!(got.to_bits(), want.to_bits(), "row: dim {dim}, len {len}, {p}");
+                }
+                // Column band fill: one point against transposed weights.
+                let weights = flat;
+                let weights_t = coords_t;
+                let point: Vec<f64> = (0..dim).map(|_| rng.gen_range(0.0..1.0)).collect();
+                linear_fill(&point, &weights_t, n, first, &mut out);
+                for (i, got) in out.iter().enumerate() {
+                    let u = first + i;
+                    let want = dot(&weights[u * dim..(u + 1) * dim], &point);
+                    assert_eq!(got.to_bits(), want.to_bits(), "column: dim {dim}, len {len}, {u}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_folds_equal_fill_then_fold() {
+        let mut rng = StdRng::seed_from_u64(22);
+        for dim in (1..=9).chain([12]) {
+            for len in fill_lengths() {
+                // A band that starts on a lane boundary past the start.
+                let first = 2 * LANES;
+                let stride = first + len + 5;
+                let weights: Vec<f64> =
+                    (0..stride * dim).map(|_| rng.gen_range(0.0..1.0)).collect();
+                let weights_t = transpose(&weights, stride, dim, dim);
+                let point: Vec<f64> = (0..dim).map(|_| rng.gen_range(0.0..1.0)).collect();
+                let mass: Vec<f64> = (0..len).map(|_| rng.gen_range(0.0..0.1)).collect();
+                let top1: Vec<f64> = (0..len).map(|_| rng.gen_range(0.0..1.5)).collect();
+                let best: Vec<f64> = top1.iter().map(|t| t + rng.gen_range(0.1..1.0)).collect();
+                let mut band = vec![0.0; len];
+                linear_fill(&point, &weights_t, stride, first, &mut band);
+                let what = format!("dim {dim}, len {len}");
+                let (mut want, mut got) = (LaneSum::new(), LaneSum::new());
+                want.fold(first, len, |i| addition_term(mass[i], band[i], top1[i], best[i]));
+                linear_addition_fold(
+                    &point, &weights_t, stride, first, &mass, &top1, &best, &mut got,
+                );
+                assert_eq!(got.total().to_bits(), want.total().to_bits(), "sum: {what}");
+                let (mut want, mut got) = (LaneMax::new(0.0), LaneMax::new(0.0));
+                want.fold(first, len, |i| regret_term(band[i], top1[i], best[i]));
+                linear_regret_fold(&point, &weights_t, stride, first, &top1, &best, &mut got);
+                assert_eq!(got.total().to_bits(), want.total().to_bits(), "max: {what}");
+            }
+        }
+    }
+
+    #[test]
+    fn banded_folds_equal_one_fold() {
+        let mut rng = StdRng::seed_from_u64(19);
+        for n in [0, 1, 3, 4, BAND - 1, BAND, BAND + 1, 2 * BAND + 3] {
+            let v: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let (mut sum, mut max) = (LaneSum::new(), LaneMax::new(-0.5));
+            for b0 in (0..n).step_by(BAND) {
+                let band = &v[b0..(b0 + BAND).min(n)];
+                sum.fold(b0, band.len(), |i| band[i]);
+                max.fold(b0, band.len(), |i| band[i]);
+            }
+            let want = lane_sum(n, |i| v[i]);
+            assert_eq!(sum.total().to_bits(), want.to_bits(), "sum, n = {n}");
+            assert_eq!(
+                max.total().to_bits(),
+                lane_max(-0.5, n, |i| v[i]).to_bits(),
+                "max, n = {n}"
+            );
+        }
+    }
+
+    #[test]
+    fn listed_top_two_equals_the_gather() {
+        let mut rng = StdRng::seed_from_u64(20);
+        for _ in 0..100 {
+            let n = rng.gen_range(1..40);
+            let row: Vec<f64> = (0..n).map(|_| rng.gen_range(0..6) as f64 / 6.0).collect();
+            let members: Vec<u32> = (0..n as u32).rev().filter(|_| rng.gen_bool(0.7)).collect();
+            let listed: Vec<f64> = members.iter().map(|&p| row[p as usize]).collect();
+            let exclude = members.first().copied().unwrap_or(NO_POINT);
+            let (a, b) = (
+                top_two_gather(&row, &members, exclude),
+                top_two_listed(&members, &listed, exclude),
+            );
+            assert_eq!(
+                (a.0, a.1.to_bits(), a.2, a.3.to_bits()),
+                (b.0, b.1.to_bits(), b.2, b.3.to_bits())
+            );
+        }
+    }
+
+    #[test]
+    fn checked_linear_best_matches_the_row_pass() {
+        let mut rng = StdRng::seed_from_u64(21);
+        for n in edge_sizes() {
+            let dim = 3;
+            let w: Vec<f64> = (0..dim).map(|_| rng.gen_range(0.0..1.0)).collect();
+            let mut flat: Vec<f64> =
+                (0..n * dim).map(|_| rng.gen_range(0..4) as f64 / 4.0).collect();
+            let mut row = vec![0.0; n];
+            linear_score_row(&w, &flat, dim, &mut row);
+            assert_eq!(linear_best_checked(&w, &flat, dim), validate_row_best(&row), "n = {n}");
+            // An overflowing point is found at its own index.
+            let bad = n / 2;
+            flat[bad * dim..(bad + 1) * dim].fill(f64::MAX);
+            let big = [2.0, 2.0, 2.0];
+            linear_score_row(&big, &flat, dim, &mut row);
+            assert_eq!(linear_best_checked(&big, &flat, dim), validate_row_best(&row), "n = {n}");
+            assert_eq!(
+                linear_best_checked(&big, &flat, dim),
+                Err(RowIssue::NonFinite { col: bad })
+            );
         }
     }
 

@@ -78,13 +78,13 @@ pub use dynamic::{
 };
 pub use error::{FamError, Result};
 pub use evaluator::{EvalCounters, EvaluatorState, SelectionEvaluator};
-pub use linear_scores::LinearScores;
+pub use linear_scores::{LinearColumns, LinearScores};
 pub use regret::RegretReport;
 pub use sampling::{
     check_matrix_budget, chernoff_epsilon, chernoff_sample_size, PrecisionSpec, SampleSpec,
     DEFAULT_SIGMA,
 };
-pub use scores::{swap_remove_remap, ScoreMatrix, ScoreSource, TiledBuildStats};
+pub use scores::{swap_remove_remap, MemberScores, ScoreMatrix, ScoreSource, TiledBuildStats};
 pub use selection::Selection;
 pub use solve::{MeasureKind, ReduceKind, SolveCtx, SolveOutput, SolverParams};
 pub use utility::{CobbDouglasUtility, LinearUtility, TableUtility, UtilityFunction};

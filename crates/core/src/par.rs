@@ -333,22 +333,38 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
+    fill_adaptive_with(out, per_item, || (), |_, i| f(i));
+}
+
+/// [`fill_adaptive`] with per-chunk scratch: `init` builds one state per
+/// chunk and `f(&mut state, i)` fills each element, so a buffer the map
+/// needs (a computed score row) is allocated once per chunk, not per
+/// element. The state carries no results between elements, so the output
+/// is identical for any thread count or chunking.
+pub fn fill_adaptive_with<R, T, I, F>(out: &mut [R], per_item: usize, init: I, f: F)
+where
+    R: Send,
+    I: Fn() -> T + Sync,
+    F: Fn(&mut T, usize) -> R + Sync,
+{
     let len = out.len();
     if len == 0 {
         return;
     }
     let threads = max_threads();
     if threads <= 1 || len.saturating_mul(per_item.max(1)) < PAR_MIN_WORK {
+        let mut state = init();
         for (i, slot) in out.iter_mut().enumerate() {
-            *slot = f(i);
+            *slot = f(&mut state, i);
         }
         return;
     }
     let chunk = len.div_ceil(threads * 4).clamp(1, CHUNK);
     for_each_chunk_mut(out, chunk, |ci, sub| {
         let base = ci * chunk;
+        let mut state = init();
         for (j, slot) in sub.iter_mut().enumerate() {
-            *slot = f(base + j);
+            *slot = f(&mut state, base + j);
         }
     });
 }

@@ -6,19 +6,41 @@
 //! for countable `F`, Definition 9).
 
 use crate::error::Result;
-use crate::scores::ScoreSource;
+use crate::scores::{MemberScores, ScoreSource};
 use crate::stats;
 
 /// `sat(S, f_u)` — the best score within the selection for sample `u`
 /// (0 for the empty selection, per Definition 2).
 #[inline]
 pub fn sat<S: ScoreSource + ?Sized>(m: &S, u: usize, selection: &[usize]) -> f64 {
-    match m.row_slice(u) {
-        // Sample-major fast path: gather from the contiguous row.
-        // fam-lint: allow(K001) -- reference implementation of Definition 2; the hot path is SelectionEvaluator's kernel scan, pinned bit-identical to this shape by evaluator tests
-        Some(row) => selection.iter().fold(0.0f64, |acc, &p| acc.max(row[p])),
-        // fam-lint: allow(K001) -- same reference shape for sources without a row mirror
-        None => selection.iter().fold(0.0f64, |acc, &p| acc.max(m.score(u, p))),
+    SatScan::new(selection).sat(m, u)
+}
+
+/// Per-sample `sat(S, f_u)` over one selection: the member list and the
+/// row scratch are built once and reused for every sample.
+struct SatScan {
+    members: Vec<u32>,
+    buf: Vec<f64>,
+}
+
+impl SatScan {
+    fn new(selection: &[usize]) -> Self {
+        SatScan { members: selection.iter().map(|&p| p as u32).collect(), buf: Vec::new() }
+    }
+
+    /// `sat(S, f_u)`, reading the sample's scores through
+    /// [`ScoreSource::member_scores`]: the same scores in list order
+    /// whether the substrate lends its row or scores the members.
+    fn sat<S: ScoreSource + ?Sized>(&mut self, m: &S, u: usize) -> f64 {
+        match m.member_scores(u, &self.members, &mut self.buf) {
+            MemberScores::Row(row) => {
+                let members = &self.members;
+                // fam-lint: allow(K001) -- reference implementation of Definition 2; the hot path is SelectionEvaluator's kernel scan, pinned bit-identical to this shape by evaluator tests
+                members.iter().fold(0.0f64, |acc, &p| acc.max(row[p as usize]))
+            }
+            // fam-lint: allow(K001) -- the same reference shape over scores listed in member order
+            MemberScores::Listed(scores) => scores.iter().fold(0.0f64, |acc, &s| acc.max(s)),
+        }
     }
 }
 
@@ -30,7 +52,8 @@ pub fn rr<S: ScoreSource + ?Sized>(m: &S, u: usize, selection: &[usize]) -> f64 
 
 /// Regret ratio of every sample, in sample order.
 pub fn rr_all<S: ScoreSource + ?Sized>(m: &S, selection: &[usize]) -> Vec<f64> {
-    m.best_values().iter().enumerate().map(|(u, &best)| 1.0 - sat(m, u, selection) / best).collect()
+    let mut scan = SatScan::new(selection);
+    m.best_values().iter().enumerate().map(|(u, &best)| 1.0 - scan.sat(m, u) / best).collect()
 }
 
 /// `arr(S)` — probability-weighted average regret ratio (Definition 4 /
@@ -51,9 +74,10 @@ pub fn arr<S: ScoreSource + ?Sized>(m: &S, selection: &[usize]) -> Result<f64> {
 /// (which has average regret ratio 1 by Definition 2).
 pub fn arr_unchecked<S: ScoreSource + ?Sized>(m: &S, selection: &[usize]) -> f64 {
     let (w, best) = (m.weights(), m.best_values());
+    let mut scan = SatScan::new(selection);
     let mut acc = 0.0;
     for (u, (&w, &best)) in w.iter().zip(best).enumerate() {
-        acc += w * (1.0 - sat(m, u, selection) / best);
+        acc += w * (1.0 - scan.sat(m, u) / best);
     }
     acc
 }
@@ -87,8 +111,9 @@ pub fn rr_std_dev<S: ScoreSource + ?Sized>(m: &S, selection: &[usize]) -> Result
 pub fn mrr_sampled<S: ScoreSource + ?Sized>(m: &S, selection: &[usize]) -> Result<f64> {
     validate_selection(m, selection)?;
     let bests = m.best_values().iter().enumerate();
+    let mut scan = SatScan::new(selection);
     // fam-lint: allow(K001) -- mrr is a max (exact under any grouping), computed once per report, not per-candidate
-    Ok(bests.fold(0.0f64, |acc, (u, &best)| acc.max(1.0 - sat(m, u, selection) / best)))
+    Ok(bests.fold(0.0f64, |acc, (u, &best)| acc.max(1.0 - scan.sat(m, u) / best)))
 }
 
 /// Regret ratio at the given user percentiles (the paper's "regret ratio

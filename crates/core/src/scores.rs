@@ -20,25 +20,28 @@
 //!   point's **column** — without the mirror each probe is a stride-`n`
 //!   cache miss.
 //!
-//! Both layouts are reachable through [`ScoreSource::row_slice`] /
-//! [`ScoreSource::column_slice`]; call [`ScoreMatrix::drop_column_mirror`]
-//! to trade the addition-scan speedup back for memory (the compact
-//! [`crate::linear_scores::LinearScores`] substrate never builds a
-//! mirror). Construction and the per-row best-point pass run on all cores
-//! when the default `parallel` feature is enabled; results are
+//! Consumers read scores through [`ScoreSource`]'s borrow-or-fill
+//! accessors ([`ScoreSource::row_scores`],
+//! [`ScoreSource::column_scores`], [`ScoreSource::member_scores`]): the
+//! matrix lends its rows and mirror columns (a mirrorless matrix gathers
+//! column bands from its rows), while the compact
+//! [`crate::linear_scores::LinearScores`] substrate computes the same
+//! bits into the caller's buffer. Call
+//! [`ScoreMatrix::drop_column_mirror`] to trade the addition-scan speedup
+//! back for memory. Construction and the per-row best-point pass run on
+//! all cores when the default `parallel` feature is enabled; results are
 //! bit-identical to the serial build (see [`crate::par`]).
 //!
 //! Both buffers carry *slack* so each axis can grow in place: rows are
 //! laid out at `stride ≥ n_points` (point insertions fill the slack,
 //! re-laying with doubled slack only when it runs out) and mirror columns
 //! at `col_stride ≥ n_samples` (the sample-axis twin, used by progressive
-//! sample appends). A caller that keeps the source and wants a patched
-//! copy uses [`ScoreMatrix::with_point_edits`], which lays the copy out
-//! at exactly the width the batch needs instead of cloning the slack.
-//! Scoring, validation, and the best-point pass go through the
-//! cache-blocked kernels in [`crate::kernels`]; the full memory-layout
-//! and performance model is documented in `docs/PERFORMANCE.md`.
+//! sample appends). Scoring, validation, and the best-point pass go
+//! through the cache-blocked kernels in [`crate::kernels`]; the full
+//! memory-layout and performance model is documented in
+//! `docs/PERFORMANCE.md`.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use rand::RngCore;
@@ -54,7 +57,8 @@ use crate::utility::UtilityFunction;
 /// The canonical implementation is the materialized [`ScoreMatrix`]
 /// (`O(nN)` space). [`crate::linear_scores::LinearScores`] trades space for
 /// time per Section III-D-3 of the paper: `O(d(N+n))` storage with scores
-/// recomputed on demand (a factor-`d` time overhead).
+/// recomputed on demand (a factor-`d` time overhead), bit-identical to the
+/// matrix's.
 pub trait ScoreSource: Send + Sync {
     /// Number of utility samples `N`.
     fn n_samples(&self) -> usize;
@@ -86,31 +90,68 @@ pub trait ScoreSource: Send + Sync {
         self.best_values()[u]
     }
 
-    /// Contiguous slice of sample `u`'s scores over all points, when the
-    /// substrate stores samples contiguously. Algorithms use this to turn
-    /// per-element [`ScoreSource::score`] probes into streaming reads; the
-    /// default (`None`) keeps recomputing substrates valid.
-    fn row_slice(&self, u: usize) -> Option<&[f64]> {
-        let _ = u;
+    /// Sample `u`'s scores over every point, in point order: borrowed
+    /// from a sample-major layout ([`ScoreMatrix`]), or computed into
+    /// `buf` (resized to `n_points`) by a substrate that stores no rows
+    /// ([`crate::LinearScores`]). Per-sample loops pass one `buf` per
+    /// chunk of samples, so neither form allocates per row.
+    fn row_scores<'a>(&'a self, u: usize, buf: &'a mut Vec<f64>) -> &'a [f64];
+
+    /// Point `p`'s scores for the samples in `samples`, in sample order:
+    /// borrowed from a point-major layout (the [`ScoreMatrix`] mirror),
+    /// or written into `buf[..samples.len()]` — gathered from the rows
+    /// of a mirrorless matrix, computed by [`crate::LinearScores`].
+    /// Column consumers walk the samples in bands of
+    /// [`crate::kernels::BAND`] and fold each band while it is
+    /// L1-resident ([`crate::kernels::LaneSum`]), so both forms fold the
+    /// same terms in the same order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `buf` is shorter than the band, or the band exceeds
+    /// `n_samples`.
+    fn column_scores<'a>(
+        &'a self,
+        p: usize,
+        samples: Range<usize>,
+        buf: &'a mut [f64],
+    ) -> &'a [f64];
+
+    /// The operands of a substrate that computes its scores from linear
+    /// weights, so the two hot column folds (the evaluator's addition
+    /// scan and MRR-GREEDY's candidate scan) can compute each score as
+    /// they consume it ([`crate::LinearColumns`]) instead of folding a
+    /// filled band: `Some` for [`crate::LinearScores`], `None` (the
+    /// default) for a stored matrix, whose bands
+    /// [`ScoreSource::column_scores`] lends. Both fold the same terms in
+    /// the same lane order.
+    fn linear_columns(&self) -> Option<crate::LinearColumns<'_>> {
         None
     }
 
-    /// Contiguous slice of point `p`'s scores over all samples, when the
-    /// substrate maintains a point-major layout (see
-    /// [`ScoreMatrix::column`]). The default (`None`) signals that column
-    /// access costs a stride-`n_points` walk.
-    fn column_slice(&self, p: usize) -> Option<&[f64]> {
-        let _ = p;
-        None
+    /// Sample `u`'s scores of the points in `members`, for scans that
+    /// visit members in list order (the evaluator's top-two rescans):
+    /// the whole row when reading it is cheap ([`MemberScores::Row`] —
+    /// always for a stored matrix), or just the members' scores in list
+    /// order ([`MemberScores::Listed`]) when a computing substrate would
+    /// otherwise score every point for a few members. Either way the scan
+    /// sees the same scores in the same order.
+    fn member_scores<'a>(
+        &'a self,
+        u: usize,
+        members: &[u32],
+        buf: &'a mut Vec<f64>,
+    ) -> MemberScores<'a> {
+        let _ = members;
+        MemberScores::Row(self.row_scores(u, buf))
     }
 
     /// Materializes a dense matrix restricted to the given point columns
     /// (in order), recomputing per-row bests over the restricted
     /// universe — the substrate-generic entry point behind candidate
     /// reduction (`fam-reduce`). [`ScoreMatrix`] overrides this with its
-    /// row-streaming [`ScoreMatrix::restrict_columns`]; the default probes
-    /// [`ScoreSource::score`] element-wise so recomputing substrates stay
-    /// valid.
+    /// row-streaming [`ScoreMatrix::restrict_columns`]; the default reads
+    /// each sample's [`ScoreSource::member_scores`] of the columns.
     ///
     /// # Errors
     ///
@@ -127,14 +168,17 @@ pub trait ScoreSource: Send + Sync {
             }
         }
         let n_samples = self.n_samples();
+        let members: Vec<u32> = columns.iter().map(|&c| c as u32).collect();
+        let mut buf = Vec::new();
         let mut scores = Vec::with_capacity(n_samples * columns.len());
         let mut weights = Vec::with_capacity(n_samples);
         let mut best_index = Vec::with_capacity(n_samples);
         let mut best_value = Vec::with_capacity(n_samples);
         for u in 0..n_samples {
             let start = scores.len();
-            for &c in columns {
-                scores.push(self.score(u, c));
+            match self.member_scores(u, &members, &mut buf) {
+                MemberScores::Row(row) => scores.extend(columns.iter().map(|&c| row[c])),
+                MemberScores::Listed(listed) => scores.extend_from_slice(listed),
             }
             // Weights pass through bit-for-bit (the trait contract already
             // has them summing to 1) — re-normalizing would perturb them
@@ -188,18 +232,42 @@ impl ScoreSource for ScoreMatrix {
     }
 
     #[inline]
-    fn row_slice(&self, u: usize) -> Option<&[f64]> {
-        Some(ScoreMatrix::row(self, u))
+    fn row_scores<'a>(&'a self, u: usize, _buf: &'a mut Vec<f64>) -> &'a [f64] {
+        ScoreMatrix::row(self, u)
     }
 
     #[inline]
-    fn column_slice(&self, p: usize) -> Option<&[f64]> {
-        ScoreMatrix::column(self, p)
+    fn column_scores<'a>(
+        &'a self,
+        p: usize,
+        samples: Range<usize>,
+        buf: &'a mut [f64],
+    ) -> &'a [f64] {
+        match ScoreMatrix::column(self, p) {
+            Some(col) => &col[samples],
+            None => {
+                let out = &mut buf[..samples.len()];
+                for (o, u) in out.iter_mut().zip(samples) {
+                    *o = self.scores[u * self.stride + p];
+                }
+                out
+            }
+        }
     }
 
     fn restricted(&self, columns: &[usize]) -> Result<ScoreMatrix> {
         ScoreMatrix::restrict_columns(self, columns)
     }
+}
+
+/// One sample's scores over a member list, as
+/// [`ScoreSource::member_scores`] hands them out.
+#[derive(Debug, Clone, Copy)]
+pub enum MemberScores<'a> {
+    /// The sample's whole row, indexed by point.
+    Row(&'a [f64]),
+    /// One score per listed member, in list order.
+    Listed(&'a [f64]),
 }
 
 /// An `N × n` matrix of utility scores with per-row probability weights.
@@ -818,13 +886,7 @@ impl ScoreMatrix {
     ///
     /// Returns the same errors [`ScoreMatrix::insert_points`] would.
     pub fn validate_new_points(&self, cols: &[Vec<f64>]) -> Result<()> {
-        self.validate_columns_at(cols, self.n_points)
-    }
-
-    /// [`ScoreMatrix::validate_new_points`] for columns that will land at
-    /// indices `first..` (errors name the column an insert would give
-    /// the point).
-    fn validate_columns_at(&self, cols: &[Vec<f64>], first: usize) -> Result<()> {
+        let first = self.n_points;
         for (j, col) in cols.iter().enumerate() {
             if col.len() != self.n_samples {
                 return Err(FamError::DimensionMismatch {
@@ -1060,8 +1122,8 @@ impl ScoreMatrix {
 
     /// The sample-major buffer re-laid at row stride `stride_new`: each
     /// row holds its live points, then `cols`' entries for that sample
-    /// (one column per appended point), then zero slack. Shared by the
-    /// insert path's amortized growth and [`ScoreMatrix::with_point_edits`].
+    /// (one column per appended point), then zero slack — the insert
+    /// path's amortized growth.
     fn relaid_rows(&self, stride_new: usize, cols: &[Vec<f64>]) -> Vec<f64> {
         let n_old = self.n_points;
         debug_assert!(n_old + cols.len() <= stride_new);
@@ -1080,60 +1142,6 @@ impl ScoreMatrix {
             }
         });
         scores
-    }
-
-    /// A copy of the matrix with one point batch applied: `delete` (swap-
-    /// remove, indexing the current points) and then `insert` (appended
-    /// point columns, as in [`ScoreMatrix::insert_points`]). Rows, bests,
-    /// weights, mirror columns and the returned remap are **bit-identical**
-    /// to `clone()` followed by [`ScoreMatrix::delete_points`] and
-    /// [`ScoreMatrix::insert_points`] — those two run unchanged on the
-    /// copy — but the copy is laid out once at exactly the width the batch
-    /// needs (`max(n_points, n_points − deletes + inserts)`, so neither
-    /// call re-lays or reallocates), where a clone would copy the source's
-    /// slack and an insert past it would double the stride. This is how a
-    /// served generation derives the next one while the source keeps
-    /// serving; [`crate::DynamicEngine`] keeps patching in place.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error `delete_points` or `insert_points` would, with
-    /// the source untouched. Delete indices, then the inserted columns,
-    /// are checked before anything is copied; a sample the deletes leave
-    /// with no positive score ([`FamError::DegenerateUtility`]) is found
-    /// on the copy.
-    pub fn with_point_edits(
-        &self,
-        delete: &[usize],
-        insert: &[Vec<f64>],
-    ) -> Result<(ScoreMatrix, Vec<Option<u32>>)> {
-        if !delete.is_empty() {
-            swap_remove_remap(self.n_points, delete)?;
-            if delete.len() == self.n_points {
-                return Err(FamError::EmptyDataset);
-            }
-        }
-        let survivors = self.n_points - delete.len();
-        self.validate_columns_at(insert, survivors)?;
-        let width = self.n_points.max(survivors + insert.len());
-        let mut next = ScoreMatrix {
-            scores: self.relaid_rows(width, &[]),
-            columns: self.columns.as_ref().map(|c| {
-                let mut copy = Vec::with_capacity(width * self.col_stride);
-                copy.extend_from_slice(c);
-                copy
-            }),
-            n_samples: self.n_samples,
-            n_points: self.n_points,
-            stride: width,
-            col_stride: self.col_stride,
-            weights: self.weights.clone(),
-            best_index: self.best_index.clone(),
-            best_value: self.best_value.clone(),
-        };
-        let remap = next.delete_points(delete)?;
-        next.insert_points_prevalidated(insert);
-        Ok((next, remap))
     }
 
     /// Physical stride plus the row count per parallel chunk used by the

@@ -111,7 +111,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The point-major mirror agrees with `score(u, p)` entry for entry,
-    /// and `row_slice` exposes exactly the sample-major rows.
+    /// and `row_scores` lends exactly the sample-major rows.
     #[test]
     fn column_mirror_matches_scores(m in matrix_strategy(12, 12)) {
         use fam_core::ScoreSource;
@@ -123,8 +123,10 @@ proptest! {
                 prop_assert_eq!(v.to_bits(), m.score(u, p).to_bits());
             }
         }
+        let mut buf = Vec::new();
         for u in 0..m.n_samples() {
-            let row = m.row_slice(u).expect("matrix is sample-major");
+            let row = m.row_scores(u, &mut buf);
+            prop_assert!(std::ptr::eq(row, m.row(u)), "matrix rows are borrowed, not copied");
             for (p, &v) in row.iter().enumerate() {
                 prop_assert_eq!(v.to_bits(), m.score(u, p).to_bits());
             }
@@ -132,14 +134,20 @@ proptest! {
     }
 
     /// Dropping the mirror changes layout only: every score, best value,
-    /// and evaluator result is unchanged, and `column` reports `None`.
+    /// and evaluator result is unchanged, `column` reports `None`, and
+    /// `column_scores` gathers the column from the rows.
     #[test]
     fn mirrorless_matrix_is_equivalent(m in matrix_strategy(10, 10)) {
         use fam_core::ScoreSource;
         let bare = m.clone_without_mirror();
         prop_assert!(!bare.has_column_mirror());
         prop_assert!(bare.column(0).is_none());
-        prop_assert!(ScoreSource::column_slice(&bare, 0).is_none());
+        let mut buf = vec![0.0; bare.n_samples()];
+        let gathered = ScoreSource::column_scores(&bare, 0, 0..bare.n_samples(), &mut buf).to_vec();
+        prop_assert_eq!(&gathered[..], &buf[..], "a mirrorless column is gathered into the buffer");
+        for (u, &v) in gathered.iter().enumerate() {
+            prop_assert_eq!(v.to_bits(), m.score(u, 0).to_bits());
+        }
         for u in 0..m.n_samples() {
             prop_assert_eq!(bare.best_value(u).to_bits(), m.best_value(u).to_bits());
             for p in 0..m.n_points() {

@@ -6,7 +6,10 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use fam_core::solve::{ReduceKind, SolveOutput};
-use fam_core::{Dataset, FamError, Result, ScoreMatrix, TiledBuildStats, UtilityFunction};
+use fam_core::{
+    kernels, Dataset, FamError, LinearScores, Result, ScoreMatrix, ScoreSource, TiledBuildStats,
+    UtilityFunction,
+};
 use fam_geometry::dominance::{dom_compare, DomOrdering};
 
 use crate::reducers::{CandidateReducer, CoresetReducer};
@@ -103,6 +106,57 @@ impl Reduction {
         full: &Dataset,
         functions: &[Arc<dyn UtilityFunction>],
     ) -> Result<(ScoreMatrix, TiledBuildStats)> {
+        self.check_scoring(full, functions)?;
+        let keep: Vec<usize> = self
+            .kept
+            .iter()
+            .map(|id| self.skyline.binary_search(id).expect("kept ids are skyline members"))
+            .collect();
+        let skyline = full.subset(&self.skyline)?;
+        let (matrix, stats) = ScoreMatrix::from_functions_tiled(&skyline, functions, None, &keep)?;
+        Ok((matrix, TiledBuildStats { source_points: full.len(), ..stats }))
+    }
+
+    /// The compact twin of [`Reduction::score_matrix`]: a
+    /// [`LinearScores`] over the kept points (in `kept` order) and the
+    /// same [`TiledBuildStats`] bits. The kept scores, bests and errors
+    /// equal the matrix build's ([`LinearScores::from_functions`]); each
+    /// sample's full-database best is its best over the skyline, the
+    /// same exact max the tiled build folds. Nothing `N × n` is ever
+    /// materialized.
+    ///
+    /// # Errors
+    ///
+    /// As [`Reduction::score_matrix`], plus
+    /// [`FamError::InvalidParameter`] for a non-linear function.
+    pub fn linear_scores(
+        &self,
+        full: &Dataset,
+        functions: &[Arc<dyn UtilityFunction>],
+    ) -> Result<(LinearScores, TiledBuildStats)> {
+        self.check_scoring(full, functions)?;
+        let scores = LinearScores::from_functions(full.subset(&self.kept)?, functions)?;
+        let skyline = full.subset(&self.skyline)?;
+        let (flat, d) = (skyline.as_flat(), skyline.dim());
+        let full_best = fam_core::par::map_adaptive(scores.n_samples(), flat.len(), |samples| {
+            samples
+                .map(|u| kernels::linear_best(scores.weight_vector(u), flat, d).1)
+                .collect::<Vec<_>>()
+        })
+        .concat();
+        let stats = TiledBuildStats::from_bests(
+            full.len(),
+            self.kept.len(),
+            &full_best,
+            ScoreSource::best_values(&scores),
+        );
+        Ok((scores, stats))
+    }
+
+    /// The checks both builds run before scoring anything: `full` is the
+    /// dataset this reduction was computed over, and every function is
+    /// monotone.
+    fn check_scoring(&self, full: &Dataset, functions: &[Arc<dyn UtilityFunction>]) -> Result<()> {
         if full.len() != self.source_len {
             return Err(FamError::DimensionMismatch { expected: self.source_len, got: full.len() });
         }
@@ -117,14 +171,7 @@ impl Reduction {
                 ),
             });
         }
-        let keep: Vec<usize> = self
-            .kept
-            .iter()
-            .map(|id| self.skyline.binary_search(id).expect("kept ids are skyline members"))
-            .collect();
-        let skyline = full.subset(&self.skyline)?;
-        let (matrix, stats) = ScoreMatrix::from_functions_tiled(&skyline, functions, None, &keep)?;
-        Ok((matrix, TiledBuildStats { source_points: full.len(), ..stats }))
+        Ok(())
     }
 
     /// The spec this reduction was computed under.
@@ -378,15 +425,39 @@ mod tests {
             assert_eq!(stats.source_points, 4);
             // A dataset other than the reduction's own is rejected.
             assert!(r.score_matrix(&data.subset(&[0, 1]).unwrap(), &fns).is_err());
+            // The compact build over the kept points: the same scores,
+            // bests and stats, bit for bit.
+            let (compact, compact_stats) = r.linear_scores(&data, &fns).unwrap();
+            let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            for u in 0..fns.len() {
+                let row = compact.row_scores(u, &mut Vec::new()).to_vec();
+                assert_eq!(bits(&row), bits(m.row(u)), "{spec:?}: compact row {u}");
+                assert_eq!(ScoreSource::best_index(&compact, u), m.best_index(u));
+            }
+            assert_eq!(bits(ScoreSource::best_values(&compact)), bits(m.best_values()));
+            let stat_bits = |s: TiledBuildStats| {
+                (
+                    s.source_points,
+                    s.kept_points,
+                    s.max_shortfall.to_bits(),
+                    s.mean_shortfall.to_bits(),
+                )
+            };
+            assert_eq!(stat_bits(compact_stats), stat_bits(stats), "{spec:?}");
+            assert!(r.linear_scores(&data.subset(&[0, 1]).unwrap(), &fns).is_err());
         }
         // Index-based tables are refused before anything is scored.
         let table: Arc<dyn UtilityFunction> =
             Arc::new(TableUtility::new(vec![0.1, 0.2, 0.9, 0.3]).unwrap());
         let r = Reduction::compute(&data, ReduceSpec::skyline()).unwrap();
-        match r.score_matrix(&data, &[fns[0].clone(), table]) {
+        match r.score_matrix(&data, &[fns[0].clone(), table.clone()]) {
             Err(FamError::InvalidParameter { name: "reduce", .. }) => {}
             other => panic!("expected a `reduce` refusal, got {other:?}"),
         }
+        assert!(matches!(
+            r.linear_scores(&data, &[fns[0].clone(), table]),
+            Err(FamError::InvalidParameter { name: "reduce", .. })
+        ));
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! fixed pool of scoped worker threads — no async runtime, no external
 //! crates).
 //!
-//! * [`DatasetService`] — per-dataset state: the sampled user population,
-//!   the live score matrix + coordinates, and a **multi-`k` result
+//! * [`DatasetService`] — per-dataset state: the sampled user population
+//!   held compactly (`N × d` weights + the live `n × d` coordinates, from
+//!   which solvers compute every score bit-identically to a matrix), and
+//!   a **multi-`k` result
 //!   cache** harvested in one greedy trajectory per range-capable
 //!   algorithm (`fam_algos::trajectory`), bit-identical to per-`k` cold
 //!   solves and re-harvested after every update — the one answer each

@@ -4,16 +4,17 @@
 //! # Architecture
 //!
 //! Each dataset lives in a `DatasetSlot` holding an `Arc` to an
-//! immutable **generation** — the full [`DatasetService`] (matrix,
-//! multi-`k` cache, coordinates, RNG state) plus a monotonically
+//! immutable **generation** — the full [`DatasetService`] (compact
+//! scores: sampled weights and coordinates, multi-`k` cache, RNG state;
+//! about 1.8 MB at `n = 2,000`, `N = 20,000`) plus a monotonically
 //! increasing id. Readers (`/solve`, `/evaluate`, `/datasets`,
 //! `/stats`) clone the `Arc` (nanoseconds under a read lock that is
 //! only ever held for pointer copies) and answer from the snapshot
 //! without blocking anyone. Writers (`/update`, `/refine`) serialize on
 //! a small per-dataset mutex, clone the current generation **off the
-//! read path** (the clone shares the score matrix, so no matrix is
-//! copied), give the clone its next matrix (an update builds one copy
-//! with the point batch applied, a refine copies and appends samples),
+//! read path** (the clone shares the scores, so nothing is copied),
+//! give the clone its next scores (an update shares the weights and
+//! scores only the inserted points, a refine appends samples),
 //! re-harvest the cache into the clone, and publish it with a single
 //! swap — so a failed or panicking writer publishes nothing and the
 //! previous generation keeps serving bit-identical answers.
@@ -710,7 +711,7 @@ fn update(state: &ServerState, req: &Request) -> (u16, String) {
     let t0 = Instant::now();
     // One writer per dataset; readers keep serving the published
     // generation throughout. The whole build happens on a private copy
-    // (its new matrix included): any failure below simply discards it.
+    // (its new scores included): any failure below simply discards it.
     let _turn = ds.writer_turn();
     let prev = ds.snapshot();
     let mut next = prev.service.clone();

@@ -1,5 +1,6 @@
-//! Per-dataset serving state: the resident [`ScoreMatrix`], the live
-//! point coordinates, and a multi-`k` result cache.
+//! Per-dataset serving state: the resident scores, held compactly as
+//! [`LinearScores`] (the sampled `N × d` weight vectors plus the live
+//! `n × d` point coordinates), and a multi-`k` result cache.
 //!
 //! Solves dispatch through the unified solver registry
 //! (`fam_algos::registry`): any registered algorithm name is valid, and
@@ -12,14 +13,19 @@
 //! current database — pinned by the trajectory tests and re-pinned
 //! end-to-end over TCP by `tests/live_server.rs` — so a cached answer is
 //! indistinguishable from a fresh one, and each `(algorithm, k,
-//! generation)` has exactly one answer. Updates (`POST /update`) replace
-//! the matrix with one copy that has the batch applied (validate the
-//! inserted columns, refuse a batch that leaves fewer than the cached
-//! maximum `k` points, then [`ScoreMatrix::with_point_edits`]: delete by
-//! swap-remove, append), permute the retained coordinates with the
-//! matrix's index remap (so coordinate-based solvers like `dp-2d` answer
-//! against the *current* point universe), and then re-harvest the cache
-//! on the updated matrix.
+//! generation)` has exactly one answer.
+//!
+//! Every served distribution samples linear utilities, so a generation
+//! holds `O(d(N + n))` numbers — about 1.8 MB at `n = 2,000`,
+//! `N = 20,000` — instead of the `N × n` score matrix (Section III-D-3
+//! of the paper); solvers compute the scores they read, bit-identical
+//! to the matrix's. Updates (`POST /update`) derive the next
+//! generation with [`LinearScores::with_point_edits`]: it shares the
+//! weights, scores only the inserted points, refuses a batch that leaves
+//! fewer than the cached maximum `k` points, permutes the coordinates by
+//! swap-remove (so coordinate-based solvers like `dp-2d` answer against
+//! the *current* point universe), and rescans only the samples whose
+//! best point was deleted; the cache is then re-harvested on the result.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::RangeInclusive;
@@ -28,7 +34,7 @@ use std::sync::Arc;
 use fam_algos::{Registry, Solver, SolverSpec};
 use fam_core::{
     check_matrix_budget, chernoff_epsilon, failpoints, regret, swap_remove_remap, Dataset,
-    Deadline, FamError, PrecisionSpec, ReduceKind, RegretReport, Result, ScoreMatrix,
+    Deadline, FamError, LinearScores, PrecisionSpec, ReduceKind, RegretReport, Result,
     SimplexLinear, SolverParams, TiledBuildStats, UniformLinear, UtilityDistribution,
     UtilityFunction, DEFAULT_SIGMA,
 };
@@ -65,6 +71,11 @@ impl DistKind {
 }
 
 /// How a dataset samples its user population and what it caches.
+///
+/// Both [`DistKind`]s sample linear utilities, so every served dataset
+/// holds its scores compactly ([`LinearScores`]: the `N × d` weights and
+/// the `n × d` points); `samples` and the point count size the work of a
+/// solve or an update, not a resident matrix.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Number of sampled utility functions (`N`).
@@ -83,12 +94,12 @@ pub struct ServeOptions {
     /// `1 - sigma`.
     pub sigma: f64,
     /// Build-time candidate reduction (`fam_reduce`). When non-none, the
-    /// resident matrix covers **the kept points only**, scored from the
-    /// skyline by [`fam_reduce::Reduction::score_matrix`] — no dominated
-    /// point is scored and the dense `N × n` matrix is never resident —
-    /// so million-point datasets can be served under the default
-    /// `FAM_MAX_MATRIX_BYTES` budget. The utility distribution must be
-    /// monotone (both `DistKind`s are linear). Every
+    /// resident scores cover **the kept points only**
+    /// ([`fam_reduce::Reduction::linear_scores`]), so solvers see only
+    /// the kept candidates and the `FAM_MAX_MATRIX_BYTES` work budget
+    /// counts only them — million-point datasets can be served. The
+    /// utility distribution must be monotone (both `DistKind`s are
+    /// linear). Every
     /// answer is remapped to original point ids; updates repair the
     /// reduction incrementally ([`fam_reduce::Reduction::repair`]) and
     /// recompute it only when a kept member is deleted.
@@ -108,16 +119,17 @@ impl Default for ServeOptions {
     }
 }
 
-/// Largest per-layout score-matrix footprint (bytes) a served
-/// `POST /refine` may grow a dataset to: 4 GiB (~8 GiB resident with
-/// the point-major mirror). A refine pins the dataset's single writer
-/// slot for the whole append + re-harvest (and the snapshot model holds
-/// two generations resident while it runs), so an unauthenticated
-/// request must not be able to demand a hundreds-of-gigabytes growth —
-/// the same reasoning as [`MAX_EXPONENTIAL_LOG2_SUBSETS`].
-/// Tighter global limits still apply via `FAM_MAX_MATRIX_BYTES`;
-/// larger refinements belong offline (`fam refine` / the library
-/// driver).
+/// Largest score count, in bytes of a one-layout `N × n` matrix
+/// (`8 · N · n`), a served `POST /refine` may grow a dataset to: 4 GiB,
+/// i.e. 2^29 scores. The served scores are compact, so this bounds
+/// **work**, not memory: every harvest and every update computes scores
+/// in proportion to `N · n` while the refine (and later each update)
+/// pins the dataset's single writer slot, so an
+/// unauthenticated request must not be able to demand a
+/// hundreds-of-gigabytes-equivalent growth — the same reasoning as
+/// [`MAX_EXPONENTIAL_LOG2_SUBSETS`]. Tighter global limits still apply
+/// via `FAM_MAX_MATRIX_BYTES`; larger refinements belong offline
+/// (`fam refine` / the library driver).
 pub const MAX_REFINE_MATRIX_BYTES: u64 = 1 << 32;
 
 /// Largest search space (as `log2` of the subset count `C(n, k)`) an
@@ -142,7 +154,7 @@ pub struct SolveResult {
     /// Selected point indices, sorted ascending.
     pub indices: Vec<usize>,
     /// Estimated average regret ratio of the selection on the resident
-    /// matrix: the solver's own estimate when its capabilities declare
+    /// scores: the solver's own estimate when its capabilities declare
     /// one (`reports_arr`), a fresh evaluation otherwise.
     pub arr: f64,
 }
@@ -154,7 +166,7 @@ pub struct UpdateSummary {
     pub inserted: usize,
     /// Points the client's batch deleted.
     pub deleted: usize,
-    /// Post-batch point count of the resident matrix (the kept
+    /// Post-batch point count of the resident scores (the kept
     /// candidates on a reduced service).
     pub n_points: usize,
     /// Cache entries re-harvested on the updated database.
@@ -170,7 +182,7 @@ pub struct RefineSummary {
     pub n_samples: usize,
     /// ε the resident count achieves at the requested confidence.
     pub achieved_epsilon: f64,
-    /// Cache entries re-harvested on the refined matrix (0 when the
+    /// Cache entries re-harvested on the refined scores (0 when the
     /// target was already met — the cache is untouched then).
     pub cache_entries: usize,
     /// True when the resident count already met the target and nothing
@@ -178,33 +190,29 @@ pub struct RefineSummary {
     pub already_satisfied: bool,
 }
 
-/// A named dataset being served: sampled population, resident score
-/// matrix, live coordinates, multi-`k` cache.
+/// A named dataset being served: sampled population, resident scores
+/// (weights plus live coordinates), multi-`k` cache.
 ///
 /// `Clone` is the snapshot-serving primitive: a writer copies the
-/// current service (cache, coordinates, **and** the continuing RNG
-/// stream), mutates the copy off to the side, and publishes it as the
-/// next generation only on success — so a failed or panicking writer
-/// leaves the served state untouched, and a retried writer converges to
-/// exactly the state an unfailed run would have produced (the RNG never
-/// advances on a discarded copy). The score matrix is not copied: the
-/// clone shares it through an `Arc`, and an update builds the next
-/// matrix once, as a copy with the batch applied
-/// ([`ScoreMatrix::with_point_edits`]), so no writer deep-copies a
-/// matrix only to patch it.
+/// current service (cache **and** the continuing RNG stream), mutates
+/// the copy off to the side, and publishes it as the next generation
+/// only on success — so a failed or panicking writer leaves the served
+/// state untouched, and a retried writer converges to exactly the state
+/// an unfailed run would have produced (the RNG never advances on a
+/// discarded copy). The scores are not copied: the clone shares them
+/// through an `Arc`, and an update derives the next ones with the batch
+/// applied ([`LinearScores::with_point_edits`]), sharing the weights.
 #[derive(Clone)]
 pub struct DatasetService {
     name: String,
     dim: usize,
     functions: Vec<Arc<dyn UtilityFunction>>,
-    /// Shared with the generations this one was cloned from or into
-    /// until an update or refine replaces it.
-    matrix: Arc<ScoreMatrix>,
-    /// The current point coordinates, in the matrix's column order —
-    /// kept in lockstep with the matrix through every update so
-    /// coordinate-based solvers answer against the live universe. On a
-    /// reduced service this mirrors the **kept** universe only.
-    dataset: Dataset,
+    /// The sampled weights and the current point coordinates, in score
+    /// column order — coordinate-based solvers answer against the live
+    /// universe. On a reduced service the coordinates are the **kept**
+    /// universe only. Shared with the generations this one was cloned
+    /// from or into until an update or refine replaces it.
+    scores: Arc<LinearScores>,
     /// Result cache, keyed `(algorithm, k, reduction fingerprint)`: the
     /// fingerprint names the candidate universe an entry was solved on,
     /// so entries from differently-reduced builds can never alias.
@@ -223,31 +231,31 @@ pub struct DatasetService {
     sigma: f64,
     refines: u64,
     /// Present when the service was built with a non-none
-    /// [`ServeOptions::reduce`]: the resident matrix then holds the
+    /// [`ServeOptions::reduce`]: the resident scores then cover the
     /// *reduced* universe and every served answer is remapped through
     /// [`ReducedResident::cols`] back to original point ids.
     reduced: Option<ReducedResident>,
 }
 
 /// The reduced-resident state: the live full-universe coordinates, the
-/// reduction over them, and the matrix-column → full-id mapping (the
-/// matrix permutes its columns by swap-remove on updates, so the sorted
+/// reduction over them, and the score-column → full-id mapping (the
+/// scores permute their columns by swap-remove on updates, so the sorted
 /// `reduction.kept()` list alone cannot address live columns).
 #[derive(Clone)]
 struct ReducedResident {
     spec: ReduceSpec,
     reduction: Reduction,
     /// Live full-universe coordinates (updates apply here first, then
-    /// repair the reduction, then translate to matrix column edits).
+    /// repair the reduction, then translate to score column edits).
     full: Dataset,
-    /// `cols[matrix_column] = full-universe id`, maintained through
-    /// every update in lockstep with the matrix's remap.
+    /// `cols[score_column] = full-universe id`, maintained through every
+    /// update in lockstep with the scores' remap.
     cols: Vec<usize>,
-    /// Shortfall stats from the build-time tiled scoring pass.
+    /// Shortfall stats from the build-time scoring pass.
     stats: TiledBuildStats,
 }
 
-/// Maps matrix-column indices to full-universe ids (ascending).
+/// Maps score-column indices to full-universe ids (ascending).
 fn to_original(indices: &[usize], cols: &[usize]) -> Vec<usize> {
     // fam-lint: allow(P001) -- selection indices are < n_points == cols.len() by the resident-universe invariant
     let mut v: Vec<usize> = indices.iter().map(|&i| cols[i]).collect();
@@ -256,7 +264,7 @@ fn to_original(indices: &[usize], cols: &[usize]) -> Vec<usize> {
 }
 
 fn build_cache(
-    m: &ScoreMatrix,
+    m: &LinearScores,
     ks: &RangeInclusive<usize>,
     deadline: &Deadline,
     fingerprint: &str,
@@ -337,22 +345,19 @@ impl DatasetService {
             }
             Some(r)
         };
-        // Budget the *resident* footprint: on a reduced build that is the
-        // kept universe only — `Reduction::score_matrix` scores the
-        // skyline alone and never materializes the dense `N × n`.
+        // Budget the scores every solve computes (`N ×` the points the
+        // solvers see): on a reduced build that is the kept universe
+        // only. Nothing `N × n` is resident either way.
         let budget_points = reduction.as_ref().map_or(dataset.len(), |r| r.kept().len());
         check_matrix_budget(opts.samples, budget_points)?;
         let dist = opts.dist.build(dataset.dim())?;
         let mut rng = StdRng::seed_from_u64(opts.seed);
         let functions: Vec<Arc<dyn UtilityFunction>> =
             (0..opts.samples).map(|_| dist.sample(&mut rng)).collect();
-        let (matrix, mirror, reduced) = match reduction {
-            None => {
-                (ScoreMatrix::from_functions(dataset, &functions, None)?, dataset.clone(), None)
-            }
+        let (scores, reduced) = match reduction {
+            None => (LinearScores::from_functions(dataset.clone(), &functions)?, None),
             Some(reduction) => {
-                let (matrix, stats) = reduction.score_matrix(dataset, &functions)?;
-                let mirror = reduction.restrict_dataset(dataset)?;
+                let (scores, stats) = reduction.linear_scores(dataset, &functions)?;
                 let cols = reduction.kept().to_vec();
                 let state = ReducedResident {
                     spec: opts.reduce,
@@ -361,13 +366,13 @@ impl DatasetService {
                     cols,
                     stats,
                 };
-                (matrix, mirror, Some(state))
+                (scores, Some(state))
             }
         };
         let fingerprint =
             reduced.as_ref().map_or_else(|| "none".to_string(), |r| r.reduction.fingerprint());
         let cache = build_cache(
-            &matrix,
+            &scores,
             &opts.cache_k,
             &Deadline::none(),
             &fingerprint,
@@ -377,8 +382,7 @@ impl DatasetService {
             name: name.to_string(),
             dim: dataset.dim(),
             functions,
-            matrix: Arc::new(matrix),
-            dataset: mirror,
+            scores: Arc::new(scores),
             cache,
             cache_k: opts.cache_k.clone(),
             updates: 0,
@@ -403,12 +407,12 @@ impl DatasetService {
 
     /// Current number of points.
     pub fn n_points(&self) -> usize {
-        self.matrix.n_points()
+        self.scores.n_points()
     }
 
     /// Size of the sampled user population.
     pub fn n_samples(&self) -> usize {
-        self.matrix.n_samples()
+        self.scores.n_samples()
     }
 
     /// The cached `k` range.
@@ -463,14 +467,18 @@ impl DatasetService {
         self.reduced.as_ref().map(|r| r.stats)
     }
 
-    /// The live score matrix (read-only; tests compare cold solves on it).
-    pub fn matrix(&self) -> &ScoreMatrix {
-        &self.matrix
+    /// The live scores (read-only; tests and benchmarks run cold solves
+    /// on them). They hold the sampled weights and the coordinates, not
+    /// an `N × n` matrix; [`fam_core::ScoreSource`] computes every score
+    /// a solver reads, bit-identical to a matrix built from the same
+    /// functions.
+    pub fn matrix(&self) -> &LinearScores {
+        &self.scores
     }
 
-    /// The live point coordinates, in the matrix's column order.
+    /// The live point coordinates, in score column order.
     pub fn dataset(&self) -> &Dataset {
-        &self.dataset
+        self.scores.dataset()
     }
 
     /// Whether a spec is answerable from the cache: canonical parameters
@@ -514,7 +522,7 @@ impl DatasetService {
     /// Answers a solve for any registered algorithm: from the cache when
     /// the spec is canonical and `(algo, k)` was harvested (`true` in
     /// the second slot), by a cold registry dispatch against the
-    /// resident matrix + live coordinates otherwise. Both paths produce
+    /// resident scores + live coordinates otherwise. Both paths produce
     /// bit-identical results for the same spec.
     ///
     /// A precision requirement (`epsilon`/`sigma` params) is checked
@@ -608,8 +616,8 @@ impl DatasetService {
                 ));
             }
         }
-        let m = &*self.matrix;
-        let out = registry.solve(spec, m, Some(&self.dataset))?;
+        let m = &*self.scores;
+        let out = registry.solve(spec, m, Some(m.dataset()))?;
         let arr = match out.selection.objective {
             Some(v) if solver.capabilities().reports_arr => v,
             // Oblivious baselines (and the continuous-measure DP) do not
@@ -623,7 +631,7 @@ impl DatasetService {
         Ok((SolveResult { indices, arr }, false))
     }
 
-    /// Translates an original-universe selection to the matrix's column
+    /// Translates an original-universe selection to the scores' column
     /// space on a reduced service (identity on an unreduced one).
     fn to_columns(&self, selection: &[usize]) -> Result<Vec<usize>> {
         let Some(r) = &self.reduced else { return Ok(selection.to_vec()) };
@@ -646,7 +654,7 @@ impl DatasetService {
     }
 
     /// Evaluates an explicit selection (original point ids) against the
-    /// resident matrix.
+    /// resident scores.
     ///
     /// # Errors
     ///
@@ -654,14 +662,13 @@ impl DatasetService {
     /// reduced service) ids outside the kept candidate set.
     pub fn evaluate(&self, selection: &[usize]) -> Result<RegretReport> {
         let columns = self.to_columns(selection)?;
-        regret::report(&*self.matrix, &columns)
+        regret::report(&*self.scores, &columns)
     }
 
     /// Applies a parsed op stream as one atomic batch — deletes index the
     /// pre-batch point set, inserts are scored under the dataset's
-    /// resident user population — then permutes the live coordinates with
-    /// the matrix's remap and re-harvests the cache on the updated
-    /// database.
+    /// resident user population, and the coordinates permute by
+    /// swap-remove — then re-harvests the cache on the updated database.
     ///
     /// # Errors
     ///
@@ -674,11 +681,11 @@ impl DatasetService {
     }
 
     /// [`DatasetService::apply_ops`] under a cooperative [`Deadline`],
-    /// checked before the matrix mutates and between the re-harvest's
-    /// per-solver trajectories. A deadline firing **after** the matrix
-    /// was patched surfaces as an error with the matrix already changed
-    /// — snapshot callers clone first and discard the clone, so nothing
-    /// served ever holds that half-updated state.
+    /// checked before the scores change and between the re-harvest's
+    /// per-solver trajectories. A deadline firing **after** the scores
+    /// were replaced surfaces as an error with the scores already
+    /// changed — snapshot callers clone first and discard the clone, so
+    /// nothing served ever holds that half-updated state.
     ///
     /// # Errors
     ///
@@ -700,9 +707,8 @@ impl DatasetService {
                 UpdateOp::Insert(coords) => {
                     // The op-stream parser validates arity, but this is a
                     // public API reachable with hand-built ops: a wrong-
-                    // arity insert must fail *here*, before the matrix
-                    // mutates, or the coordinate mirror rebuild would
-                    // fail after the matrix already changed.
+                    // arity insert must fail *here*, before anything
+                    // else is checked.
                     if coords.len() != self.dim {
                         return Err(FamError::DimensionMismatch {
                             expected: self.dim,
@@ -711,7 +717,7 @@ impl DatasetService {
                     }
                     // The paper's model (and `Dataset`) lives in R^d_{>=0};
                     // reject violations before anything mutates, so the
-                    // coordinate mirror can always be rebuilt.
+                    // next coordinates can always be built.
                     if let Some(c) = coords.iter().find(|c| **c < 0.0) {
                         return Err(FamError::InvalidParameter {
                             name: "insert",
@@ -727,8 +733,8 @@ impl DatasetService {
         if self.reduced.is_some() {
             self.apply_ops_reduced(&deletes, &inserted_coords, deadline)?;
         } else {
-            let remap = self.patch_matrix(&deletes, &inserted_coords)?;
-            self.dataset = permuted_dataset(&self.dataset, &remap, &inserted_coords, self.updates)?;
+            let batch = self.updates;
+            self.patch_scores(&deletes, &inserted_coords, |j| inserted_label(batch, j))?;
         }
         self.reharvest(deadline)?;
         self.updates += 1;
@@ -740,30 +746,24 @@ impl DatasetService {
         })
     }
 
-    /// Replaces the resident matrix with a copy that has one point batch
-    /// applied, in an order that leaves it untouched on any error: score
-    /// and validate the inserted columns, refuse a batch that would
-    /// leave fewer than the cached maximum `k` points, then build the
-    /// copy ([`ScoreMatrix::with_point_edits`]: delete by swap-remove,
-    /// then append). The previous matrix stays with whichever generation
-    /// still holds it. Returns the remap of the pre-batch columns
-    /// ([`ScoreMatrix::delete_points`]); inserted columns follow the
-    /// survivors in batch order.
-    fn patch_matrix(&mut self, delete: &[usize], insert: &[&[f64]]) -> Result<Vec<Option<u32>>> {
-        let cols: Vec<Vec<f64>> = insert
-            .iter()
-            .map(|coords| self.functions.iter().map(|f| f.utility(usize::MAX, coords)).collect())
-            .collect();
-        self.matrix.validate_new_points(&cols)?;
-        let hi = *self.cache_k.end();
-        // Duplicate delete indices would undercount here, but those are
-        // rejected by `delete_points` before anything mutates.
-        let n_post = (self.matrix.n_points() + cols.len()).checked_sub(delete.len());
-        if n_post.is_none_or(|n| n < hi) {
-            return Err(FamError::InvalidK { k: hi, n: n_post.unwrap_or(0) });
-        }
-        let (matrix, remap) = self.matrix.with_point_edits(delete, &cols)?;
-        self.matrix = Arc::new(matrix);
+    /// Replaces the resident scores with a copy that has one point batch
+    /// applied ([`LinearScores::with_point_edits`]: delete by
+    /// swap-remove, then append; inserted point `j` is labelled
+    /// `label(j)` on labelled coordinates). The copy refuses a batch that
+    /// would leave fewer than the cached maximum `k` points, and any
+    /// error leaves the resident scores untouched; the previous scores
+    /// stay with whichever generation still holds them. Returns the remap
+    /// of the pre-batch columns; inserted columns follow the survivors
+    /// in batch order.
+    fn patch_scores(
+        &mut self,
+        delete: &[usize],
+        insert: &[&[f64]],
+        label: impl Fn(usize) -> String,
+    ) -> Result<Vec<Option<u32>>> {
+        let min_points = *self.cache_k.end();
+        let (scores, remap) = self.scores.with_point_edits(delete, insert, min_points, label)?;
+        self.scores = Arc::new(scores);
         Ok(remap)
     }
 
@@ -774,7 +774,7 @@ impl DatasetService {
     /// incrementally ([`Reduction::repair`] — a deleted kept member
     /// forces a fresh recompute, everything else is bookkeeping plus a
     /// dominance pass over the appended points), and the *difference*
-    /// between the old and new kept sets becomes one matrix batch:
+    /// between the old and new kept sets becomes one score batch:
     /// evicted members are deleted columns, newly kept points (appended
     /// points, promoted dominated points, or re-derived coreset picks)
     /// are appended columns scored under the resident user population.
@@ -807,7 +807,7 @@ impl DatasetService {
                 ),
             });
         }
-        // Matrix column -> new full id while its point stays kept; `None`
+        // Score column -> new full id while its point stays kept; `None`
         // marks a column to delete (the point died or left the kept set).
         let survivors: Vec<Option<usize>> = red
             .cols
@@ -821,7 +821,10 @@ impl DatasetService {
         let added: Vec<usize> = kept.iter().copied().filter(|id| !resident.contains(id)).collect();
         let added_coords: Vec<&[f64]> = added.iter().map(|&id| full.point(id)).collect();
         deadline.check()?;
-        let col_remap = self.patch_matrix(&delete, &added_coords)?;
+        let col_remap = self.patch_scores(&delete, &added_coords, |j| {
+            // fam-lint: allow(P001) -- j < added.len() == added_coords.len(), the batch's insert count
+            full.label(added[j]).unwrap_or("").to_string()
+        })?;
         let mut cols = vec![0; survivors.len() - delete.len()];
         for (slot, id) in col_remap.iter().zip(&survivors) {
             if let (Some(s), Some(id)) = (slot, id) {
@@ -830,7 +833,6 @@ impl DatasetService {
             }
         }
         cols.extend_from_slice(&added);
-        self.dataset = full.subset(&cols)?;
         // fam-lint: allow(P001) -- same dispatch invariant: self.reduced is Some on this path
         let red = self.reduced.as_mut().expect("reduced service");
         red.full = full;
@@ -839,11 +841,11 @@ impl DatasetService {
         Ok(())
     }
 
-    /// Re-harvests the result cache on the resident matrix.
+    /// Re-harvests the result cache on the resident scores.
     fn reharvest(&mut self, deadline: &Deadline) -> Result<()> {
         let fingerprint = self.reduction_fingerprint();
         let cols = self.reduced.as_ref().map(|r| r.cols.as_slice());
-        self.cache = build_cache(&self.matrix, &self.cache_k, deadline, &fingerprint, cols)?;
+        self.cache = build_cache(&self.scores, &self.cache_k, deadline, &fingerprint, cols)?;
         Ok(())
     }
 
@@ -877,11 +879,12 @@ impl DatasetService {
 
     /// Upgrades the dataset's precision **in place** to `epsilon` at
     /// confidence `1 - sigma`: grows the resident sample count to the
-    /// Chernoff target via one matrix append (scoring only the new rows
-    /// under freshly sampled functions off the **continuing** build
-    /// RNG) and re-harvests the multi-`k` cache on the refined matrix —
-    /// so every cached entry is again bit-identical to a cold solve at
-    /// the grown `N`.
+    /// Chernoff target via one weight append
+    /// ([`LinearScores::append_functions`]: best points of the new
+    /// samples only, for freshly sampled functions off the
+    /// **continuing** build RNG) and re-harvests the multi-`k` cache on
+    /// the refined scores — so every cached entry is again
+    /// bit-identical to a cold solve at the grown `N`.
     ///
     /// The append runs as a single batch, unlike the anytime doubling of
     /// `fam_algos::refine`: the serving layer publishes only a finished
@@ -896,12 +899,12 @@ impl DatasetService {
     /// # Errors
     ///
     /// Returns an error with nothing mutated for an invalid
-    /// `(epsilon, sigma)` pair, a target over the matrix footprint
-    /// budget, or a growth beyond the served cap
+    /// `(epsilon, sigma)` pair, a target over the work budget
+    /// ([`check_matrix_budget`]), or a growth beyond the served cap
     /// ([`MAX_REFINE_MATRIX_BYTES`]). A re-harvest failure after the
-    /// matrix has grown keeps the grown population but **clears the
-    /// result cache** (misses solve cold, which stays correct) and
-    /// leaves the reported `sigma` unchanged.
+    /// population has grown keeps it but **clears the result cache**
+    /// (misses solve cold, which stays correct) and leaves the reported
+    /// `sigma` unchanged.
     pub fn refine(&mut self, epsilon: f64, sigma: f64) -> Result<RefineSummary> {
         self.refine_within(epsilon, sigma, &Deadline::none())
     }
@@ -909,9 +912,9 @@ impl DatasetService {
     /// [`DatasetService::refine`] under a cooperative [`Deadline`],
     /// checked before the append and between the re-harvest's
     /// per-solver trajectories. The failure semantics are
-    /// [`DatasetService::refine`]'s: a deadline firing after the matrix
-    /// grew clears the cache (snapshot callers discard the clone
-    /// instead).
+    /// [`DatasetService::refine`]'s: a deadline firing after the
+    /// population grew clears the cache (snapshot callers discard the
+    /// clone instead).
     ///
     /// # Errors
     ///
@@ -937,18 +940,18 @@ impl DatasetService {
                 already_satisfied: true,
             });
         }
-        // A refine pins the writer slot end to end; cap the growth a
-        // single served request can demand (cf. the exponential-solver
-        // gate on /solve).
+        // A refine pins the writer slot end to end, and every later
+        // harvest computes N x n scores; cap the growth a single served
+        // request can demand (cf. the exponential-solver gate on /solve).
         let bytes = (target as u64).saturating_mul(self.n_points() as u64).saturating_mul(8);
         if bytes > MAX_REFINE_MATRIX_BYTES {
             return Err(FamError::unsupported(
                 "refine",
                 format!(
-                    "a served refine is capped at {MAX_REFINE_MATRIX_BYTES} bytes per matrix \
-                     layout; epsilon = {epsilon} at confidence {} needs {target} samples x {} \
-                     points = {bytes} bytes — run the refinement offline (`fam refine`) or \
-                     shard the dataset",
+                    "a served refine is capped at {MAX_REFINE_MATRIX_BYTES} bytes of scores \
+                     (8 per sample per point, the work every harvest redoes); epsilon = \
+                     {epsilon} at confidence {} needs {target} samples x {} points = {bytes} \
+                     bytes — run the refinement offline (`fam refine`) or shard the dataset",
                     1.0 - sigma,
                     self.n_points(),
                 ),
@@ -960,14 +963,16 @@ impl DatasetService {
         let fresh: Vec<Arc<dyn UtilityFunction>> =
             (0..target - self.n_samples()).map(|_| dist.sample(&mut self.rng)).collect();
         deadline.check()?;
-        // The append is atomic: a failure leaves the matrix (and so the
-        // cache) untouched.
-        Arc::make_mut(&mut self.matrix).append_functions(&self.dataset, &fresh)?;
+        // The work budget a matrix append would have checked, then the
+        // append, which is atomic: a failure leaves the scores (and so
+        // the cache) untouched.
+        check_matrix_budget(target, self.n_points())?;
+        Arc::make_mut(&mut self.scores).append_functions(&fresh)?;
         self.functions.extend(fresh);
-        // The matrix has grown: the old cache's entries no longer equal
-        // cold solves on the resident database. If the re-harvest fails,
-        // drop the cache entirely — misses fall through to (correct)
-        // cold solves — rather than serve stale answers.
+        // The population has grown: the old cache's entries no longer
+        // equal cold solves on the resident database. If the re-harvest
+        // fails, drop the cache entirely — misses fall through to
+        // (correct) cold solves — rather than serve stale answers.
         self.cache.clear();
         self.reharvest(deadline)?;
         self.sigma = sigma;
@@ -982,11 +987,16 @@ impl DatasetService {
     }
 }
 
-/// Rebuilds a coordinate mirror after a batch: survivors permute
-/// through the batch's remap (swap-remove order), inserted points
-/// append in batch order; labels follow their points (inserted points
-/// are labelled `inserted-{batch}-{j}` — the batch number keeps labels
-/// from colliding across updates).
+/// The label of point `j` inserted by update number `batch`: the batch
+/// number keeps labels from colliding across updates.
+fn inserted_label(batch: u64, j: usize) -> String {
+    format!("inserted-{batch}-{j}")
+}
+
+/// Rebuilds the full-universe coordinates of a reduced service after a
+/// batch: survivors permute through the batch's remap (swap-remove
+/// order), inserted points append in batch order; labels follow their
+/// points (inserted points are labelled [`inserted_label`]).
 fn permuted_dataset(
     old: &Dataset,
     remap: &[Option<u32>],
@@ -1018,7 +1028,7 @@ fn permuted_dataset(
     }
     if labelled {
         for (j, label) in labels.iter_mut().skip(first_new).enumerate() {
-            *label = format!("inserted-{batch}-{j}");
+            *label = inserted_label(batch, j);
         }
     }
     let ds = Dataset::from_rows(rows)?;
@@ -1033,9 +1043,16 @@ fn permuted_dataset(
 mod tests {
     use super::*;
     use fam_algos::{add_greedy, dp_2d, greedy_shrink, GreedyShrinkConfig, UniformBoxMeasure};
+    use fam_core::{ScoreMatrix, ScoreSource};
     use fam_data::{synthetic, Correlation};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Sample `u`'s scores as bits, read through the borrow-or-fill
+    /// accessor (a matrix lends the row, the compact backing fills it).
+    fn row_bits(m: &dyn ScoreSource, u: usize) -> Vec<u64> {
+        m.row_scores(u, &mut Vec::new()).iter().map(|v| v.to_bits()).collect()
+    }
 
     fn dataset(n: usize) -> Dataset {
         let mut rng = StdRng::seed_from_u64(99);
@@ -1160,11 +1177,10 @@ mod tests {
     fn clones_share_the_matrix_and_updates_leave_the_source_alone() {
         let svc = DatasetService::build("demo", &dataset(30), &options()).unwrap();
         let rows = |s: &DatasetService| -> Vec<Vec<u64>> {
-            let m = s.matrix();
-            (0..m.n_samples()).map(|u| m.row(u).iter().map(|v| v.to_bits()).collect()).collect()
+            (0..s.n_samples()).map(|u| row_bits(s.matrix(), u)).collect()
         };
         let before = rows(&svc);
-        // A generation snapshot copies no matrix.
+        // A generation snapshot copies no scores.
         let mut next = svc.clone();
         assert!(std::ptr::eq(next.matrix(), svc.matrix()));
         next.apply_update_text("insert,0.9,0.8,0.7\ndelete,3\ninsert,0.2,0.9,0.4\n", "test ops")
@@ -1172,18 +1188,18 @@ mod tests {
         assert!(!std::ptr::eq(next.matrix(), svc.matrix()));
         assert_eq!(rows(&svc), before, "the update must not touch the source generation");
         assert_eq!((svc.n_points(), next.n_points()), (30, 31));
-        // The next matrix is the in-place patch of a private copy, bit
-        // for bit.
-        let mut patched = svc.matrix().clone();
+        // The next scores are the in-place patch of a private copy of the
+        // source's matrix, bit for bit.
+        let mut patched = ScoreMatrix::from_functions(svc.dataset(), &svc.functions, None).unwrap();
         patched.delete_points(&[3]).unwrap();
         let inserted: Vec<Vec<f64>> = [29, 30]
             .iter()
             .map(|&p| (0..patched.n_samples()).map(|u| next.matrix().score(u, p)).collect())
             .collect();
         patched.insert_points(&inserted).unwrap();
-        let bits = |m: &ScoreMatrix| -> Vec<u64> {
-            let rows = (0..m.n_samples()).flat_map(|u| m.row(u).iter());
-            rows.chain(m.best_values()).map(|v| v.to_bits()).collect()
+        let bits = |m: &dyn ScoreSource| -> Vec<u64> {
+            let rows = (0..m.n_samples()).flat_map(|u| row_bits(m, u));
+            rows.chain(m.best_values().iter().map(|v| v.to_bits())).collect()
         };
         assert_eq!(bits(next.matrix()), bits(&patched));
     }
@@ -1198,10 +1214,14 @@ mod tests {
         assert!(!cached);
         let cold = dp_2d(svc.dataset(), 2, &UniformBoxMeasure).unwrap();
         assert_eq!(res.indices, cold.selection.indices);
-        // The coordinates the matrix was scored on are the mirror's.
+        // The coordinates the scores are computed from are the mirror's.
         let m2 = ScoreMatrix::from_functions(svc.dataset(), &svc.functions, None).unwrap();
         for u in 0..svc.n_samples() {
-            assert_eq!(svc.matrix().row(u), m2.row(u), "row {u} diverged from the mirror");
+            assert_eq!(
+                row_bits(svc.matrix(), u),
+                row_bits(&m2, u),
+                "row {u} diverged from the mirror"
+            );
         }
     }
 
@@ -1261,7 +1281,7 @@ mod tests {
         let a = DatasetService::build("a", &ds, &options()).unwrap();
         let b = DatasetService::build("b", &ds, &options()).unwrap();
         for u in 0..a.n_samples() {
-            assert_eq!(a.matrix().row(u), b.matrix().row(u), "row {u}");
+            assert_eq!(row_bits(a.matrix(), u), row_bits(b.matrix(), u), "row {u}");
         }
         let (ra, _) = a.solve(&SolverSpec::new("greedy-shrink", 3)).unwrap();
         let (rb, _) = b.solve(&SolverSpec::new("greedy-shrink", 3)).unwrap();
@@ -1320,7 +1340,7 @@ mod tests {
         )
         .unwrap();
         for u in 0..svc.n_samples() {
-            assert_eq!(svc.matrix().row(u), fresh.matrix().row(u), "row {u}");
+            assert_eq!(row_bits(svc.matrix(), u), row_bits(fresh.matrix(), u), "row {u}");
         }
         // Already satisfied: a no-op that answers at the requested
         // confidence without mutating the dataset's reported sigma.
@@ -1594,8 +1614,77 @@ mod tests {
         assert_eq!(svc.n_points(), 4, "b evicted, d promoted, the insert kept");
         let m2 = ScoreMatrix::from_functions(svc.dataset(), &svc.functions, None).unwrap();
         for u in 0..svc.n_samples() {
-            assert_eq!(svc.matrix().row(u), m2.row(u), "row {u} diverged from the mirror");
+            assert_eq!(
+                row_bits(svc.matrix(), u),
+                row_bits(&m2, u),
+                "row {u} diverged from the mirror"
+            );
         }
+    }
+
+    /// After every update, the compact scores answer exactly as a dense
+    /// matrix rebuilt from the same functions over the live coordinates:
+    /// every cached `(algo, k)` equals a cold registry solve on the
+    /// rebuild (indices and arr bits), and every sample's best (index and
+    /// value bits) equals the rebuild's.
+    #[test]
+    fn compact_scores_equal_a_dense_rebuild_across_updates() {
+        // Point 5 dominates every other point and the last point repeats
+        // it bit for bit, so every sample's best has a tied duplicate.
+        let mut rows: Vec<Vec<f64>> = dataset(30).points().map(<[f64]>::to_vec).collect();
+        rows[5] = vec![0.97, 0.95, 0.96];
+        rows[29] = rows[5].clone();
+        rows[11] = rows[8].clone();
+        let ds = Dataset::from_rows(rows).unwrap();
+        let mut svc = DatasetService::build("dup", &ds, &options()).unwrap();
+        let check = |svc: &DatasetService, what: &str| {
+            let dense = ScoreMatrix::from_functions(svc.dataset(), &svc.functions, None).unwrap();
+            for u in 0..svc.n_samples() {
+                let m = svc.matrix();
+                assert_eq!(ScoreSource::best_index(m, u), dense.best_index(u), "{what}: best {u}");
+                assert_eq!(
+                    ScoreSource::best_value(m, u).to_bits(),
+                    dense.best_value(u).to_bits(),
+                    "{what}: best value {u}"
+                );
+            }
+            for ((algo, k, _), hit) in &svc.cache {
+                let cold = Registry::global()
+                    .solve(&SolverSpec::new(algo, *k), &dense, Some(svc.dataset()))
+                    .unwrap();
+                let mut want = cold.selection.indices.clone();
+                want.sort_unstable();
+                assert_eq!(hit.indices, want, "{what}: {algo} k={k}");
+                assert_eq!(
+                    Some(hit.arr.to_bits()),
+                    cold.selection.objective.map(f64::to_bits),
+                    "{what}: {algo} k={k} arr"
+                );
+            }
+            assert_eq!(svc.cache.len(), 8, "{what}: both range solvers, k = 1..=4");
+        };
+        check(&svc, "build");
+        let best = |svc: &DatasetService| ScoreSource::best_index(svc.matrix(), 0);
+        assert_eq!(best(&svc), 5, "the dominant point is every sample's best");
+        // Delete-only: the duplicate (last) fills slot 2, in front of the
+        // surviving best, and takes over its first-argmax slot.
+        svc.apply_update_text("delete,2\n", "ops").unwrap();
+        assert_eq!(best(&svc), 2, "the moved duplicate now comes first");
+        check(&svc, "tie moves in front");
+        // Delete the best itself: every sample rescans and finds the
+        // original at slot 5.
+        svc.apply_update_text("delete,2\ninsert,0.3,0.6,0.2\n", "ops").unwrap();
+        assert_eq!(best(&svc), 5);
+        check(&svc, "best deleted");
+        // Insert-only: a point that becomes every sample's best.
+        svc.apply_update_text("insert,1.2,1.1,1.3\ninsert,0.4,0.2,0.9\n", "ops").unwrap();
+        assert_eq!(best(&svc), svc.n_points() - 2);
+        check(&svc, "new best inserted");
+        // A mixed batch that deletes the new best and a tied duplicate.
+        let top = best(&svc);
+        svc.apply_update_text(&format!("delete,{top}\ndelete,8\ninsert,0.5,0.5,0.5\n"), "ops")
+            .unwrap();
+        check(&svc, "mixed");
     }
 
     #[test]
