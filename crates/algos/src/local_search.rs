@@ -8,10 +8,26 @@
 //! member (steepest descent) until a pass makes no progress or the pass
 //! budget is exhausted. Because `arr` is bounded below and every accepted
 //! swap strictly decreases it, termination is guaranteed.
+//!
+//! # Pruned replacement search
+//!
+//! The best replacement for a removed member is found without scanning
+//! every candidate. Removing any one member leaves each sample's best at
+//! least its old runner-up, so
+//! [`SelectionEvaluator::runner_up_addition_bound`] — the addition fold
+//! run against the runner-ups — is a lower bound on every candidate's
+//! post-removal delta, bit for bit. The bounds of all unselected points
+//! are computed once (fanned out over all cores) and again after each
+//! accepted swap; a revert leaves the set, and so the bounds, unchanged.
+//! Each member's search scores the member itself first, then walks the
+//! candidates in ascending `(bound, index)` order and stops at the first
+//! whose bound cannot reach the incumbent. Equal candidates keep the
+//! lowest index, so the answer, `swaps` and `passes` are exactly those of
+//! scanning every candidate in index order.
 
 use fam_core::solve::QueryTimer;
 
-use fam_core::{FamError, Result, ScoreSource, Selection, SelectionEvaluator};
+use fam_core::{par, FamError, Result, ScoreSource, Selection, SelectionEvaluator};
 
 /// Configuration for [`local_search`].
 #[derive(Debug, Clone, Copy)]
@@ -37,6 +53,25 @@ pub struct LocalSearchOutput {
     pub swaps: usize,
     /// Number of passes performed.
     pub passes: usize,
+    /// Exact `arr` evaluations ([`SelectionEvaluator::addition_delta`]
+    /// scans) spent on replacement searches.
+    pub arr_evaluations: u64,
+    /// Runner-up bound scans
+    /// ([`SelectionEvaluator::runner_up_addition_bound`]).
+    pub bound_evaluations: u64,
+}
+
+/// The runner-up bounds of every unselected point, fanned out over all
+/// cores, in ascending `(bound, index)` order — the order a replacement
+/// search walks.
+fn ordered_bounds<S: ScoreSource + ?Sized>(ev: &SelectionEvaluator<'_, S>) -> Vec<(f64, u32)> {
+    let cands: Vec<u32> = (0..ev.n_points() as u32).filter(|&q| !ev.contains(q as usize)).collect();
+    let mut bounds = vec![(0.0, 0); cands.len()];
+    par::fill_adaptive(&mut bounds, ev.n_samples(), |i| {
+        (ev.runner_up_addition_bound(cands[i] as usize), cands[i])
+    });
+    bounds.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    bounds
 }
 
 /// Polishes `initial` by best-improvement swaps.
@@ -69,6 +104,10 @@ pub fn local_search<S: ScoreSource + ?Sized>(
     let mut ev = SelectionEvaluator::new_with(m, initial);
     let mut swaps = 0usize;
     let mut passes = 0usize;
+    let (mut arr_evaluations, mut bound_evaluations) = (0u64, 0u64);
+    // Bounds of the current set's non-members; `None` once a swap
+    // changed the set.
+    let mut bounds: Option<Vec<(f64, u32)>> = None;
     for _ in 0..cfg.max_passes {
         passes += 1;
         let mut improved = false;
@@ -77,17 +116,28 @@ pub fn local_search<S: ScoreSource + ?Sized>(
             if !ev.contains(p) {
                 continue; // replaced earlier in this pass
             }
+            let order = bounds.get_or_insert_with(|| {
+                let fresh = ordered_bounds(&ev);
+                bound_evaluations += fresh.len() as u64;
+                fresh
+            });
             let base = ev.arr();
             ev.remove(p);
-            // Best replacement for p (p itself is a candidate, restoring
-            // the original set).
-            let mut best = (f64::INFINITY, p);
-            for q in 0..m.n_points() {
-                if ev.contains(q) {
-                    continue;
+            // Best replacement for p: p itself first (restoring the
+            // original set), then the other candidates by ascending
+            // bound until none can reach the incumbent. On equal arr the
+            // lower index wins, as in an index-order scan.
+            let arr = ev.arr();
+            let mut best = (arr + ev.addition_delta(p), p);
+            arr_evaluations += 1;
+            for &(bound, q) in order.iter() {
+                if arr + bound > best.0 {
+                    break;
                 }
-                let cand = ev.arr() + ev.addition_delta(q);
-                if cand < best.0 {
+                let q = q as usize;
+                let cand = arr + ev.addition_delta(q);
+                arr_evaluations += 1;
+                if cand < best.0 || (cand == best.0 && q < best.1) {
                     best = (cand, q);
                 }
             }
@@ -95,6 +145,7 @@ pub fn local_search<S: ScoreSource + ?Sized>(
             if best.1 != p && ev.arr() < base - cfg.tolerance {
                 swaps += 1;
                 improved = true;
+                bounds = None;
             } else if best.1 != p {
                 // Numerical tie: revert for determinism.
                 ev.remove(best.1);
@@ -112,6 +163,8 @@ pub fn local_search<S: ScoreSource + ?Sized>(
             .with_query_time(start.elapsed()),
         swaps,
         passes,
+        arr_evaluations,
+        bound_evaluations,
     })
 }
 

@@ -11,13 +11,27 @@
 //! * **sampled** — witness regret over a sampled utility set (usable for
 //!   learned/non-linear distributions, mirroring how the paper applies the
 //!   baseline to the Yahoo pipeline).
+//!
+//! The sampled mode is lazy, as ADD-GREEDY is (the paper's Lemmas 2/3,
+//! Improvement 2). A candidate's witness regret
+//! `max_u (s(u,p) − sat_u) / best_u` can only fall as the selection
+//! grows, because `sat_u` only rises; subtraction, division by a positive
+//! `best_u` and `max` are monotone in floating point, so a stale value is
+//! an upper bound bit for bit. Every candidate is scored once, fanned out
+//! over all cores; each pick then re-evaluates only the stale heap heads,
+//! and the first fresh head is the pick. The heap breaks ties on the
+//! lowest index, so the picks are exactly those of scanning every
+//! candidate at every step.
+
+use std::collections::BinaryHeap;
 
 use fam_core::solve::QueryTimer;
 
-use fam_core::{kernels, Dataset, FamError, LinearColumns, Result, ScoreSource, Selection};
+use fam_core::{kernels, par, Dataset, FamError, LinearColumns, Result, ScoreSource, Selection};
 use fam_geometry::skyline;
 
 use crate::mrr::witness_regret;
+use crate::repair::Entry;
 
 /// LP-exact MRR-GREEDY for linear utilities.
 ///
@@ -106,6 +120,15 @@ fn fused_regret(linear: &LinearColumns<'_>, p: usize, sat: &[f64], bests: &[f64]
 ///
 /// Returns an error when `k` is invalid.
 pub fn mrr_greedy_sampled<S: ScoreSource + ?Sized>(m: &S, k: usize) -> Result<Selection> {
+    mrr_greedy_sampled_counted(m, k).map(|(sel, _)| sel)
+}
+
+/// [`mrr_greedy_sampled`] plus the witness-regret evaluations it spent:
+/// the initial score of every candidate plus the lazy re-evaluations.
+pub(crate) fn mrr_greedy_sampled_counted<S: ScoreSource + ?Sized>(
+    m: &S,
+    k: usize,
+) -> Result<(Selection, u64)> {
     let n = m.n_points();
     if k == 0 || k > n {
         return Err(FamError::InvalidK { k, n });
@@ -124,54 +147,59 @@ pub fn mrr_greedy_sampled<S: ScoreSource + ?Sized>(m: &S, k: usize) -> Result<Se
         .map(|(p, _)| p)
         .expect("at least one point");
     let mut selection = vec![seed];
-    let mut in_sel = vec![false; n];
-    in_sel[seed] = true;
     // sat_u(S) maintained incrementally.
     let n_samples = m.n_samples();
     let mut sat: Vec<f64> = m.column_scores(seed, 0..n_samples, &mut vec![0.0; n_samples]).to_vec();
-    while selection.len() < k {
-        // For each candidate, its sampled witness regret:
-        // max_u (score(u,p) − sat_u) / best_u. One independent column scan
-        // per candidate — bands of its column, borrowed from a point-major
-        // mirror or filled by a computing substrate — fanned out over all
-        // cores; the merge keeps the highest regret with a lowest-index
-        // tie-break, matching the serial scan.
-        let sat_ref = &sat[..];
-        let bests = &m.best_values()[..n_samples];
-        let linear = m.linear_columns();
-        let in_sel_ref = &in_sel;
-        let best = fam_core::par::arg_reduce(
-            n,
-            n_samples,
-            |p| {
-                if in_sel_ref[p] {
-                    return None;
-                }
-                // Lane-decomposed max carried across the bands: `max`
-                // does no arithmetic, so the result is bit-identical to
-                // the serial `if gain > regret` fold it replaces.
-                Some(match linear {
-                    Some(linear) => fused_regret(&linear, p, sat_ref, bests),
-                    None => banded_regret(m, p, sat_ref, bests),
-                })
-            },
-            |a, b| a > b,
-        );
-        let (_, p) = best.expect("k <= n guarantees a candidate");
-        selection.push(p);
-        in_sel[p] = true;
-        let mut buf = [0.0f64; kernels::BAND];
-        for b0 in (0..n_samples).step_by(kernels::BAND) {
-            let b1 = (b0 + kernels::BAND).min(n_samples);
-            let col = m.column_scores(p, b0..b1, &mut buf);
-            for (s, &v) in sat[b0..b1].iter_mut().zip(col) {
-                if v > *s {
-                    *s = v;
+    let bests = &m.best_values()[..n_samples];
+    let linear = m.linear_columns();
+    // A candidate's witness regret max_u (score(u,p) − sat_u) / best_u,
+    // over bands of its column (borrowed from a point-major mirror or
+    // filled by a computing substrate), negated for the min-heap. `0.0 −
+    // x` is exact and maps −0.0 to +0.0, so the heap's `total_cmp` orders
+    // exactly as `>` on the regrets does.
+    let neg_regret = |p: u32, sat: &[f64]| {
+        let p = p as usize;
+        0.0 - match linear {
+            Some(linear) => fused_regret(&linear, p, sat, bests),
+            None => banded_regret(m, p, sat, bests),
+        }
+    };
+    let mut evaluations = 0u64;
+    if k > 1 {
+        let cands: Vec<u32> = (0..n as u32).filter(|&p| p as usize != seed).collect();
+        let mut values = vec![0.0; cands.len()];
+        par::fill_adaptive(&mut values, n_samples, |i| neg_regret(cands[i], &sat));
+        evaluations += cands.len() as u64;
+        let mut heap: BinaryHeap<Entry> = cands
+            .iter()
+            .zip(&values)
+            .map(|(&point, &value)| Entry { value, point, stamp: 1 })
+            .collect();
+        while selection.len() < k {
+            let stamp = selection.len() as u32;
+            let head = heap.pop().expect("k <= n guarantees a candidate");
+            if head.stamp != stamp {
+                let value = neg_regret(head.point, &sat);
+                evaluations += 1;
+                heap.push(Entry { value, point: head.point, stamp });
+                continue;
+            }
+            let p = head.point as usize;
+            selection.push(p);
+            let mut buf = [0.0f64; kernels::BAND];
+            for b0 in (0..n_samples).step_by(kernels::BAND) {
+                let b1 = (b0 + kernels::BAND).min(n_samples);
+                let col = m.column_scores(p, b0..b1, &mut buf);
+                for (s, &v) in sat[b0..b1].iter_mut().zip(col) {
+                    if v > *s {
+                        *s = v;
+                    }
                 }
             }
         }
     }
-    Ok(Selection::new(selection, "mrr-greedy-sampled").with_query_time(start.elapsed()))
+    let sel = Selection::new(selection, "mrr-greedy-sampled").with_query_time(start.elapsed());
+    Ok((sel, evaluations))
 }
 
 #[cfg(test)]

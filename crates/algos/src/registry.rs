@@ -17,8 +17,8 @@
 //! | `brute-force` | [`brute_force_with_pruning`](crate::brute_force_with_pruning) | no | exact, `prune` toggle |
 //! | `cube` | [`cube`](fn@crate::cube) | yes | k-regret baseline |
 //! | `k-hit` | [`k_hit`](fn@crate::k_hit) | no | hit-probability baseline |
-//! | `local-search` | [`local_search`](fn@crate::local_search) | no | polishes `seed` (ADD-GREEDY start when absent), `max-passes` cap |
-//! | `mrr-greedy` | [`mrr_greedy_sampled`](crate::mrr_greedy_sampled) | no | `exact=true` is a compat alias for `mrr-greedy-lp` |
+//! | `local-search` | [`local_search`](fn@crate::local_search) | no | polishes `seed` (ADD-GREEDY start when absent), `max-passes` cap; runner-up-bounded scans, notes `arr_evaluations` / `bound_evaluations` |
+//! | `mrr-greedy` | [`mrr_greedy_sampled`](crate::mrr_greedy_sampled) | no | lazy heap, note `regret_evaluations`; `exact=true` is a compat alias for `mrr-greedy-lp` |
 //! | `mrr-greedy-lp` | [`mrr_greedy_exact`](crate::mrr_greedy_exact) | yes | LP-based witness regret (linear utilities) |
 //! | `sky-dom` | [`sky_dom`](fn@crate::sky_dom) | yes | representative-skyline baseline |
 //!
@@ -870,7 +870,9 @@ impl Solver for KHitSolver {
 }
 
 /// `local-search`: swap-based polish. The seed is the initial selection;
-/// without one, an ADD-GREEDY start is polished.
+/// without one, an ADD-GREEDY start is polished. The `arr_evaluations`
+/// and `bound_evaluations` notes count the polish's own scans, not the
+/// ADD-GREEDY start's.
 struct LocalSearchSolver;
 
 impl Solver for LocalSearchSolver {
@@ -913,7 +915,9 @@ impl Solver for LocalSearchSolver {
         let out = crate::local_search(ctx.matrix, &initial, cfg)?;
         Ok(SolveOutput::new(out.selection)
             .with_note("swaps", out.swaps as f64)
-            .with_note("passes", out.passes as f64))
+            .with_note("passes", out.passes as f64)
+            .with_note("arr_evaluations", out.arr_evaluations as f64)
+            .with_note("bound_evaluations", out.bound_evaluations as f64))
     }
 }
 
@@ -947,7 +951,9 @@ impl Solver for MrrGreedySolver {
         if ctx.params.exact {
             MrrGreedyLpSolver.solve(ctx)
         } else {
-            crate::mrr_greedy_sampled(ctx.matrix, ctx.params.k).map(SolveOutput::new)
+            let (sel, evaluations) =
+                crate::mrr_greedy::mrr_greedy_sampled_counted(ctx.matrix, ctx.params.k)?;
+            Ok(SolveOutput::new(sel).with_note("regret_evaluations", evaluations as f64))
         }
     }
 }

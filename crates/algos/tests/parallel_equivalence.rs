@@ -11,8 +11,8 @@
 //! concurrent threads and the toggles would race.
 
 use fam_algos::{
-    add_greedy, continuous_arr, greedy_shrink, k_hit, mrr_greedy_sampled, GreedyShrinkConfig,
-    UniformBoxMeasure,
+    add_greedy, continuous_arr, greedy_shrink, k_hit, local_search, mrr_greedy_sampled,
+    GreedyShrinkConfig, LocalSearchConfig, UniformBoxMeasure,
 };
 use fam_core::{par, Dataset, ScoreMatrix, Selection};
 use rand::rngs::StdRng;
@@ -28,7 +28,7 @@ fn random_matrix(rng: &mut StdRng, n_samples: usize, n_points: usize) -> ScoreMa
 /// that must be invariant across execution modes.
 fn run_suite(m: &ScoreMatrix, k: usize) -> Vec<(Vec<usize>, Option<u64>)> {
     let key = |s: &Selection| (s.indices.clone(), s.objective.map(f64::to_bits));
-    vec![
+    let mut suite = vec![
         {
             let out = greedy_shrink(m, GreedyShrinkConfig::new(k)).unwrap();
             key(&out.selection)
@@ -48,7 +48,17 @@ fn run_suite(m: &ScoreMatrix, k: usize) -> Vec<(Vec<usize>, Option<u64>)> {
         key(&add_greedy(m, k).unwrap()),
         key(&k_hit(m, k).unwrap()),
         key(&mrr_greedy_sampled(m, k).unwrap()),
-    ]
+    ];
+    // Local search from the ADD-GREEDY answer: its runner-up bounds fan
+    // out over the pool. `swaps` and `passes` must agree too.
+    let seed = add_greedy(m, k).unwrap().indices;
+    for max_passes in [1, 3] {
+        let cfg = LocalSearchConfig { max_passes, ..Default::default() };
+        let out = local_search(m, &seed, cfg).unwrap();
+        suite.push(key(&out.selection));
+        suite.push((vec![out.swaps, out.passes], None));
+    }
+    suite
 }
 
 #[test]
@@ -59,9 +69,15 @@ fn engine_modes_are_bit_identical() {
 
 fn algorithm_suite_invariance() {
     let mut rng = StdRng::seed_from_u64(2019);
-    for trial in 0..6 {
-        let n_points = rng.gen_range(8usize..40);
-        let n_samples = rng.gen_range(30usize..400);
+    for trial in 0..7 {
+        // The last trial is large enough ((n − k) · N >= par::PAR_MIN_WORK
+        // for any k <= 8) for the per-candidate fan-outs to split across
+        // the pool.
+        let (n_points, n_samples) = if trial < 6 {
+            (rng.gen_range(8usize..40), rng.gen_range(30usize..400))
+        } else {
+            (48, 1_000)
+        };
         let k = rng.gen_range(1..=n_points.min(8));
         let m = random_matrix(&mut rng, n_samples, n_points);
         let bare = m.clone_without_mirror();

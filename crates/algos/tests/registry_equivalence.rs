@@ -125,6 +125,8 @@ fn check_instance(ds: &Dataset, m: &ScoreMatrix, k: usize, mode: &str) {
     assert_same(&got.selection, &direct.selection, &format!("{mode}: local-search seeded"));
     assert_eq!(got.note("swaps"), Some(direct.swaps as f64));
     assert_eq!(got.note("passes"), Some(direct.passes as f64));
+    assert_eq!(got.note("arr_evaluations"), Some(direct.arr_evaluations as f64));
+    assert_eq!(got.note("bound_evaluations"), Some(direct.bound_evaluations as f64));
     let got = r.solve(&spec("local-search"), m, Some(ds)).unwrap();
     let auto = add_greedy(m, k).unwrap();
     let direct = local_search(m, &auto.indices, cfg).unwrap();
@@ -141,6 +143,12 @@ fn check_instance(ds: &Dataset, m: &ScoreMatrix, k: usize, mode: &str) {
         &mrr_greedy_sampled(m, k).unwrap(),
         &format!("{mode}: mrr-greedy sampled"),
     );
+    // Every candidate scored once, then between zero and all of the
+    // remaining candidates re-scored per later pick.
+    let n = m.n_points();
+    let evaluations = got.note("regret_evaluations").expect("mrr-greedy reports its scans");
+    let exhaustive: usize = (1..k).map(|j| n - j).sum();
+    assert!((n - 1) as f64 <= evaluations && evaluations <= exhaustive as f64, "{mode}");
     let direct = mrr_greedy_exact(ds, k).unwrap();
     let got = r.solve(&spec("mrr-greedy-lp"), m, Some(ds)).unwrap();
     assert_same(&got.selection, &direct, &format!("{mode}: mrr-greedy-lp"));
@@ -168,5 +176,33 @@ fn registry_is_bit_identical_to_free_functions() {
         check_instance(&ds, &m, k, &format!("trial {trial} parallel"));
         check_instance(&ds, &bare, k, &format!("trial {trial} parallel bare"));
         par::set_max_threads(None);
+    }
+}
+
+/// On one fixed instance of realistic shape, both pruned solvers report
+/// fewer scans than their exhaustive loops spend: MRR-GREEDY scores
+/// every unselected candidate for each of its `k − 1` picks, and one
+/// local-search pass scores every candidate for each of its `k` members.
+/// The counts do not depend on the execution mode, so this test does not
+/// touch the mode switches.
+#[test]
+fn pruned_solvers_report_fewer_scans_than_exhaustive_loops() {
+    let mut rng = StdRng::seed_from_u64(1804);
+    let (ds, m) = instance(&mut rng, 300, 2_000);
+    let (n, k) = (m.n_points(), 10);
+    let r = Registry::global();
+    for (what, m) in [("mirrored", &m), ("mirrorless", &m.clone_without_mirror())] {
+        let got = r.solve(&SolverSpec::new("mrr-greedy", k), m, Some(&ds)).unwrap();
+        let evaluations = got.note("regret_evaluations").unwrap();
+        let exhaustive: usize = (1..k).map(|j| n - j).sum();
+        assert!(evaluations < exhaustive as f64, "{what}: {evaluations} vs {exhaustive}");
+
+        let spec = SolverSpec::parse("local-search", k, &[("max-passes", "1")]).unwrap();
+        let got = r.solve(&spec, m, Some(&ds)).unwrap();
+        let exact = got.note("arr_evaluations").unwrap();
+        let bounds = got.note("bound_evaluations").unwrap();
+        let exhaustive = k * (n - k + 1);
+        assert_eq!(got.note("passes"), Some(1.0));
+        assert!(exact + bounds < exhaustive as f64, "{what}: {exact} + {bounds} vs {exhaustive}");
     }
 }

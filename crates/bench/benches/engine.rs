@@ -489,16 +489,25 @@ fn bench_engine(c: &mut Criterion) {
          spawn ({scoped_spawn_overhead_us:.2}us) — the PAR_MIN_WORK calibration assumes it"
     );
 
-    // Thread-scaling sweep: the full GREEDY-SHRINK and ADD-GREEDY legs at
-    // each requested worker count, asserting bit-identical outputs while
-    // recording per-count times. `set_max_threads(Some(1))` takes the
-    // serial path, so the sweep brackets the pool against no-pool.
+    // Thread-scaling sweep: the full GREEDY-SHRINK and ADD-GREEDY legs,
+    // plus cold local-search (`max-passes=1`) and MRR-GREEDY through the
+    // registry, at each requested worker count, asserting bit-identical
+    // outputs while recording per-count times. `set_max_threads(Some(1))`
+    // takes the serial path, so the sweep brackets the pool against
+    // no-pool.
     let sweep = thread_sweep();
+    let pruned = [
+        SolverSpec::parse("local-search", k, &[("max-passes", "1")]).expect("spec"),
+        SolverSpec::new("mrr-greedy", k),
+    ];
+    let mut pruned_answers: [Option<Answers>; 2] = [None, None];
     let mut sweep_shrink_ms = Vec::new();
     let mut sweep_add_ms = Vec::new();
+    let mut sweep_pruned_ms = [Vec::new(), Vec::new()];
     for &count in &sweep {
         par::set_max_threads(Some(count));
         let (mut shrink_best, mut add_best) = (Duration::MAX, Duration::MAX);
+        let mut pruned_best = [Duration::MAX; 2];
         for _ in 0..reps {
             let (sel, obj, dt) = shrink_once(&matrix, k);
             assert_eq!(sel, s_engine.selection, "threads={count}: greedy_shrink diverged");
@@ -508,23 +517,42 @@ fn bench_engine(c: &mut Criterion) {
             assert_eq!(sel, a_engine.selection, "threads={count}: add_greedy diverged");
             assert_eq!(obj.to_bits(), a_engine.objective.to_bits(), "threads={count}: arr");
             add_best = add_best.min(dt);
+            for ((spec, answers), best) in
+                pruned.iter().zip(&mut pruned_answers).zip(&mut pruned_best)
+            {
+                let (got, dt) = registry_answers(&matrix, spec, None);
+                match answers {
+                    Some(first) => {
+                        assert_eq!(first, &got, "threads={count}: {} diverged", spec.name)
+                    }
+                    None => *answers = Some(got),
+                }
+                *best = (*best).min(dt);
+            }
         }
         par::set_max_threads(None);
         eprintln!(
-            "threads={count}: greedy_shrink {shrink_best:?}, add_greedy {add_best:?} \
-             (bit-identical)"
+            "threads={count}: greedy_shrink {shrink_best:?}, add_greedy {add_best:?}, \
+             local-search {:?}, mrr-greedy {:?} (bit-identical)",
+            pruned_best[0], pruned_best[1]
         );
         sweep_shrink_ms.push(shrink_best.as_secs_f64() * 1e3);
         sweep_add_ms.push(add_best.as_secs_f64() * 1e3);
+        for (ms, best) in sweep_pruned_ms.iter_mut().zip(pruned_best) {
+            ms.push(best.as_secs_f64() * 1e3);
+        }
     }
     let pool = par::pool_stats();
     let join_ms = |xs: &[f64]| xs.iter().map(|v| format!("{v:.3}")).collect::<Vec<_>>().join(",");
     let thread_scaling = format!(
         "{{\"threads\":[{}],\"greedy_shrink_ms\":[{}],\"add_greedy_ms\":[{}],\
+         \"local_search_ms\":[{}],\"mrr_greedy_ms\":[{}],\
          \"bit_identical\":true,\"pool_workers_spawned\":{},\"pool_jobs_dispatched\":{}}}",
         sweep.iter().map(|t| t.to_string()).collect::<Vec<_>>().join(","),
         join_ms(&sweep_shrink_ms),
         join_ms(&sweep_add_ms),
+        join_ms(&sweep_pruned_ms[0]),
+        join_ms(&sweep_pruned_ms[1]),
         pool.workers_spawned,
         pool.jobs_dispatched,
     );

@@ -63,17 +63,20 @@ fn top_two<S: ScoreSource + ?Sized>(
 }
 
 /// [`SelectionEvaluator::addition_delta`] over the bands of point `p`'s
-/// column that `m` lends (a mirror) or gathers. Out of line, as is
-/// [`fused_addition_delta`], so neither scan's code shapes the other's.
+/// column that `m` lends (a mirror) or gathers: `held[u]` is the value
+/// `p` must beat on sample `u` (its best within the selection, or its
+/// runner-up for [`SelectionEvaluator::runner_up_addition_bound`]). Out
+/// of line, as is [`fused_addition_delta`], so neither scan's code
+/// shapes the other's.
 #[inline(never)]
 fn banded_addition_delta<S: ScoreSource + ?Sized>(
     m: &S,
     p: usize,
     w: &[f64],
     best: &[f64],
-    top1_val: &[f64],
+    held: &[f64],
 ) -> f64 {
-    let n = top1_val.len();
+    let n = held.len();
     let mut sum = kernels::LaneSum::new();
     let mut buf = [0.0f64; kernels::BAND];
     for b0 in (0..n).step_by(kernels::BAND) {
@@ -82,14 +85,14 @@ fn banded_addition_delta<S: ScoreSource + ?Sized>(
         // Re-sliced to the band: equal lengths let the fold drop its
         // bounds checks and vectorize.
         let col = &m.column_scores(p, b0..b1, &mut buf)[..len];
-        let (w, best, top1_val) = (&w[b0..b1], &best[b0..b1], &top1_val[b0..b1]);
-        sum.fold(b0, len, |i| kernels::addition_term(w[i], col[i], top1_val[i], best[i]));
+        let (w, best, held) = (&w[b0..b1], &best[b0..b1], &held[b0..b1]);
+        sum.fold(b0, len, |i| kernels::addition_term(w[i], col[i], held[i], best[i]));
     }
     sum.total()
 }
 
-/// [`SelectionEvaluator::addition_delta`] on a computing substrate: each
-/// band's scores are computed as the fold consumes them
+/// [`banded_addition_delta`] on a computing substrate: each band's
+/// scores are computed as the fold consumes them
 /// ([`kernels::linear_addition_fold`]), so the multiply-adds overlap the
 /// divisions.
 #[inline(never)]
@@ -98,13 +101,13 @@ fn fused_addition_delta(
     p: usize,
     w: &[f64],
     best: &[f64],
-    top1_val: &[f64],
+    held: &[f64],
 ) -> f64 {
-    let n = top1_val.len();
+    let n = held.len();
     let mut sum = kernels::LaneSum::new();
     for b0 in (0..n).step_by(kernels::BAND) {
         let b1 = (b0 + kernels::BAND).min(n);
-        linear.addition_fold(p, b0, &w[b0..b1], &top1_val[b0..b1], &best[b0..b1], &mut sum);
+        linear.addition_fold(p, b0, &w[b0..b1], &held[b0..b1], &best[b0..b1], &mut sum);
     }
     sum.total()
 }
@@ -715,9 +718,35 @@ impl<'a, S: ScoreSource + ?Sized> SelectionEvaluator<'a, S> {
     /// Panics (debug) if `p` is already selected.
     pub fn addition_delta(&self, p: usize) -> f64 {
         debug_assert!(!self.in_sel[p], "addition_delta on selected point {p}");
+        self.addition_fold(p, &self.top1_val)
+    }
+
+    /// A lower bound on [`Self::addition_delta`]`(p)` that holds, bit for
+    /// bit, after [`Self::remove`] of any one member: the same fold run
+    /// against each sample's runner-up instead of its best.
+    ///
+    /// Removing a member leaves every sample's best at least its old
+    /// runner-up. Subtraction, `max`, multiplication by a non-negative
+    /// weight and division by a positive `best` are monotone in floating
+    /// point, and so is a fixed-order lane sum in each of its terms, so
+    /// this fold's result never exceeds the post-removal delta.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug) if `p` is already selected.
+    pub fn runner_up_addition_bound(&self, p: usize) -> f64 {
+        debug_assert!(!self.in_sel[p], "runner_up_addition_bound on selected point {p}");
+        self.addition_fold(p, &self.top2_val)
+    }
+
+    /// `Σ_u −w_u · max(s(u,p) − held_u, 0) / best_u`, the fold behind
+    /// [`Self::addition_delta`] (`held` = each sample's best) and
+    /// [`Self::runner_up_addition_bound`] (its runner-up).
+    #[inline]
+    fn addition_fold(&self, p: usize, held: &[f64]) -> f64 {
         let m = self.m;
-        let n = self.top1_val.len();
-        let (w, best, top1_val) = (&m.weights()[..n], &m.best_values()[..n], &self.top1_val[..]);
+        let n = held.len();
+        let (w, best) = (&m.weights()[..n], &m.best_values()[..n]);
         // Branchless form of `if s > t { delta -= w * (s - t) / b }`: a
         // non-improving sample contributes `-(w * 0.0 / b) == -0.0`, which
         // is an identity on the non-negative lane accumulators, so the sum
@@ -726,8 +755,8 @@ impl<'a, S: ScoreSource + ?Sized> SelectionEvaluator<'a, S> {
         // computing substrate scores each sample as the fold consumes it —
         // so the layout changes memory traffic and arithmetic overlap only.
         match m.linear_columns() {
-            Some(linear) => fused_addition_delta(&linear, p, w, best, top1_val),
-            None => banded_addition_delta(m, p, w, best, top1_val),
+            Some(linear) => fused_addition_delta(&linear, p, w, best, held),
+            None => banded_addition_delta(m, p, w, best, held),
         }
     }
 

@@ -1,7 +1,13 @@
 //! Property-based tests for the core regret machinery.
 
-use fam_core::{regret, ScoreMatrix, SelectionEvaluator};
+use std::sync::Arc;
+
+use fam_core::{
+    regret, Dataset, LinearScores, LinearUtility, ScoreMatrix, ScoreSource, SelectionEvaluator,
+    UtilityFunction,
+};
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
 
 fn matrix_strategy(max_points: usize, max_users: usize) -> impl Strategy<Value = ScoreMatrix> {
     (2..=max_points, 1..=max_users).prop_flat_map(|(n, u)| {
@@ -186,5 +192,88 @@ proptest! {
         for p in 0..m.n_points() {
             prop_assert_eq!(m.column(p).unwrap(), bare.column(p).unwrap());
         }
+    }
+}
+
+/// One linear instance on all three backings — mirrored, mirrorless and
+/// compact — plus a selection with at least one member. Coordinates and
+/// weights are uniform when `levels` is 0, else drawn from `levels`
+/// evenly spaced values with some points duplicated, so scores tie
+/// exactly.
+fn runner_up_instance(
+    seed: u64,
+    levels: usize,
+) -> (ScoreMatrix, ScoreMatrix, LinearScores, Vec<usize>) {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let draw = |rng: &mut rand::rngs::StdRng| -> f64 {
+        if levels == 0 {
+            rng.gen_range(0.01..1.0)
+        } else {
+            rng.gen_range(1..=levels) as f64 / levels as f64
+        }
+    };
+    let (n, d, n_samples) =
+        (rng.gen_range(2usize..12), rng.gen_range(1usize..4), rng.gen_range(1usize..40));
+    let mut points: Vec<Vec<f64>> =
+        (0..n).map(|_| (0..d).map(|_| draw(&mut rng)).collect()).collect();
+    if levels > 0 {
+        let (from, to) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        points[to] = points[from].clone();
+    }
+    let weights: Vec<Vec<f64>> =
+        (0..n_samples).map(|_| (0..d).map(|_| draw(&mut rng)).collect()).collect();
+    let ds = Dataset::from_rows(points).unwrap();
+    let functions: Vec<Arc<dyn UtilityFunction>> = weights
+        .iter()
+        .map(|w| Arc::new(LinearUtility::new(w.clone()).unwrap()) as Arc<dyn UtilityFunction>)
+        .collect();
+    let mirrored = ScoreMatrix::from_functions(&ds, &functions, None).unwrap();
+    let mirrorless = mirrored.clone_without_mirror();
+    let compact = LinearScores::from_weight_rows(ds, weights).unwrap();
+    let k = rng.gen_range(1..n);
+    let mut selection: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        selection.swap(i, rng.gen_range(0..=i));
+    }
+    selection.truncate(k);
+    (mirrored, mirrorless, compact, selection)
+}
+
+/// Asserts, with no tolerance, that every non-member's runner-up bound
+/// is at most its addition delta after the removal of each member.
+fn assert_runner_up_bounds<S: ScoreSource + ?Sized>(m: &S, selection: &[usize], backing: &str) {
+    let mut ev = SelectionEvaluator::new_with(m, selection);
+    let outside: Vec<usize> = (0..m.n_points()).filter(|&p| !ev.contains(p)).collect();
+    let bounds: Vec<f64> = outside.iter().map(|&p| ev.runner_up_addition_bound(p)).collect();
+    for &q in selection {
+        ev.remove(q);
+        for (&p, &bound) in outside.iter().zip(&bounds) {
+            let delta = ev.addition_delta(p);
+            prop_assert!(bound <= delta, "{backing}: bound {bound} > delta {delta} (p={p}, q={q})");
+        }
+        ev.add(q);
+        // The set is unchanged, and so are its bounds.
+        for (&p, &bound) in outside.iter().zip(&bounds) {
+            prop_assert_eq!(ev.runner_up_addition_bound(p).to_bits(), bound.to_bits());
+        }
+    }
+}
+
+// The runner-up bound that prunes local search's replacement scans.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `runner_up_addition_bound(p)` never exceeds `addition_delta(p)`
+    /// after any one member is removed, compared as plain `f64`, on every
+    /// backing.
+    #[test]
+    fn runner_up_bound_is_below_every_post_removal_delta(
+        seed in 0u64..1_000_000,
+        levels in 0usize..6,
+    ) {
+        let (mirrored, mirrorless, compact, selection) = runner_up_instance(seed, levels);
+        assert_runner_up_bounds(&mirrored, &selection, "mirrored");
+        assert_runner_up_bounds(&mirrorless, &selection, "mirrorless");
+        assert_runner_up_bounds(&compact, &selection, "compact");
     }
 }
