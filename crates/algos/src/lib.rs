@@ -12,9 +12,10 @@
 //! * baselines from prior work: [`mrr_greedy_exact`](fn@mrr_greedy_exact) / [`mrr_greedy_sampled`](fn@mrr_greedy_sampled)
 //!   (k-regret, Nanongkai et al. \[22\], LP-backed), [`sky_dom`](fn@sky_dom)
 //!   (representative skyline, Lin et al. \[20\]), [`k_hit`](fn@k_hit) (Peng & Wong \[26\]);
-//! * dynamic-database warm starts: [`warm_repair`](fn@warm_repair) (the standard
-//!   repair policy for `fam_core::DynamicEngine`) plus the seeded entry
-//!   points [`add_greedy_from`](fn@add_greedy_from) and
+//! * warm starts: [`warm_repair`](fn@warm_repair) (the repair policy of
+//!   the library update replica in `fam_core::dynamic`; no CLI or server
+//!   path runs it) plus the seeded entry points
+//!   [`add_greedy_from`](fn@add_greedy_from) and
 //!   [`greedy_shrink_warm`](fn@greedy_shrink_warm) ([`repair`]);
 //! * multi-`k` harvesting: [`add_greedy_range`](fn@add_greedy_range) /
 //!   [`greedy_shrink_range`](fn@greedy_shrink_range) solve a whole range of

@@ -10,20 +10,23 @@
 //! 1. **solve coarse** — build the matrix at a small `N₀` and run the
 //!    configured solver cold;
 //! 2. **refine in place** — repeatedly double the sample count via
-//!    [`ScoreMatrix::append_samples`] (bit-identical to a from-scratch
-//!    build over the concatenated sample stream), resume the evaluator
-//!    over the new rows only
-//!    ([`fam_core::SelectionEvaluator::resume_after_append`]), and
-//!    re-polish the selection with the warm-started greedy repertoire
-//!    ([`crate::reoptimize`], the same lazy heaps behind
-//!    [`crate::add_greedy_from`] / [`crate::greedy_shrink_warm`]) —
-//!    each round is an **anytime answer** with its achieved ε attached;
+//!    [`ScoreMatrix::append_functions`] (bit-identical to a from-scratch
+//!    build over the concatenated sample stream), start a fresh
+//!    evaluator on the previous round's selection
+//!    ([`fam_core::SelectionEvaluator::new_with`], `O(N·k)` next to the
+//!    round's `O(N_new·n·d)` scoring), and re-polish the selection with
+//!    the warm-started greedy repertoire ([`crate::reoptimize`], the
+//!    same lazy heaps behind [`crate::add_greedy_from`] /
+//!    [`crate::greedy_shrink_warm`]) — each round is an **anytime
+//!    answer** with its achieved ε attached;
 //! 3. **finish canonically** — once the Chernoff target `N*` is reached,
 //!    run the configured solver cold on the refined matrix. Because the
 //!    appended matrix is bit-identical to a fresh build at `N*`, the
 //!    returned selection and `arr` are **bit-identical to a cold solve
 //!    at the final `N`** — pinned by
-//!    `crates/algos/tests/progressive_equivalence.rs`.
+//!    `crates/algos/tests/progressive_equivalence.rs`
+//!    (`tests/refine_rounds.rs` pins every earlier round against an
+//!    independent recomputation).
 //!
 //! The per-round trajectory (N, achieved ε, arr) is returned for
 //! convergence charts; `crates/bench/benches/progressive.rs` A/Bs this
@@ -32,8 +35,8 @@
 
 use fam_core::solve::SolveOutput;
 use fam_core::{
-    chernoff_epsilon, Dataset, DynamicEngine, FamError, PrecisionSpec, Result, ScoreMatrix,
-    Selection, UtilityDistribution,
+    chernoff_epsilon, Dataset, FamError, PrecisionSpec, Result, ScoreMatrix, Selection,
+    SelectionEvaluator, UtilityDistribution,
 };
 use rand::RngCore;
 
@@ -146,59 +149,49 @@ pub fn refine(
     let spec = SolverSpec::new(&cfg.solver, cfg.k);
 
     let mut rounds = Vec::new();
-    let matrix = ScoreMatrix::from_distribution(dataset, dist, n0, rng)?;
+    let mut matrix = ScoreMatrix::from_distribution(dataset, dist, n0, rng)?;
 
     // Coarse cold solve at N₀.
     let mut out = registry.solve(&spec, &matrix, None)?;
-    let mut arr = solved_arr(&out, &matrix)?;
     rounds.push(RefineRound {
         n_samples: n0,
         epsilon: chernoff_epsilon(n0 as u64, cfg.precision.sigma)?,
-        arr,
+        arr: solved_arr(&out, &matrix)?,
         warm: false,
     });
 
-    let mut engine = DynamicEngine::new(matrix, cfg.k, &out.selection.indices)?;
-    while engine.matrix().n_samples() < target {
-        let n_now = engine.matrix().n_samples();
+    while matrix.n_samples() < target {
+        let n_now = matrix.n_samples();
         let next = (n_now * 2).min(target);
         let functions: Vec<_> = (0..next - n_now).map(|_| dist.sample(rng)).collect();
-        if next < target {
-            // Intermediate round: warm-started repair — an anytime
-            // answer under the refined estimates.
-            let report = engine.append_functions_with(dataset, &functions, |ev, ws| {
-                crate::repair::reoptimize(ev, ws.k, cfg.churn)
-            })?;
-            arr = report.arr;
-            out.selection = Selection::new(report.selection, "refine-warm").with_objective(arr);
+        matrix.append_functions(dataset, &functions)?;
+        let warm = next < target;
+        let arr = if warm {
+            // Intermediate round: warm-started repair from the previous
+            // selection — an anytime answer under the refined estimates.
+            let mut ev = SelectionEvaluator::new_with(&matrix, &out.selection.indices);
+            crate::repair::reoptimize(&mut ev, cfg.k, cfg.churn)?;
+            let arr = ev.arr();
+            out.selection = Selection::new(ev.selection(), "refine-warm").with_objective(arr);
             out.notes.clear();
-            rounds.push(RefineRound {
-                n_samples: next,
-                epsilon: chernoff_epsilon(next as u64, cfg.precision.sigma)?,
-                arr,
-                warm: true,
-            });
+            arr
         } else {
             // Final round: the Chernoff target is met — run the
             // configured solver cold on the refined matrix, which is
             // bit-identical to a fresh build at the final N.
-            engine.append_functions_with(dataset, &functions, |_ev, _ws| {
-                Ok(fam_core::RepairOutcome::default())
-            })?;
-            out = registry.solve(&spec, engine.matrix(), None)?;
-            arr = solved_arr(&out, engine.matrix())?;
-            rounds.push(RefineRound {
-                n_samples: next,
-                epsilon: chernoff_epsilon(next as u64, cfg.precision.sigma)?,
-                arr,
-                warm: false,
-            });
-        }
+            out = registry.solve(&spec, &matrix, None)?;
+            solved_arr(&out, &matrix)?
+        };
+        rounds.push(RefineRound {
+            n_samples: next,
+            epsilon: chernoff_epsilon(next as u64, cfg.precision.sigma)?,
+            arr,
+            warm,
+        });
     }
 
-    let n_samples = engine.matrix().n_samples();
+    let n_samples = matrix.n_samples();
     let achieved_epsilon = chernoff_epsilon(n_samples as u64, cfg.precision.sigma)?;
-    let matrix = engine.into_matrix();
     Ok(RefineOutput {
         selection: out.selection,
         notes: out.notes,

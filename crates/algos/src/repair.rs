@@ -7,7 +7,12 @@
 //! [`fam_core::DynamicEngine`]: it offers every inserted point to the
 //! selection, then lazily shrinks (or grows) back to `k` — reusing the
 //! evaluator the engine resumed incrementally, so nothing is rebuilt from
-//! scratch.
+//! scratch. Warm repair does not reproduce the cold answer, so no CLI or
+//! server path runs it: `fam replay` and `fam serve` re-harvest cold.
+//! It stays, with the engine, for perfbench's traced replica, the
+//! dynamic bench and `tests/dynamic_equivalence.rs`. [`reoptimize`] is
+//! the warm round of the progressive-precision driver
+//! ([`mod@crate::refine`]).
 //!
 //! The lazy heaps here follow the same Lemma 2/3 reasoning as
 //! GREEDY-SHRINK's Improvement 2: stale evaluation values are optimistic
@@ -402,14 +407,13 @@ mod tests {
         // 4-sample view makes point 3 the clear winner. A churn-1
         // reoptimize must make the swap.
         let mut m = ScoreMatrix::from_rows(vec![vec![0.9, 0.1, 0.1, 0.8]], None).unwrap();
-        let st = SelectionEvaluator::new_with(&m, &[0]).into_state();
         m.append_sample_rows(&[
             vec![0.1, 0.2, 0.1, 0.9],
             vec![0.2, 0.1, 0.2, 0.95],
             vec![0.1, 0.1, 0.1, 0.9],
         ])
         .unwrap();
-        let mut ev = SelectionEvaluator::resume_after_append(&m, st);
+        let mut ev = SelectionEvaluator::new_with(&m, &[0]);
         let outcome = reoptimize(&mut ev, 1, 1).unwrap();
         assert_eq!(ev.selection(), vec![3]);
         assert_eq!(outcome.added, 1);

@@ -5,12 +5,11 @@
 //! mirrored/mirrorless execution and in both feature configs:
 //!
 //! (a) **append ≡ from-scratch**: growing a matrix with
-//!     [`ScoreMatrix::append_samples`] off a continuing RNG, then
-//!     evaluating through [`SelectionEvaluator::resume_after_append`],
-//!     is bit-identical — every stored matrix field, the maintained
-//!     `arr`, and all tracked top values — to building one fresh matrix
-//!     over the concatenated sample stream (fresh RNG, same seed) and
-//!     evaluating with `new_with`.
+//!     [`ScoreMatrix::append_samples`] off a continuing RNG is
+//!     bit-identical — every stored matrix field, and the `arr` a fresh
+//!     [`SelectionEvaluator::new_with`] reads off it — to building one
+//!     fresh matrix over the concatenated sample stream (fresh RNG, same
+//!     seed).
 //!
 //! (b) **refine ≡ cold solve at the final N**: the refine driver's final
 //!     selection and `arr` equal a cold solve of the configured
@@ -58,8 +57,8 @@ fn assert_matrices_identical(grown: &ScoreMatrix, fresh: &ScoreMatrix) {
 }
 
 /// (a): grows a matrix through several appends (doubling plus a couple
-/// of small odd-sized batches to exercise the mirror slack) and pins
-/// every intermediate state against a from-scratch build over the same
+/// of small odd-sized batches, each re-laying the mirror) and pins every
+/// intermediate state against a from-scratch build over the same
 /// stream. Returns the final (selection, arr bits) for cross-mode
 /// comparison.
 fn run_append_scenario(seed: u64, mirror: bool) -> (Vec<usize>, u64) {
@@ -71,10 +70,7 @@ fn run_append_scenario(seed: u64, mirror: bool) -> (Vec<usize>, u64) {
     let mut grown = if mirror { base } else { base.drop_column_mirror() };
 
     let selection: Vec<usize> = (0..N_POINTS).step_by(5).collect();
-    let mut st = SelectionEvaluator::new_with(&grown, &selection).into_state();
-
     let mut arr_bits = 0u64;
-    let mut sel = Vec::new();
     for batch in [3usize, 40, 7, 83, 160] {
         grown.append_samples(&ds, &dist, batch, &mut rng).unwrap();
         // From-scratch reference over the concatenated sample stream.
@@ -90,25 +86,17 @@ fn run_append_scenario(seed: u64, mirror: bool) -> (Vec<usize>, u64) {
         };
         assert_matrices_identical(&grown, &fresh);
 
-        let resumed = SelectionEvaluator::resume_after_append(&grown, st);
-        let rebuilt = SelectionEvaluator::new_with(&fresh, &resumed.selection());
+        let arr = SelectionEvaluator::new_with(&grown, &selection).arr();
+        let rebuilt = SelectionEvaluator::new_with(&fresh, &selection).arr();
         assert_eq!(
-            resumed.arr().to_bits(),
-            rebuilt.arr().to_bits(),
+            arr.to_bits(),
+            rebuilt.to_bits(),
             "arr diverged from rebuild at N = {}",
             grown.n_samples()
         );
-        for u in 0..grown.n_samples() {
-            let (v1, v2) = resumed.top_values(u);
-            let (f1, f2) = rebuilt.top_values(u);
-            assert_eq!(v1.to_bits(), f1.to_bits(), "top1 value of sample {u}");
-            assert_eq!(v2.to_bits(), f2.to_bits(), "top2 value of sample {u}");
-        }
-        arr_bits = resumed.arr().to_bits();
-        sel = resumed.selection();
-        st = resumed.into_state();
+        arr_bits = arr.to_bits();
     }
-    (sel, arr_bits)
+    (selection, arr_bits)
 }
 
 /// (b): runs the refine driver and pins its final selection/arr against

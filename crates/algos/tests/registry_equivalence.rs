@@ -18,6 +18,7 @@ use fam_algos::{
 use fam_core::{par, Dataset, ScoreMatrix, Selection, UniformLinear};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::{Mutex, PoisonError};
 
 fn instance(rng: &mut StdRng, n: usize, n_samples: usize) -> (Dataset, ScoreMatrix) {
     let rows: Vec<Vec<f64>> =
@@ -156,13 +157,26 @@ fn check_instance(ds: &Dataset, m: &ScoreMatrix, k: usize, mode: &str) {
     assert_same(&got.selection, &direct, &format!("{mode}: mrr-greedy exact alias"));
 }
 
+/// Serializes the tests of this file: the pool's dispatch counter is
+/// process-global, so a concurrent solve would inflate the count the
+/// parallel legs are checked against.
+static POOL: Mutex<()> = Mutex::new(());
+
 #[test]
 fn registry_is_bit_identical_to_free_functions() {
+    let _pool = POOL.lock().unwrap_or_else(PoisonError::into_inner);
     let mut rng = StdRng::seed_from_u64(2024);
-    for trial in 0..4 {
-        let n = rng.gen_range(10usize..24);
-        let n_samples = rng.gen_range(40usize..120);
-        let k = rng.gen_range(2..=n.min(5));
+    for trial in 0..5 {
+        // The last trial is large enough ((n − k) · N >= par::PAR_MIN_WORK)
+        // for the per-candidate fan-outs to split across the pool; its
+        // k stays at 2 so brute force stays cheap.
+        let (n, n_samples, k) = if trial < 4 {
+            let n = rng.gen_range(10usize..24);
+            let n_samples = rng.gen_range(40usize..120);
+            (n, n_samples, rng.gen_range(2..=n.min(5)))
+        } else {
+            (48, 1_000, 2)
+        };
         let (ds, m) = instance(&mut rng, n, n_samples);
         let bare = m.clone_without_mirror();
 
@@ -173,9 +187,14 @@ fn registry_is_bit_identical_to_free_functions() {
 
         // Forced 4-worker pool: real spawns even on single-core hosts.
         par::set_max_threads(Some(4));
+        let jobs = par::pool_stats().jobs_dispatched;
         check_instance(&ds, &m, k, &format!("trial {trial} parallel"));
         check_instance(&ds, &bare, k, &format!("trial {trial} parallel bare"));
+        let dispatched = par::pool_stats().jobs_dispatched - jobs;
         par::set_max_threads(None);
+        if trial == 4 && cfg!(feature = "parallel") {
+            assert!(dispatched > 0, "trial {trial}: the 4-thread legs dispatched no pool job");
+        }
     }
 }
 
@@ -187,6 +206,7 @@ fn registry_is_bit_identical_to_free_functions() {
 /// touch the mode switches.
 #[test]
 fn pruned_solvers_report_fewer_scans_than_exhaustive_loops() {
+    let _pool = POOL.lock().unwrap_or_else(PoisonError::into_inner);
     let mut rng = StdRng::seed_from_u64(1804);
     let (ds, m) = instance(&mut rng, 300, 2_000);
     let (n, k) = (m.n_points(), 10);

@@ -5,12 +5,11 @@
 //! tighter precision targets ε ∈ {0.05, 0.02, 0.01} (at confidence
 //! `1 − σ`, Theorem 4). Two ways to serve each target:
 //!
-//! * **refine in place** — keep the evolving state: grow the sample
-//!   axis to the Chernoff count with one `ScoreMatrix` append per
-//!   target (sampling and scoring only the *delta* rows, transposing
-//!   them into the mirror's slack), resume the evaluator over the new
-//!   rows only, and run the canonical cold solve on the refined matrix
-//!   — the serving layer's `POST /refine` discipline;
+//! * **refine in place** — keep the evolving matrix: grow the sample
+//!   axis to the Chernoff count with one `ScoreMatrix::append_functions`
+//!   per target (sampling and scoring only the *delta* rows) and run the
+//!   canonical cold solve on the refined matrix — the `refine` driver's
+//!   discipline;
 //! * **rebuild and resolve** — what the pre-progressive system had to
 //!   do: sample `N(ε)` fresh functions, build the whole matrix from
 //!   scratch, and cold-solve.
@@ -37,8 +36,8 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, Criterion};
 use fam::prelude::*;
 use fam::{
-    chernoff_epsilon, chernoff_sample_size, greedy_shrink, DynamicEngine, GreedyShrinkConfig,
-    RepairOutcome, ScoreMatrix,
+    chernoff_epsilon, chernoff_sample_size, greedy_shrink, GreedyShrinkConfig, ScoreMatrix,
+    SelectionEvaluator,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -78,11 +77,12 @@ struct TrajectoryPoint {
 /// One full A/B pass: for each ε target (ascending), run the rebuild
 /// leg first — sample `N(ε)` fresh functions, build the whole matrix
 /// from scratch, cold-solve, drop it — then the refine leg: one sample
-/// append straight to the Chernoff count on the continuing engine
-/// (scoring only the delta rows, folding only the new rows into the
-/// evaluator) and the same canonical cold solve. Interleaving the legs
-/// per target keeps the allocator/page-fault state comparable: each
-/// leg's gigabyte-scale buffers are equally fresh. The refine leg's RNG
+/// append straight to the Chernoff count on the continuing matrix
+/// (scoring only the delta rows) and the same canonical cold solve.
+/// The `resumed` trajectory points give the baseline selection's `arr`
+/// under each refined estimate, evaluated outside the timer.
+/// Interleaving the legs per target keeps the allocator/page-fault state
+/// comparable: each leg's gigabyte-scale buffers are equally fresh. The refine leg's RNG
 /// continues the baseline stream, so both legs solve bit-identical
 /// matrices at every target (asserted).
 #[allow(clippy::too_many_arguments, clippy::type_complexity)]
@@ -96,7 +96,8 @@ fn ab_pass(
     targets: &[(f64, usize)],
 ) -> (Vec<(Duration, Duration, f64, f64)>, Vec<TrajectoryPoint>) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let matrix = ScoreMatrix::from_distribution(ds, dist, base_samples, &mut rng).expect("matrix");
+    let mut matrix =
+        ScoreMatrix::from_distribution(ds, dist, base_samples, &mut rng).expect("matrix");
     let initial = greedy_shrink(&matrix, GreedyShrinkConfig::new(k)).expect("baseline solve");
     let mut trajectory = vec![TrajectoryPoint {
         n_samples: base_samples,
@@ -104,7 +105,6 @@ fn ab_pass(
         arr: initial.selection.objective.unwrap_or(f64::NAN),
         phase: "cold",
     }];
-    let mut engine = DynamicEngine::new(matrix, k, &initial.selection.indices).expect("engine");
     let mut out = Vec::new();
     for &(_eps, target_n) in targets {
         // Rebuild leg (dropped before the refine leg runs).
@@ -118,22 +118,21 @@ fn ab_pass(
         let arr_rebuild = rb_cold.selection.objective.unwrap_or(f64::NAN);
         drop(rebuilt);
 
-        // Refine leg: continue the evolving engine.
+        // Refine leg: continue the evolving matrix.
         let t0 = Instant::now();
-        let n_now = engine.matrix().n_samples();
+        let n_now = matrix.n_samples();
         let functions: Vec<Arc<dyn UtilityFunction>> =
             (0..target_n - n_now).map(|_| dist.sample(&mut rng)).collect();
-        let report = engine
-            .append_functions_with(ds, &functions, |_ev, _ws| Ok(RepairOutcome::default()))
-            .expect("append");
-        let cold = greedy_shrink(engine.matrix(), GreedyShrinkConfig::new(k)).expect("cold");
+        matrix.append_functions(ds, &functions).expect("append");
+        let cold = greedy_shrink(&matrix, GreedyShrinkConfig::new(k)).expect("cold");
         let refine = t0.elapsed();
         let arr_refine = cold.selection.objective.unwrap_or(f64::NAN);
+        let arr_resumed = SelectionEvaluator::new_with(&matrix, &initial.selection.indices).arr();
         out.push((refine, rebuild, arr_refine, arr_rebuild));
         trajectory.push(TrajectoryPoint {
             n_samples: target_n,
             epsilon: chernoff_epsilon(target_n as u64, sigma).expect("eps"),
-            arr: report.arr,
+            arr: arr_resumed,
             phase: "resumed",
         });
         trajectory.push(TrajectoryPoint {

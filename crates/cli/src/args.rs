@@ -11,7 +11,7 @@ pub struct ParsedArgs {
 }
 
 /// Flags that take no value.
-const SWITCHES: &[&str] = &["labelled", "compact", "full", "verify"];
+const SWITCHES: &[&str] = &["labelled", "compact", "verify"];
 
 impl ParsedArgs {
     /// Parses a flag list.
@@ -82,6 +82,12 @@ impl ParsedArgs {
     pub fn parsed<T: std::str::FromStr>(&self, name: &str) -> Result<T, String> {
         let v = self.required(name)?;
         v.parse().map_err(|_| format!("flag --{name}: cannot parse `{v}`"))
+    }
+
+    /// Every flag given, value flags (once each, in name order) and then
+    /// switches.
+    pub fn names(&self) -> impl Iterator<Item = &str> {
+        self.values.keys().chain(&self.switches).map(String::as_str)
     }
 
     /// Whether a boolean switch was given.

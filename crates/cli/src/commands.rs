@@ -7,7 +7,7 @@ use std::result::Result;
 use std::sync::Arc;
 
 use fam::prelude::*;
-use fam::{add_greedy, regret, ApplyReport};
+use fam::regret;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -427,129 +427,105 @@ pub fn refine_cmd(a: &ParsedArgs) -> Result<String, String> {
     Ok(report)
 }
 
-// Update-op streams parse through the shared `fam::data::ops` module
-// (also used by the serving layer's `POST /update` endpoint), which
-// rejects malformed lines with a `FamError::Parse` carrying the file
-// path and 1-based line number — and validates coordinates finite before
-// they can reach `ScoreMatrix::insert_points`.
-
-/// `--verify`: pins the incremental state against a full recompute —
-/// rebuild the matrix from scratch on the updated rows, run the same warm
-/// start, and require bit-identical results.
-fn verify_against_full_recompute(
-    engine: &DynamicEngine,
-    report: &ApplyReport,
-) -> Result<(), String> {
-    let m = engine.matrix();
-    let mut flat = Vec::with_capacity(m.n_samples() * m.n_points());
-    for u in 0..m.n_samples() {
-        flat.extend_from_slice(m.row(u));
-    }
-    let fresh = ScoreMatrix::from_flat(flat, m.n_samples(), m.n_points(), None)
-        .map_err(|e| e.to_string())?;
-    for u in 0..m.n_samples() {
-        if m.best_index(u) != fresh.best_index(u)
-            || m.best_value(u).to_bits() != fresh.best_value(u).to_bits()
-        {
-            return Err(format!("matrix diverged from the full rebuild at sample {u}"));
-        }
-    }
-    let mut ev = SelectionEvaluator::new_with(&fresh, &report.kept);
-    let ws = WarmStart { inserted: report.inserted_range.clone(), k: engine.k().min(m.n_points()) };
-    fam::warm_repair(&mut ev, &ws).map_err(|e| e.to_string())?;
-    if ev.selection() != report.selection || ev.arr().to_bits() != report.arr.to_bits() {
-        return Err("warm-start repair diverged from the full recompute".into());
-    }
-    Ok(())
-}
-
 /// `fam replay` (alias `update`) — stream insert/delete batches over a
-/// base dataset, maintaining the selection incrementally.
+/// base dataset and print the ADD-GREEDY answer after each batch.
 ///
-/// Samples the user population once, builds the score matrix and an
-/// initial ADD-GREEDY selection, then applies the update stream in
-/// batches of `--batch` ops through [`DynamicEngine`] with the standard
-/// warm-repair policy. Inserted points are scored under the *same*
-/// sampled utility functions as the base matrix; delete indices refer to
-/// the point set at the start of their batch (deletion uses swap-remove
-/// order — the then-last point fills each freed slot — and inserts
-/// append at the end).
+/// Builds the [`fam::serve::DatasetService`] `fam serve` builds from the
+/// same flags (`--samples`/`--epsilon`/`--sigma`, `--seed`, `--dist`),
+/// caching `k` only, and applies the stream in batches of `--batch` ops
+/// through [`fam::serve::DatasetService::apply_ops`], which re-harvests
+/// the cache cold on the updated database. So every answer equals the
+/// one `fam serve` gives for the same op stream, whatever its
+/// `--cache-k` range. Update-op streams parse through the shared
+/// `fam::data::ops` module, which rejects malformed lines with the file
+/// path and 1-based line number; delete indices refer to the point set
+/// at the start of their batch (deletion uses swap-remove order — the
+/// then-last point fills each freed slot — and inserts append at the
+/// end). `arr` prints in shortest round-trip form, as the server's JSON
+/// does, so the two compare bit for bit. `--verify` checks every cached
+/// answer against a cold registry solve on the current scores after the
+/// build and after each batch.
 ///
 /// # Errors
 ///
-/// Returns usage, I/O, parse, or engine errors as strings.
+/// Returns usage, I/O, parse, or update errors as strings.
 pub fn replay(a: &ParsedArgs) -> Result<String, String> {
+    let path = a.required("data")?;
     let ds = load(a)?;
     let k: usize = a.parsed("k")?;
-    let n_samples = checked_sample_count(a, ds.len())?;
     let batch_size: usize = a.parsed_or("batch", 16usize)?;
     if batch_size == 0 {
         return Err("--batch must be at least 1".into());
     }
-    let mut rng = seeded(a)?;
-    let dist = make_dist(a, ds.dim())?;
-    // Parse the whole update stream before paying for the matrix build:
-    // a malformed ops file should fail in milliseconds, not after the
-    // O(n·N) scoring pass.
+    // Parse the whole update stream before paying for the build: a
+    // malformed ops file should fail in milliseconds, not after the
+    // O(n·N) harvest.
     let ops = fam::data::read_update_ops(Path::new(a.required("updates")?), ds.dim())
         .map_err(|e| e.to_string())?;
+    let opts = population_options(a, k..=k)?;
+    let mut svc = fam::serve::DatasetService::build(path, &ds, &opts).map_err(|e| e.to_string())?;
     let verify = a.switch("verify");
-    // Keep the sampled functions alive: inserted points must be scored
-    // under the same user population the engine was built with. (The CLI
-    // distributions are coordinate-based, so the index argument of
-    // `UtilityFunction::utility` is irrelevant; an out-of-range sentinel
-    // makes any identity-based function fail loudly instead of silently.)
-    let functions: Vec<Arc<dyn UtilityFunction>> =
-        (0..n_samples).map(|_| dist.sample(&mut rng)).collect();
-    let matrix = ScoreMatrix::from_functions(&ds, &functions, None).map_err(|e| e.to_string())?;
-    let initial = add_greedy(&matrix, k).map_err(|e| e.to_string())?;
-    let mut engine = DynamicEngine::new(matrix, k, &initial.indices).map_err(|e| e.to_string())?;
+    let (mut selection, mut arr) = cached_answer(&svc, k)?;
     let mut out = format!(
-        "base: n = {}, N = {n_samples}, k = {k}\ninitial selection: {:?} (arr = {:.6})\n",
+        "base: n = {}, N = {}, k = {k}\ninitial selection: {selection:?} (arr = {arr})\n",
         ds.len(),
-        engine.selection(),
-        engine.arr()
+        svc.n_samples()
     );
+    if verify {
+        verify_cache(&svc, k).map_err(|e| format!("initial: {e}"))?;
+        out.push_str("initial: verified bit-identical to cold solve\n");
+    }
     for (i, chunk) in ops.chunks(batch_size).enumerate() {
-        let mut batch = UpdateBatch::default();
-        for op in chunk {
-            match op {
-                fam::data::UpdateOp::Insert(coords) => batch
-                    .insert
-                    .push(functions.iter().map(|f| f.utility(usize::MAX, coords)).collect()),
-                fam::data::UpdateOp::Delete(idx) => batch.delete.push(*idx),
-            }
-        }
-        let report =
-            engine.apply_with(&batch, fam::warm_repair).map_err(|e| format!("batch {i}: {e}"))?;
+        let summary = svc.apply_ops(chunk).map_err(|e| format!("batch {i}: {e}"))?;
+        (selection, arr) = cached_answer(&svc, k)?;
         out.push_str(&format!(
-            "batch {i}: +{} -{} -> n = {}, arr = {:.6}, selection = {:?} \
-             (kept {}, repair added {} / removed {} in {} evals, {} samples rescanned)\n",
-            report.inserted,
-            report.deleted,
-            report.n_points,
-            report.arr,
-            report.selection,
-            report.kept.len(),
-            report.repair.added,
-            report.repair.removed,
-            report.repair.evaluations,
-            report.resumed_rescans,
+            "batch {i}: +{} -{} -> n = {}, arr = {arr}, selection = {selection:?} \
+             ({} cache entries re-harvested)\n",
+            summary.inserted, summary.deleted, summary.n_points, summary.cache_entries,
         ));
         if verify {
-            verify_against_full_recompute(&engine, &report)
-                .map_err(|e| format!("batch {i}: {e}"))?;
-            out.push_str(&format!("batch {i}: verified bit-identical to full recompute\n"));
+            verify_cache(&svc, k).map_err(|e| format!("batch {i}: {e}"))?;
+            out.push_str(&format!("batch {i}: verified bit-identical to cold solve\n"));
         }
     }
     out.push_str(&format!(
-        "final: n = {}, arr = {:.6}, selection = {:?} after {} batches",
-        engine.matrix().n_points(),
-        engine.arr(),
-        engine.selection(),
-        engine.batches_applied()
+        "final: n = {}, arr = {arr}, selection = {selection:?} after {} batches",
+        svc.n_points(),
+        svc.updates()
     ));
     Ok(out)
+}
+
+/// The cached ADD-GREEDY answer at `k`: its sorted indices and `arr`.
+fn cached_answer(svc: &fam::serve::DatasetService, k: usize) -> Result<(Vec<usize>, f64), String> {
+    let (hit, _) = svc.solve(&fam::SolverSpec::new("add-greedy", k)).map_err(|e| e.to_string())?;
+    Ok((hit.indices, hit.arr))
+}
+
+/// `--verify`: every cached answer at `k` (one per range-harvesting
+/// solver) equals a cold registry solve on the service's current scores,
+/// indices and `arr` bits alike.
+fn verify_cache(svc: &fam::serve::DatasetService, k: usize) -> Result<(), String> {
+    let registry = fam::Registry::global();
+    for solver in registry.iter().filter(|s| s.capabilities().range_harvest) {
+        let spec = fam::SolverSpec::new(solver.name(), k);
+        let (hit, cached) = svc.solve(&spec).map_err(|e| e.to_string())?;
+        let cold =
+            registry.solve(&spec, svc.matrix(), Some(svc.dataset())).map_err(|e| e.to_string())?;
+        let mut indices = cold.selection.indices;
+        indices.sort_unstable();
+        let arr = cold.selection.objective;
+        if !cached || hit.indices != indices || arr.map(f64::to_bits) != Some(hit.arr.to_bits()) {
+            return Err(format!(
+                "cached {} answer {:?} (arr {}) differs from the cold solve {indices:?} \
+                 (arr {arr:?})",
+                solver.name(),
+                hit.indices,
+                hit.arr
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Parses a `--cache-k` spec: `LO..HI` (inclusive) or a bare `HI`
@@ -563,6 +539,27 @@ fn parse_cache_k(spec: &str) -> Result<std::ops::RangeInclusive<usize>, String> 
     }
 }
 
+/// The population flags `fam serve` and `fam replay` share
+/// (`--samples`/`--epsilon`/`--sigma`, `--seed`, `--dist`) as service
+/// options caching `cache_k`, with no reduction: two services built from
+/// the same flags sample the same functions.
+fn population_options(
+    a: &ParsedArgs,
+    cache_k: std::ops::RangeInclusive<usize>,
+) -> Result<fam::serve::ServeOptions, String> {
+    let dist_name = a.optional("dist").unwrap_or("uniform");
+    let dist = fam::serve::DistKind::parse(dist_name)
+        .ok_or_else(|| format!("unknown --dist `{dist_name}` (uniform|simplex)"))?;
+    Ok(fam::serve::ServeOptions {
+        samples: sample_count(a)?,
+        seed: a.parsed_or("seed", 42u64)?,
+        dist,
+        cache_k,
+        sigma: sigma_of(a)?,
+        reduce: fam::ReduceSpec::none(),
+    })
+}
+
 /// Builds the per-dataset services for `fam serve`: one per `--data`
 /// flag, named by file stem.
 fn build_services(a: &ParsedArgs) -> Result<Vec<fam::serve::DatasetService>, String> {
@@ -570,15 +567,10 @@ fn build_services(a: &ParsedArgs) -> Result<Vec<fam::serve::DatasetService>, Str
     if paths.is_empty() {
         return Err("missing required flag --data (repeatable)".into());
     }
-    let samples = sample_count(a)?;
-    let dist_name = a.optional("dist").unwrap_or("uniform");
-    let dist = fam::serve::DistKind::parse(dist_name)
-        .ok_or_else(|| format!("unknown --dist `{dist_name}` (uniform|simplex)"))?;
-    let seed: u64 = a.parsed_or("seed", 42u64)?;
-    let sigma = sigma_of(a)?;
     let cache_k = parse_cache_k(a.optional("cache-k").unwrap_or("1..10"))?;
     let labelled = a.switch("labelled");
-    let reduce = match a.optional("reduce").unwrap_or("none") {
+    let mut opts = population_options(a, cache_k)?;
+    opts.reduce = match a.optional("reduce").unwrap_or("none") {
         "none" => fam::ReduceSpec::none(),
         "skyline" => fam::ReduceSpec::skyline(),
         "coreset" => fam::ReduceSpec::coreset(
@@ -595,14 +587,6 @@ fn build_services(a: &ParsedArgs) -> Result<Vec<fam::serve::DatasetService>, Str
             .filter(|s| !s.is_empty())
             .ok_or_else(|| format!("--data {path}: cannot derive a dataset name"))?;
         let ds = fam::data::read_csv(p, labelled).map_err(|e| e.to_string())?;
-        let opts = fam::serve::ServeOptions {
-            samples,
-            seed,
-            dist,
-            cache_k: cache_k.clone(),
-            sigma,
-            reduce,
-        };
         services.push(
             fam::serve::DatasetService::build(name, &ds, &opts)
                 .map_err(|e| format!("--data {path}: {e}"))?,
@@ -1196,7 +1180,8 @@ mod tests {
         .unwrap();
         assert!(msg.contains("initial selection"), "{msg}");
         assert!(msg.contains("batch 2:"), "{msg}");
-        assert!(msg.contains("verified bit-identical to full recompute"), "{msg}");
+        assert!(msg.contains("initial: verified bit-identical to cold solve"), "{msg}");
+        assert!(msg.contains("batch 2: verified bit-identical to cold solve"), "{msg}");
         assert!(msg.contains("after 3 batches"), "{msg}");
         // The alias dispatches too.
         let msg2 = crate::run(
@@ -1207,6 +1192,94 @@ mod tests {
         )
         .unwrap();
         assert!(msg2.contains("final:"), "{msg2}");
+        std::fs::remove_file(&data).ok();
+        std::fs::remove_file(&ups).ok();
+    }
+
+    /// A top-level `"key":value` field of a flat JSON body, as text.
+    fn json_field<'a>(body: &'a str, key: &str) -> &'a str {
+        let tag = format!("\"{key}\":");
+        let rest =
+            &body[body.find(&tag).unwrap_or_else(|| panic!("no {key} in {body}")) + tag.len()..];
+        let end = if rest.starts_with('[') {
+            rest.find(']').unwrap() + 1
+        } else {
+            rest.find([',', '}']).unwrap()
+        };
+        &rest[..end]
+    }
+
+    /// Parses `[1, 5, 9]` or `[1,5,9]`.
+    fn index_list(text: &str) -> Vec<usize> {
+        let inner = text.trim().trim_start_matches('[').trim_end_matches(']');
+        inner
+            .split(',')
+            .filter(|s| !s.trim().is_empty())
+            .map(|s| s.trim().parse().unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn replay_answers_like_a_live_server() {
+        // One op stream through `fam replay` (caching k only) and through
+        // a live `fam serve` caching 1..6: the ADD-GREEDY answer and its
+        // arr bits agree after every batch.
+        let data = tmp("one_answer.csv");
+        let ups = tmp("one_answer_ops.csv");
+        generate(&argv(&format!("--out {data} --n 150 --d 3 --corr anti --seed 23"))).unwrap();
+        let k = 4;
+        let flags = format!("--data {data} --samples 300 --seed 23");
+        let services = build_services(&argv(&format!("{flags} --cache-k 1..6"))).unwrap();
+        let name = services[0].name().to_string();
+        let server = fam::serve::Server::bind_with(
+            ("127.0.0.1", 0),
+            services,
+            server_options(&argv("")).unwrap(),
+        )
+        .unwrap();
+        let mut client = fam::serve::Client::new(server.local_addr().to_string());
+        let handle = server.handle();
+        let server_thread = std::thread::spawn(move || server.run());
+        let served = |client: &mut fam::serve::Client| {
+            let resp = client.get(&format!("/solve?dataset={name}&k={k}&algo=add-greedy")).unwrap();
+            assert_eq!(resp.status, 200, "{}", resp.body);
+            let arr: f64 = json_field(&resp.body, "arr").parse().unwrap();
+            (index_list(json_field(&resp.body, "selection")), arr.to_bits())
+        };
+
+        // Three batches of two ops; the first deletes a member of the
+        // current answer.
+        let (initial, _) = served(&mut client);
+        let batches = [
+            format!("delete,{}\ninsert,0.9,0.85,0.8", initial[0]),
+            "insert,0.95,0.1,0.2\ninsert,0.1,0.2,0.97".to_string(),
+            "delete,7\ndelete,140".to_string(),
+        ];
+        std::fs::write(&ups, batches.join("\n") + "\n").unwrap();
+        let msg =
+            replay(&argv(&format!("{flags} --updates {ups} --k {k} --batch 2 --verify"))).unwrap();
+        let replayed: Vec<(Vec<usize>, u64)> = msg
+            .lines()
+            .filter(|l| l.starts_with("batch ") && l.contains("selection = "))
+            .map(|l| {
+                let arr = &l[l.find("arr = ").unwrap() + 6..];
+                let arr: f64 = arr[..arr.find(',').unwrap()].parse().unwrap();
+                let sel = &l[l.find("selection = ").unwrap() + 12..];
+                (index_list(&sel[..=sel.find(']').unwrap()]), arr.to_bits())
+            })
+            .collect();
+        assert_eq!(replayed.len(), batches.len(), "{msg}");
+        for (i, batch) in batches.iter().enumerate() {
+            let resp =
+                client.post(&format!("/update?dataset={name}"), &format!("{batch}\n")).unwrap();
+            assert_eq!(resp.status, 200, "batch {i}: {}", resp.body);
+            let (selection, arr_bits) = served(&mut client);
+            assert_eq!(selection, replayed[i].0, "batch {i}: selection differs\n{msg}");
+            assert_eq!(arr_bits, replayed[i].1, "batch {i}: arr bits differ\n{msg}");
+        }
+
+        handle.shutdown();
+        server_thread.join().unwrap();
         std::fs::remove_file(&data).ok();
         std::fs::remove_file(&ups).ok();
     }

@@ -33,29 +33,82 @@ pub mod commands;
 
 pub use args::ParsedArgs;
 
-/// Entry point shared by the binary and the tests.
+/// A command's implementation.
+type Command = fn(&ParsedArgs) -> Result<String, String>;
+
+/// Every command with the flags its usage line documents, space-separated;
+/// any other flag is a usage error, so a typo (`--sample` for
+/// `--samples`) cannot silently change a run.
+const COMMANDS: &[(&str, Command, &str)] = &[
+    ("generate", commands::generate, "out n d corr seed"),
+    ("skyline", commands::skyline_cmd, "data labelled"),
+    ("algos", |_| Ok(commands::algos()), ""),
+    ("solve", commands::solve, "data k algo param samples epsilon sigma dist seed labelled"),
+    ("select", commands::select, "data k algo samples epsilon sigma dist seed compact labelled"),
+    ("evaluate", commands::evaluate, "data selection samples seed labelled"),
+    ("refine", commands::refine_cmd, "data k epsilon sigma initial churn algo dist seed labelled"),
+    (
+        "replay",
+        commands::replay,
+        "data updates k batch samples epsilon sigma dist seed verify labelled",
+    ),
+    (
+        "serve",
+        commands::serve,
+        "data port bind workers cache-k samples epsilon sigma dist seed labelled reduce \
+         reduce-eps deadline-ms max-pending keepalive-requests idle-ms retry-after",
+    ),
+    (
+        "remote-solve",
+        commands::remote_solve,
+        "server dataset k algo deadline-ms attempts timeout-ms",
+    ),
+    (
+        "remote-replay",
+        commands::remote_replay,
+        "server dataset updates batch deadline-ms attempts timeout-ms",
+    ),
+];
+
+/// Entry point shared by the binary and the tests. `--help` or `-h`
+/// anywhere after a command prints the usage.
 ///
 /// # Errors
 ///
-/// Returns a human-readable error string on bad usage or command failure.
+/// Returns a human-readable error string on bad usage (an unknown
+/// command or flag included) or command failure.
 pub fn run(argv: &[String]) -> Result<String, String> {
-    let (command, rest) = argv.split_first().ok_or_else(usage)?;
-    let parsed = ParsedArgs::parse(rest)?;
-    match command.as_str() {
-        "generate" => commands::generate(&parsed),
-        "skyline" => commands::skyline_cmd(&parsed),
-        "solve" => commands::solve(&parsed),
-        "algos" => Ok(commands::algos()),
-        "select" => commands::select(&parsed),
-        "evaluate" => commands::evaluate(&parsed),
-        "refine" => commands::refine_cmd(&parsed),
-        "replay" | "update" => commands::replay(&parsed),
-        "serve" => commands::serve(&parsed),
-        "remote-solve" => commands::remote_solve(&parsed),
-        "remote-replay" | "remote-update" => commands::remote_replay(&parsed),
-        "--help" | "-h" | "help" => Ok(usage()),
-        other => Err(format!("unknown command `{other}`\n{}", usage())),
+    match parse(argv)? {
+        Some((command, args)) => command(&args),
+        None => Ok(usage()),
     }
+}
+
+/// Resolves a command line to its command and flags, rejecting any flag
+/// the command does not accept; `None` asks for the usage.
+fn parse(argv: &[String]) -> Result<Option<(Command, ParsedArgs)>, String> {
+    let (command, rest) = argv.split_first().ok_or_else(usage)?;
+    if matches!(command.as_str(), "--help" | "-h" | "help") {
+        return Ok(None);
+    }
+    // The aliases share their command's entry.
+    let canonical = match command.as_str() {
+        "update" => "replay",
+        "remote-update" => "remote-replay",
+        other => other,
+    };
+    let Some(&(_, run_command, flags)) = COMMANDS.iter().find(|(name, ..)| *name == canonical)
+    else {
+        return Err(format!("unknown command `{command}`\n{}", usage()));
+    };
+    if rest.iter().any(|a| a == "--help" || a == "-h") {
+        return Ok(None);
+    }
+    let args = ParsedArgs::parse(rest)?;
+    if let Some(flag) = args.names().find(|f| !flags.split_whitespace().any(|g| g == *f)) {
+        return Err(format!("unknown flag --{flag} for `fam {command}` (see `fam --help`)"));
+    }
+    Ok(Some((run_command, args)))
 }
 
 fn usage() -> String {
@@ -77,9 +130,12 @@ fn usage() -> String {
      [--dist uniform|simplex] [--seed S] [--labelled]   (progressive precision: solve coarse,\n            \
      double samples in place until the Chernoff bound for eps is met; final answer is\n            \
      bit-identical to a cold solve at the final N)\n  \
-     replay    --data FILE --updates FILE --k K [--batch B] [--samples N] [--dist uniform|simplex]\n            \
-     [--seed S] [--verify] [--labelled]   (alias: update; ops are `insert,c0,c1,..` / `delete,IDX`,\n            \
-     delete indices refer to the point set at the start of each batch, swap-remove order)\n  \
+     replay    --data FILE --updates FILE --k K [--batch B] [--samples N | --epsilon E --sigma G]\n            \
+     [--dist uniform|simplex] [--seed S] [--verify] [--labelled]   (alias: update; ops are\n            \
+     `insert,c0,c1,..` / `delete,IDX`, delete indices refer to the point set at the start of each\n            \
+     batch, swap-remove order; applies each batch like POST /update, so the answers equal\n            \
+     `fam serve`'s for the same ops and flags; --verify checks every cached answer against a\n            \
+     cold solve)\n  \
      serve     --data FILE [--data FILE ...] [--port P] [--bind ADDR] [--workers W] [--cache-k LO..HI]\n            \
      [--samples N | --epsilon E --sigma G] [--dist uniform|simplex] [--seed S] [--labelled]\n            \
      [--reduce none|skyline|coreset [--reduce-eps E]]  (reduce at build time: the engine holds\n            \
@@ -99,4 +155,61 @@ fn usage() -> String {
      POST /update in batches with the same retry policy; a batch whose fate is unknown\n            \
      is never blindly re-sent)"
         .to_string()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(s: &str) -> Vec<String> {
+        s.split_whitespace().map(str::to_string).collect()
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_by_name() {
+        for (line, flag) in [
+            ("solve --data d.csv --k 3 --sample 20000 --algo add-greedy", "--sample"),
+            ("solve --data d.csv --k 3 --bogus 1", "--bogus"),
+            ("select --data d.csv --k 3 --verify", "--verify"),
+            ("update --data d.csv --updates ops.csv --k 3 --cache-k 1..6", "--cache-k"),
+            ("algos --k 3", "--k"),
+        ] {
+            // Rejected before the command runs: `d.csv` is never read.
+            let err = run(&argv(line)).unwrap_err();
+            let command = line.split_whitespace().next().unwrap();
+            assert!(err.contains(flag), "{line}: {err}");
+            assert!(err.contains(&format!("`fam {command}`")), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn help_after_any_command_prints_the_usage() {
+        for (name, ..) in COMMANDS {
+            for help in ["--help", "-h"] {
+                let msg = run(&argv(&format!("{name} --data d.csv {help}"))).unwrap();
+                assert!(msg.starts_with("usage: fam"), "{name} {help}: {msg}");
+            }
+        }
+        assert!(run(&argv("solve --help")).unwrap().contains("solve     --data FILE --k K"));
+        assert!(run(&argv("bogus --help")).is_err());
+    }
+
+    /// Every `fam` command line in README's CLI block and CI's
+    /// serve-smoke job names only flags its command accepts.
+    #[test]
+    fn documented_command_lines_parse() {
+        let readme = include_str!("../../../README.md");
+        let ci = include_str!("../../../.github/workflows/ci.yml");
+        let lines: Vec<&str> = readme
+            .lines()
+            .filter_map(|l| l.strip_prefix("fam "))
+            .chain(ci.lines().filter_map(|l| l.trim().strip_prefix("$FAM ")))
+            .collect();
+        assert!(lines.len() >= 14, "found only {} command lines", lines.len());
+        for line in lines {
+            // Drop shell comments, backgrounding, pipes and redirects.
+            let command = line.split(['#', '&', '|', '>']).next().unwrap_or_default();
+            parse(&argv(command)).unwrap_or_else(|e| panic!("`fam {line}`: {e}"));
+        }
+    }
 }

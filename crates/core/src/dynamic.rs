@@ -1,11 +1,8 @@
-//! Dynamic databases: incremental updates to a live score matrix and its
-//! selection.
+//! The library replica of the point-update path: incremental inserts
+//! and deletes on a live score matrix and its selection.
 //!
-//! The paper selects a regret-minimizing set from a *static* database;
-//! a production deployment must also survive inserts and deletes. This
-//! module owns that scenario end to end: a [`DynamicEngine`] holds the
-//! current [`ScoreMatrix`], the current selection, and the evaluator
-//! caches, and applies an [`UpdateBatch`] by
+//! A [`DynamicEngine`] holds the current [`ScoreMatrix`], the current
+//! selection, and the evaluator caches, and applies an [`UpdateBatch`] by
 //!
 //! 1. patching both matrix layouts in place
 //!    ([`ScoreMatrix::delete_points`] / [`ScoreMatrix::insert_points`] —
@@ -19,21 +16,30 @@
 //!    policy; the engine stays policy-agnostic so `fam-core` does not
 //!    depend on the algorithm crate).
 //!
+//! No CLI or server path runs this engine. `fam replay` and `fam serve`
+//! both apply a batch to a `fam_serve::DatasetService` and re-harvest
+//! cold, so they give one answer per `(algo, k, generation)`; warm
+//! repair does not (`BENCH_dynamic.json` records its `arr` 17–19% above
+//! the cold answer). The engine, [`UpdateBatch`], [`WarmStart`],
+//! [`RepairOutcome`], [`ApplyReport`] and the row-stride slack of
+//! [`ScoreMatrix`] stay because perfbench's traced serve replay compiles
+//! against them, as do `crates/bench/benches/dynamic.rs` and
+//! `crates/algos/tests/dynamic_equivalence.rs`. They go together with
+//! that replica, once perfbench's traced mode records production spans
+//! instead of replaying layers.
+//!
 //! The incremental path is pinned against full recomputation by
 //! `crates/algos/tests/dynamic_equivalence.rs` and A/B-benchmarked across
 //! churn rates by `crates/bench/benches/dynamic.rs` (`BENCH_dynamic.json`).
-//! How the in-place patches interact with the matrix's strided layouts
-//! (row slack, the point-major mirror) and with the bit-identity
-//! contract is documented in `docs/PERFORMANCE.md`.
+//! How the in-place patches interact with the matrix's row slack and the
+//! point-major mirror, and with the bit-identity contract, is documented
+//! in `docs/PERFORMANCE.md`.
 
 use std::ops::Range;
-use std::sync::Arc;
 
-use crate::dataset::Dataset;
 use crate::error::{FamError, Result};
 use crate::evaluator::{EvaluatorState, SelectionEvaluator};
 use crate::scores::ScoreMatrix;
-use crate::utility::UtilityFunction;
 
 /// One batch of database mutations, applied atomically by
 /// [`DynamicEngine::apply_with`].
@@ -81,26 +87,6 @@ pub struct RepairOutcome {
     pub removed: usize,
     /// `arr` evaluations spent repairing.
     pub evaluations: u64,
-}
-
-/// Report of one appended sample batch
-/// ([`DynamicEngine::append_sample_rows_with`] /
-/// [`DynamicEngine::append_functions_with`]).
-#[derive(Debug, Clone)]
-pub struct AppendReport {
-    /// Samples appended by the batch.
-    pub appended: usize,
-    /// Post-append sample count `N`.
-    pub n_samples: usize,
-    /// The selection entering the repair policy (a sample append never
-    /// drops members, so this is the full pre-append selection).
-    pub kept: Vec<usize>,
-    /// Selection after repair, sorted ascending.
-    pub selection: Vec<usize>,
-    /// `arr` of the repaired selection under the refined estimates.
-    pub arr: f64,
-    /// What the repair policy did.
-    pub repair: RepairOutcome,
 }
 
 /// Report of one applied [`UpdateBatch`].
@@ -171,7 +157,6 @@ pub struct DynamicEngine {
     state: EvaluatorState,
     k: usize,
     batches_applied: u64,
-    appends_applied: u64,
 }
 
 impl DynamicEngine {
@@ -193,20 +178,13 @@ impl DynamicEngine {
             });
         }
         let state = SelectionEvaluator::new_with(&matrix, initial).into_state();
-        Ok(DynamicEngine { matrix, state, k, batches_applied: 0, appends_applied: 0 })
+        Ok(DynamicEngine { matrix, state, k, batches_applied: 0 })
     }
 
     /// The current score matrix.
     #[inline]
     pub fn matrix(&self) -> &ScoreMatrix {
         &self.matrix
-    }
-
-    /// Consumes the engine, returning the maintained matrix (e.g. to
-    /// keep solving on it after a refinement run).
-    #[inline]
-    pub fn into_matrix(self) -> ScoreMatrix {
-        self.matrix
     }
 
     /// The configured output size.
@@ -260,7 +238,7 @@ impl DynamicEngine {
         // Chaos hook: fires before any validation or mutation, so an
         // injected failure is indistinguishable from a rejected batch.
         crate::failpoints::fail_point("dynamic.apply")?;
-        let Self { matrix, state, k, batches_applied, .. } = self;
+        let Self { matrix, state, k, batches_applied } = self;
         // Validate the insertions up front; deletions are validated by
         // `delete_points`, which runs first and leaves the matrix
         // untouched on any error — so a failed (or universe-wiping)
@@ -324,102 +302,6 @@ impl DynamicEngine {
             resumed_rescans,
             repair,
         })
-    }
-
-    /// Sample-append batches applied so far (the progressive-precision
-    /// axis; point batches count in [`DynamicEngine::batches_applied`]).
-    #[inline]
-    pub fn appends_applied(&self) -> u64 {
-        self.appends_applied
-    }
-
-    /// Appends new utility samples (one score row of `n_points` entries
-    /// per sample) and re-polishes the selection through the given repair
-    /// policy — the sample-axis twin of [`DynamicEngine::apply_with`].
-    ///
-    /// The matrix patch is [`ScoreMatrix::append_sample_rows`]
-    /// (bit-identical to a from-scratch build over the concatenated
-    /// sample stream) and the evaluator folds only the new rows
-    /// ([`SelectionEvaluator::resume_after_append`]). The policy receives
-    /// the resumed evaluator plus a [`WarmStart`] with an **empty**
-    /// inserted range (no points changed) and the target size; `arr`
-    /// re-estimates under the grown sample population even when the
-    /// policy keeps the selection. Policy failures fall back to the
-    /// pre-append selection, exactly like [`DynamicEngine::apply_with`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScoreMatrix::append_sample_rows`]'s validation errors
-    /// with nothing mutated, or the repair policy's error.
-    pub fn append_sample_rows_with<R>(
-        &mut self,
-        rows: &[Vec<f64>],
-        repair: R,
-    ) -> Result<AppendReport>
-    where
-        R: for<'e> FnOnce(
-            &mut SelectionEvaluator<'e, ScoreMatrix>,
-            &WarmStart,
-        ) -> Result<RepairOutcome>,
-    {
-        crate::failpoints::fail_point("dynamic.append")?;
-        self.matrix.append_sample_rows(rows)?;
-        self.resume_appended(rows.len(), repair)
-    }
-
-    /// [`DynamicEngine::append_sample_rows_with`] from sampled utility
-    /// functions: scores every point of `dataset` under each function
-    /// exactly like the from-scratch construction
-    /// ([`ScoreMatrix::append_functions`]). `dataset` must describe the
-    /// engine's current point universe, in the engine's point order.
-    ///
-    /// # Errors
-    ///
-    /// As [`DynamicEngine::append_sample_rows_with`].
-    pub fn append_functions_with<R>(
-        &mut self,
-        dataset: &Dataset,
-        functions: &[Arc<dyn UtilityFunction>],
-        repair: R,
-    ) -> Result<AppendReport>
-    where
-        R: for<'e> FnOnce(
-            &mut SelectionEvaluator<'e, ScoreMatrix>,
-            &WarmStart,
-        ) -> Result<RepairOutcome>,
-    {
-        crate::failpoints::fail_point("dynamic.append")?;
-        self.matrix.append_functions(dataset, functions)?;
-        self.resume_appended(functions.len(), repair)
-    }
-
-    /// Shared resume-and-repair tail of the sample-append paths: the
-    /// matrix already holds the appended rows.
-    fn resume_appended<R>(&mut self, appended: usize, repair: R) -> Result<AppendReport>
-    where
-        R: for<'e> FnOnce(
-            &mut SelectionEvaluator<'e, ScoreMatrix>,
-            &WarmStart,
-        ) -> Result<RepairOutcome>,
-    {
-        let Self { matrix, state, k, appends_applied, .. } = self;
-        let st = std::mem::replace(state, EvaluatorState::placeholder());
-        let mut ev = SelectionEvaluator::resume_after_append(&*matrix, st);
-        let kept = ev.selection();
-        let n = matrix.n_points();
-        let ws = WarmStart { inserted: n..n, k: *k };
-        *appends_applied += 1;
-        // Same guard contract as `apply_with`: a failing (or panicking)
-        // policy falls back to the pre-append selection, never the
-        // placeholder.
-        let mut guard = SurvivorGuard { state, matrix: &*matrix, kept: &kept, armed: true };
-        let repair = repair(&mut ev, &ws)?;
-        guard.armed = false;
-        let selection = ev.selection();
-        let arr = ev.arr();
-        *guard.state = ev.into_state();
-        drop(guard);
-        Ok(AppendReport { appended, n_samples: matrix.n_samples(), kept, selection, arr, repair })
     }
 }
 
@@ -679,77 +561,6 @@ mod tests {
         let drop_old = UpdateBatch { insert: vec![], delete: vec![0] };
         assert!(e.apply_with(&drop_old, no_repair).is_ok());
         assert_eq!(e.matrix().n_points(), 2);
-    }
-
-    #[test]
-    fn append_samples_reestimates_arr_and_keeps_selection() {
-        let mut e = DynamicEngine::new(matrix(), 2, &[1, 3]).unwrap();
-        let before = e.arr();
-        let report = e
-            .append_sample_rows_with(
-                &[vec![0.9, 0.1, 0.1, 0.1], vec![0.2, 0.8, 0.3, 0.4]],
-                no_repair,
-            )
-            .unwrap();
-        assert_eq!(report.appended, 2);
-        assert_eq!(report.n_samples, 6);
-        assert_eq!(report.kept, vec![1, 3]);
-        assert_eq!(report.selection, vec![1, 3]);
-        assert_eq!(e.selection(), vec![1, 3]);
-        assert_eq!(e.appends_applied(), 1);
-        assert_eq!(e.batches_applied(), 0);
-        // arr re-estimated under the grown population, consistent with a
-        // direct evaluation.
-        assert_ne!(report.arr.to_bits(), before.to_bits());
-        let direct = regret::arr_unchecked(e.matrix(), &[1, 3]);
-        assert_eq!(e.arr().to_bits(), report.arr.to_bits());
-        assert!((e.arr() - direct).abs() < 1e-9);
-    }
-
-    #[test]
-    fn append_validation_and_policy_failures_are_atomic() {
-        let mut e = DynamicEngine::new(matrix(), 2, &[1, 3]).unwrap();
-        // Bad rows leave everything untouched.
-        assert!(e.append_sample_rows_with(&[vec![1.0]], no_repair).is_err());
-        assert!(e.append_sample_rows_with(&[vec![0.0; 4]], no_repair).is_err());
-        assert_eq!(e.matrix().n_samples(), 4);
-        assert_eq!(e.appends_applied(), 0);
-        // A failing policy keeps the appended rows but restores the
-        // pre-append selection.
-        let r = e.append_sample_rows_with(&[vec![0.5; 4]], |ev, _ws| {
-            ev.remove(1);
-            Err(FamError::InvalidParameter { name: "policy", message: "boom".into() })
-        });
-        assert!(r.is_err());
-        assert_eq!(e.matrix().n_samples(), 5);
-        assert_eq!(e.selection(), vec![1, 3]);
-        assert_eq!(e.appends_applied(), 1);
-        let direct = regret::arr_unchecked(e.matrix(), &[1, 3]);
-        assert!((e.arr() - direct).abs() < 1e-9);
-    }
-
-    #[test]
-    fn append_functions_scores_under_the_live_universe() {
-        use crate::distribution::{UniformLinear, UtilityDistribution};
-        use rand::SeedableRng;
-        let ds = Dataset::from_rows(vec![vec![0.9, 0.2], vec![0.4, 0.8], vec![0.1, 0.95]]).unwrap();
-        let dist = UniformLinear::new(2).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let m = ScoreMatrix::from_distribution(&ds, &dist, 10, &mut rng).unwrap();
-        let mut e = DynamicEngine::new(m, 2, &[0, 1]).unwrap();
-        let fns: Vec<Arc<dyn UtilityFunction>> = (0..6).map(|_| dist.sample(&mut rng)).collect();
-        let report = e.append_functions_with(&ds, &fns, no_repair).unwrap();
-        assert_eq!(report.n_samples, 16);
-        // Bit-identical to the from-scratch build over the same stream.
-        let mut rng2 = rand::rngs::StdRng::seed_from_u64(3);
-        let fresh = ScoreMatrix::from_distribution(&ds, &dist, 16, &mut rng2).unwrap();
-        for u in 0..16 {
-            assert_eq!(e.matrix().row(u), fresh.row(u), "row {u}");
-        }
-        // A wrong-universe dataset is rejected without mutating.
-        let wrong = Dataset::from_rows(vec![vec![0.5, 0.5]]).unwrap();
-        assert!(e.append_functions_with(&wrong, &fns, no_repair).is_err());
-        assert_eq!(e.matrix().n_samples(), 16);
     }
 
     #[test]

@@ -34,6 +34,16 @@
 //! `docs/PERFORMANCE.md` documents the layout trade-offs and the
 //! determinism argument.
 //!
+//! # When the scores change
+//!
+//! An evaluator borrows fixed scores, so callers whose scores grow or
+//! change build a fresh one. The refine driver runs
+//! [`SelectionEvaluator::new_with`] on the previous round's selection
+//! after each sample append: one `O(N·|S|)` rebuild, small next to
+//! scoring the new samples. fam-serve solves each generation cold. Only
+//! the library replica of the update path patches a detached
+//! [`EvaluatorState`] instead ([`SelectionEvaluator::resume_after_update`]).
+//!
 //! [`rebuild`]: SelectionEvaluator::new_full
 //! [`remove`]: SelectionEvaluator::remove
 
@@ -130,10 +140,12 @@ pub struct EvalCounters {
 /// A `SelectionEvaluator` borrows its score source for its whole lifetime,
 /// which forbids mutating the matrix (point insertion/deletion) while an
 /// evaluator is alive. [`SelectionEvaluator::into_state`] detaches the
-/// maintained caches so an owner — e.g. `DynamicEngine` — can patch the
-/// matrix and then reattach via [`SelectionEvaluator::from_state`] (matrix
-/// unchanged) or [`SelectionEvaluator::resume_after_update`] (points
-/// inserted/deleted) without paying a full `O(N·|S|)` rebuild.
+/// maintained caches so an owner can patch the matrix and then reattach
+/// via [`SelectionEvaluator::from_state`] (matrix unchanged) or
+/// [`SelectionEvaluator::resume_after_update`] (points inserted/deleted)
+/// without paying a full `O(N·|S|)` rebuild. The only such owner is
+/// `DynamicEngine`, the library replica of the update path (see the
+/// module docs of [`crate::dynamic`]).
 #[derive(Debug, Clone)]
 pub struct EvaluatorState {
     in_sel: Vec<bool>,
@@ -476,63 +488,6 @@ impl<'a, S: ScoreSource + ?Sized> SelectionEvaluator<'a, S> {
             ev.counters.rescans += 1;
             ev.top2[u] = b2;
             ev.top2_val[u] = v2;
-        }
-        ev.resync();
-        ev
-    }
-
-    /// Reattaches a detached state to a matrix whose **sample axis
-    /// grew** (rows appended via `ScoreMatrix::append_samples` — the
-    /// point universe must be unchanged), folding only the new rows into
-    /// the caches instead of rebuilding.
-    ///
-    /// Old samples keep their cached best/runner-up (their rows and the
-    /// selection are untouched by a sample append); the appended samples
-    /// scan the members once (`O(new · |S|)`, fanned out like the other
-    /// batched rescans); owner lists rebuild in canonical sample order
-    /// and `arr` refolds over the same fixed chunks as a full rebuild —
-    /// using the matrix's *re-spread* per-sample weights — so the
-    /// maintained `arr` and every tracked value are **bit-identical** to
-    /// [`SelectionEvaluator::new_with`] on the grown matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the point universe changed or the matrix shrank below
-    /// the state's sample count.
-    pub fn resume_after_append(m: &'a S, st: EvaluatorState) -> Self {
-        assert_eq!(st.in_sel.len(), m.n_points(), "point universe must be unchanged");
-        let first_new = st.stamp.len();
-        let n_samples = m.n_samples();
-        assert!(first_new <= n_samples, "matrix lost samples; appends only grow");
-        let mut ev = SelectionEvaluator {
-            m,
-            in_sel: st.in_sel,
-            members: st.members,
-            top1: st.top1,
-            top1_val: st.top1_val,
-            top2: st.top2,
-            top2_val: st.top2_val,
-            owners: st.owners,
-            second_owners: st.second_owners,
-            arr: 0.0,
-            counters: st.counters,
-            stamp: vec![0; n_samples],
-            epoch: 0,
-            scratch: EvalScratch::default(),
-        };
-        // Scan the appended rows over the current members (pure reads,
-        // fanned out like the update-resume rescans).
-        let (matrix, mem) = (ev.m, &ev.members);
-        let mut fresh = vec![(NONE, 0.0, NONE, 0.0); n_samples - first_new];
-        par::fill_adaptive_with(&mut fresh, mem.len(), Vec::new, |buf, i| {
-            top_two(matrix, first_new + i, mem, NONE, buf)
-        });
-        for (b1, v1, b2, v2) in fresh {
-            ev.counters.rescans += 1;
-            ev.top1.push(b1);
-            ev.top1_val.push(v1);
-            ev.top2.push(b2);
-            ev.top2_val.push(v2);
         }
         ev.resync();
         ev
@@ -1126,70 +1081,6 @@ mod tests {
         resumed.add(4);
         assert!(resumed.verify_consistency());
         assert!(d < 0.0);
-    }
-
-    #[test]
-    fn resume_after_append_folds_only_new_rows() {
-        let m = matrix();
-        let mut ev = SelectionEvaluator::new_with(&m, &[0, 2]);
-        ev.reset_counters();
-        let st = ev.into_state();
-        let mut m2 = m.clone();
-        m2.append_sample_rows(&[vec![0.1, 0.9, 0.8, 0.2], vec![0.7, 0.2, 0.1, 0.6]]).unwrap();
-        let resumed = SelectionEvaluator::resume_after_append(&m2, st);
-        assert_eq!(resumed.selection(), vec![0, 2]);
-        assert_eq!(resumed.n_samples(), 6);
-        // Only the two appended rows were scanned.
-        assert_eq!(resumed.counters().rescans, 2);
-        assert!(resumed.verify_consistency());
-        assert_resume_matches_rebuild(&m2, &resumed);
-        // The resumed evaluator stays fully operational.
-        let mut resumed = resumed;
-        let d = resumed.addition_delta(3);
-        resumed.add(3);
-        assert!(d <= 0.0);
-        assert!(resumed.verify_consistency());
-    }
-
-    #[test]
-    fn resume_after_append_handles_empty_selection_and_mirrorless() {
-        let m = matrix().drop_column_mirror();
-        let st = SelectionEvaluator::new_with(&m, &[]).into_state();
-        let mut m2 = m.clone();
-        m2.append_sample_rows(&[vec![0.5, 0.4, 0.3, 0.2]]).unwrap();
-        let resumed = SelectionEvaluator::resume_after_append(&m2, st);
-        assert!(resumed.is_empty());
-        assert!((resumed.arr() - 1.0).abs() < 1e-12);
-        assert_resume_matches_rebuild(&m2, &resumed);
-        // A no-growth resume is a pure resync.
-        let st = resumed.into_state();
-        let resumed = SelectionEvaluator::resume_after_append(&m2, st);
-        assert_resume_matches_rebuild(&m2, &resumed);
-    }
-
-    #[test]
-    fn resume_after_append_fuzz_matches_rebuild() {
-        let mut rng = StdRng::seed_from_u64(4242);
-        for trial in 0..15 {
-            let n_points = rng.gen_range(3..10);
-            let n0 = rng.gen_range(2..12);
-            let rows: Vec<Vec<f64>> = (0..n0)
-                .map(|_| (0..n_points).map(|_| rng.gen_range(0.01..1.0)).collect())
-                .collect();
-            let mut m = ScoreMatrix::from_rows(rows, None).unwrap();
-            let sel: Vec<usize> = (0..n_points).filter(|_| rng.gen_bool(0.5)).collect();
-            let mut st = SelectionEvaluator::new_with(&m, &sel).into_state();
-            for _step in 0..5 {
-                let new_rows: Vec<Vec<f64>> = (0..rng.gen_range(1..6))
-                    .map(|_| (0..n_points).map(|_| rng.gen_range(0.01..1.0)).collect())
-                    .collect();
-                m.append_sample_rows(&new_rows).unwrap();
-                let resumed = SelectionEvaluator::resume_after_append(&m, st);
-                assert!(resumed.verify_consistency(), "trial {trial}: drifted");
-                assert_resume_matches_rebuild(&m, &resumed);
-                st = resumed.into_state();
-            }
-        }
     }
 
     #[test]

@@ -9,6 +9,11 @@
 //! (`service.reharvest`), and publish (`serve.publish`) sites and prove
 //! the previous generation keeps serving bit-identical answers.
 //!
+//! The production sites: `service.apply` and `service.reharvest`
+//! (`fam-serve`'s `DatasetService`), `serve.solve` and `serve.publish`
+//! (its server), `par.dispatch` (the worker pool), and `dynamic.apply`
+//! (the entry of the library update replica in [`crate::dynamic`]).
+//!
 //! The registry is process-global (sites are reached from deep inside
 //! engine code where threading a handle through would distort every
 //! signature), so tests that arm sites must serialize with each other.

@@ -928,8 +928,8 @@ impl LaneMax {
 /// `out[local * dst_col_stride + dst_offset + u]` for band-local column
 /// `local` (absolute column `first_col + local`). Row blocks of [`TILE`]
 /// samples keep both the source rows and the destination columns
-/// cache-resident. Shared by the mirror construction, the in-slack
-/// sample append, and the mirror re-lay pass.
+/// cache-resident. Shared by the mirror construction and the mirror
+/// re-lay of a sample append.
 #[allow(clippy::too_many_arguments)]
 pub fn transpose_band(
     src: &[f64],

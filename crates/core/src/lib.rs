@@ -20,8 +20,8 @@
 //! * [`SelectionEvaluator`] — incremental `arr` maintenance implementing the
 //!   paper's Improvement 1, with detachable state ([`EvaluatorState`]) for
 //!   dynamic databases;
-//! * [`DynamicEngine`] — live insert/delete maintenance of a matrix and
-//!   its selection ([`dynamic`]);
+//! * [`DynamicEngine`] — the library replica of the point-update path:
+//!   in-place insert/delete patches with warm repair ([`dynamic`]);
 //! * Chernoff sampling bounds ([`chernoff_sample_size`], Theorem 4 /
 //!   Table V);
 //! * structural-property checks (supermodularity, monotonicity, steepness —
@@ -73,9 +73,7 @@ pub use distribution::{
     CobbDouglasDistribution, DirichletLinear, DiscreteDistribution, SimplexLinear, UniformLinear,
     UtilityDistribution,
 };
-pub use dynamic::{
-    AppendReport, ApplyReport, DynamicEngine, RepairOutcome, UpdateBatch, WarmStart,
-};
+pub use dynamic::{ApplyReport, DynamicEngine, RepairOutcome, UpdateBatch, WarmStart};
 pub use error::{FamError, Result};
 pub use evaluator::{EvalCounters, EvaluatorState, SelectionEvaluator};
 pub use linear_scores::{LinearColumns, LinearScores};

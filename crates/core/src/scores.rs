@@ -32,12 +32,14 @@
 //! all cores when the default `parallel` feature is enabled; results are
 //! bit-identical to the serial build (see [`crate::par`]).
 //!
-//! Both buffers carry *slack* so each axis can grow in place: rows are
-//! laid out at `stride ≥ n_points` (point insertions fill the slack,
-//! re-laying with doubled slack only when it runs out) and mirror columns
-//! at `col_stride ≥ n_samples` (the sample-axis twin, used by progressive
-//! sample appends). Scoring, validation, and the best-point pass go
-//! through the cache-blocked kernels in [`crate::kernels`]; the full
+//! The mirror is always exact-size: column `p` holds exactly `n_samples`
+//! values, and a sample append re-lays it at the grown height. Rows are
+//! laid out at `stride ≥ n_points`. That slack serves only the in-place
+//! point patches of the library update replica (`DynamicEngine`): point
+//! insertions fill it, re-laying with doubled slack only when it runs
+//! out, and every fresh build is exact-size. Scoring, validation, and
+//! the best-point pass go through
+//! the cache-blocked kernels in [`crate::kernels`]; the full
 //! memory-layout and performance model is documented in
 //! `docs/PERFORMANCE.md`.
 
@@ -305,21 +307,15 @@ pub struct ScoreMatrix {
     /// dynamic updates stay `O(batch)` per row instead of re-laying the
     /// whole buffer.
     scores: Vec<f64>,
-    /// Point-major mirror: `columns[p * col_stride + u] == score(u, p)`.
-    /// Built at construction unless opted out; costs ~2× memory and buys
-    /// contiguous column access for addition scans.
+    /// Point-major mirror, exact-size: `columns[p * n_samples + u] ==
+    /// score(u, p)`. Built at construction unless opted out; costs ~2×
+    /// memory and buys contiguous column access for addition scans.
     columns: Option<Vec<f64>>,
     n_samples: usize,
     n_points: usize,
     /// Physical row width of `scores` (== `n_points` until a dynamic
     /// update leaves slack).
     stride: usize,
-    /// Physical column height of the mirror (== `n_samples` until a
-    /// sample append leaves slack) — the sample-axis twin of `stride`:
-    /// appended samples write into the tail of each mirror column, and
-    /// the mirror is only re-laid (with doubled slack) when the capacity
-    /// runs out.
-    col_stride: usize,
     weights: Vec<f64>,
     best_index: Vec<u32>,
     best_value: Vec<f64>,
@@ -759,7 +755,6 @@ impl ScoreMatrix {
             n_samples,
             n_points,
             stride: n_points,
-            col_stride: n_samples,
             weights,
             best_index,
             best_value,
@@ -794,9 +789,7 @@ impl ScoreMatrix {
     /// the point-major mirror is present.
     #[inline]
     pub fn column(&self, p: usize) -> Option<&[f64]> {
-        self.columns
-            .as_deref()
-            .map(|c| &c[p * self.col_stride..p * self.col_stride + self.n_samples])
+        self.columns.as_deref().map(|c| &c[p * self.n_samples..(p + 1) * self.n_samples])
     }
 
     /// Whether the point-major mirror is present.
@@ -824,7 +817,6 @@ impl ScoreMatrix {
             n_samples: self.n_samples,
             n_points: self.n_points,
             stride: self.stride,
-            col_stride: self.col_stride,
             weights: self.weights.clone(),
             best_index: self.best_index.clone(),
             best_value: self.best_value.clone(),
@@ -840,7 +832,6 @@ impl ScoreMatrix {
                 self.n_points,
                 self.stride,
             ));
-            self.col_stride = self.n_samples;
         }
     }
 
@@ -975,12 +966,9 @@ impl ScoreMatrix {
             }
         }
         if let Some(columns) = &mut self.columns {
-            columns.reserve(cols.len() * self.col_stride);
+            columns.reserve(cols.len() * self.n_samples);
             for col in cols {
                 columns.extend_from_slice(col);
-                // Honor the mirror's physical column height: the tail of
-                // each column is sample-axis slack.
-                columns.resize(columns.len() + (self.col_stride - self.n_samples), 0.0);
             }
         }
         self.n_points = n_new;
@@ -1104,7 +1092,7 @@ impl ScoreMatrix {
         });
         // Same swaps on the mirror's contiguous per-point columns.
         if let Some(c) = &mut self.columns {
-            let cs = self.col_stride;
+            let cs = self.n_samples;
             let mut len = n_old;
             for &d in dels.iter().rev() {
                 len -= 1;
@@ -1267,45 +1255,33 @@ impl ScoreMatrix {
         let n_points = self.n_points;
         let n_old = self.n_samples;
         let n_new = n_old + count;
-        // Mirror columns: transpose the new rows straight into the tail
-        // slack of each column, or re-lay with doubled slack when the
-        // column capacity runs out (one combined copy + transpose pass —
-        // every stage here is memory-bandwidth bound, so no intermediate
+        // Mirror columns: re-lay at exactly the grown height, copying each
+        // old column and transposing the new rows behind it in one pass
+        // (every stage here is memory-bandwidth bound, so no intermediate
         // buffers).
-        let ScoreMatrix { scores, columns, col_stride, stride, .. } = self;
+        let ScoreMatrix { scores, columns, stride, .. } = self;
         if let Some(columns) = columns.as_mut() {
             let src = &scores[base..];
-            let cs = *col_stride;
-            if n_new <= cs {
-                crate::kernels::transpose_into(src, count, *stride, columns, cs, n_old);
-            } else {
-                let cs_new = n_new.max(cs.saturating_mul(2));
-                let mut grown = vec![0.0f64; n_points * cs_new];
-                let old = &*columns;
-                let stride = *stride;
-                // Bands must stay at least TILE columns wide: a
-                // one-column band degenerates the blocked transpose
-                // into a cache-miss-per-element gather.
-                let cols_per_chunk = (crate::par::CHUNK / cs_new.max(1)).max(crate::kernels::TILE);
-                crate::par::for_each_chunk_mut(
-                    &mut grown,
-                    cols_per_chunk * cs_new,
-                    |chunk, out| {
-                        let first_col = chunk * cols_per_chunk;
-                        let band = out.len() / cs_new;
-                        for local in 0..band {
-                            let p = first_col + local;
-                            out[local * cs_new..local * cs_new + n_old]
-                                .copy_from_slice(&old[p * cs..p * cs + n_old]);
-                        }
-                        crate::kernels::transpose_band(
-                            src, count, stride, out, cs_new, n_old, first_col, band,
-                        );
-                    },
+            let mut grown = vec![0.0f64; n_points * n_new];
+            let old = &*columns;
+            let stride = *stride;
+            // Bands must stay at least TILE columns wide: a one-column
+            // band degenerates the blocked transpose into a
+            // cache-miss-per-element gather.
+            let cols_per_chunk = (crate::par::CHUNK / n_new.max(1)).max(crate::kernels::TILE);
+            crate::par::for_each_chunk_mut(&mut grown, cols_per_chunk * n_new, |chunk, out| {
+                let first_col = chunk * cols_per_chunk;
+                let band = out.len() / n_new;
+                for local in 0..band {
+                    let p = first_col + local;
+                    out[local * n_new..local * n_new + n_old]
+                        .copy_from_slice(&old[p * n_old..(p + 1) * n_old]);
+                }
+                crate::kernels::transpose_band(
+                    src, count, stride, out, n_new, n_old, first_col, band,
                 );
-                *columns = grown;
-                *col_stride = cs_new;
-            }
+            });
+            *columns = grown;
         }
         // Each sample is one i.i.d. draw: the mass re-spreads uniformly,
         // exactly as a from-scratch build with `weights = None` would.
@@ -1325,10 +1301,9 @@ impl ScoreMatrix {
     /// Both layouts are patched without a rebuild: the sample-major
     /// buffer extends at the end (rows are contiguous, so growing the
     /// sample axis never re-lays it), and the point-major mirror (when
-    /// present) transposes each new sample into its columns' tail slack
-    /// — the buffer is only re-laid, with doubled slack, when the column
-    /// capacity runs out, so a steady append stream pays `O(1)` re-lays
-    /// per sample. Per-sample weights re-spread to `1/N` and best-point
+    /// present) is re-laid at exactly the grown height, each old column
+    /// copied and the new samples transposed behind it in one pass.
+    /// Per-sample weights re-spread to `1/N` and best-point
     /// tracking extends with the new rows only. Every observable value —
     /// [`ScoreMatrix::row`], [`ScoreMatrix::column`], weights, best
     /// tracking — is **bit-identical** to a from-scratch
@@ -1987,11 +1962,11 @@ mod tests {
     }
 
     #[test]
-    fn repeated_appends_amortize_mirror_slack() {
-        // Many small appends: the mirror re-lays only on capacity
-        // exhaustion, and every intermediate state equals a fresh build.
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
+    fn repeated_appends_keep_the_mirror_exact_size() {
+        use rand::Rng;
+        let mirror_len = |m: &ScoreMatrix| m.columns.as_ref().map(Vec::len);
+        // Many small odd-sized appends: after each one the mirror holds
+        // exactly n × N values and equals a fresh build.
         let mut rng = StdRng::seed_from_u64(7);
         let mut m = table_i_matrix();
         for _ in 0..10 {
@@ -2000,8 +1975,23 @@ mod tests {
                 .collect();
             m.append_sample_rows(&rows).unwrap();
             assert_matches_fresh_build(&m);
+            assert_eq!(mirror_len(&m), Some(m.n_points() * m.n_samples()));
         }
         assert!(m.n_samples() > 4);
+        // Refine's doubling schedule plus one sample: 40 points at
+        // N = 1000 -> 2000 -> 2001 mirror exactly 80,040 scores.
+        let rows: Vec<Vec<f64>> =
+            (0..40).map(|_| vec![rng.gen_range(0.05..1.0), rng.gen_range(0.05..1.0)]).collect();
+        let ds = Dataset::from_rows(rows).unwrap();
+        let dist = UniformLinear::new(2).unwrap();
+        let mut m = ScoreMatrix::from_distribution(&ds, &dist, 1_000, &mut rng).unwrap();
+        for (count, n_samples) in [(1_000, 2_000), (1, 2_001)] {
+            m.append_samples(&ds, &dist, count, &mut rng).unwrap();
+            assert_eq!(m.n_samples(), n_samples);
+            assert_eq!(mirror_len(&m), Some(40 * n_samples));
+        }
+        assert_eq!(mirror_len(&m), Some(80_040));
+        assert_matches_fresh_build(&m);
     }
 
     #[test]
@@ -2062,10 +2052,14 @@ mod tests {
         for p in 0..3 {
             assert_eq!(grown.column(p).map(<[f64]>::to_vec), fresh.column(p).map(<[f64]>::to_vec));
         }
-        // A wrong-universe dataset is rejected up front.
+        // A wrong-universe dataset is rejected up front, without
+        // mutating the matrix.
         let wrong = Dataset::from_rows(vec![vec![0.1, 0.2]]).unwrap();
         let mut rng3 = StdRng::seed_from_u64(5);
         assert!(grown.append_samples(&wrong, &dist, 5, &mut rng3).is_err());
+        let fns: Vec<Arc<dyn UtilityFunction>> = (0..6).map(|_| dist.sample(&mut rng3)).collect();
+        assert!(grown.append_functions(&wrong, &fns).is_err());
+        assert_eq!(grown.n_samples(), 80);
     }
 
     #[test]

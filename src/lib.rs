@@ -93,12 +93,12 @@ pub use fam_algos::{
     RefineRound, Registry, Solver, SolverSpec, UniformAngleMeasure, UniformBoxMeasure,
 };
 pub use fam_core::{
-    check_matrix_budget, chernoff_epsilon, chernoff_sample_size, regret, AppendReport, ApplyReport,
-    Dataset, DiscreteDistribution, DynamicEngine, FamError, LinearScores, LinearUtility,
-    MeasureKind, PrecisionSpec, ReduceKind, RegretReport, RepairOutcome, Result, SampleSpec,
-    ScoreMatrix, ScoreSource, Selection, SelectionEvaluator, SolveCtx, SolveOutput, SolverParams,
-    TableUtility, TiledBuildStats, UniformLinear, UpdateBatch, UtilityDistribution,
-    UtilityFunction, WarmStart, DEFAULT_SIGMA,
+    check_matrix_budget, chernoff_epsilon, chernoff_sample_size, regret, ApplyReport, Dataset,
+    DiscreteDistribution, DynamicEngine, FamError, LinearScores, LinearUtility, MeasureKind,
+    PrecisionSpec, ReduceKind, RegretReport, RepairOutcome, Result, SampleSpec, ScoreMatrix,
+    ScoreSource, Selection, SelectionEvaluator, SolveCtx, SolveOutput, SolverParams, TableUtility,
+    TiledBuildStats, UniformLinear, UpdateBatch, UtilityDistribution, UtilityFunction, WarmStart,
+    DEFAULT_SIGMA,
 };
 pub use fam_reduce::{CandidateReducer, CoresetReducer, ReduceSpec, Reduction, SkylineReducer};
 
