@@ -83,7 +83,7 @@ pub fn mrr_greedy_exact(dataset: &Dataset, k: usize) -> Result<Selection> {
 }
 
 /// Candidate `p`'s witness regret over the bands of its column that `m`
-/// lends (a mirror) or gathers. Out of line, as is [`fused_regret`], so
+/// lends (the matrix mirror) or fills. Out of line, as is [`fused_regret`], so
 /// neither scan's code shapes the other's.
 #[inline(never)]
 fn banded_regret<S: ScoreSource + ?Sized>(m: &S, p: usize, sat: &[f64], bests: &[f64]) -> f64 {

@@ -28,7 +28,7 @@
 //!    (`tests/refine_rounds.rs` pins every earlier round against an
 //!    independent recomputation).
 //!
-//! The per-round trajectory (N, achieved ε, arr) is returned for
+//! The per-round trajectory (N, achieved ε, selection, arr) is returned for
 //! convergence charts; `crates/bench/benches/progressive.rs` A/Bs this
 //! driver against rebuild-and-resolve across ε targets
 //! (`BENCH_progressive.json`).
@@ -90,6 +90,8 @@ pub struct RefineRound {
     pub n_samples: usize,
     /// ε achieved by `n_samples` at the configured confidence.
     pub epsilon: f64,
+    /// This round's selection: the anytime answer at `n_samples`.
+    pub selection: Vec<usize>,
     /// `arr` of this round's selection under the refined estimates.
     pub arr: f64,
     /// Whether this round's selection came from the warm-started greedy
@@ -156,6 +158,7 @@ pub fn refine(
     rounds.push(RefineRound {
         n_samples: n0,
         epsilon: chernoff_epsilon(n0 as u64, cfg.precision.sigma)?,
+        selection: out.selection.indices.clone(),
         arr: solved_arr(&out, &matrix)?,
         warm: false,
     });
@@ -185,6 +188,7 @@ pub fn refine(
         rounds.push(RefineRound {
             n_samples: next,
             epsilon: chernoff_epsilon(next as u64, cfg.precision.sigma)?,
+            selection: out.selection.indices.clone(),
             arr,
             warm,
         });

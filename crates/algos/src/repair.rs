@@ -406,12 +406,15 @@ mod tests {
         // Under the coarse 1-sample view, point 0 looks best; the refined
         // 4-sample view makes point 3 the clear winner. A churn-1
         // reoptimize must make the swap.
-        let mut m = ScoreMatrix::from_rows(vec![vec![0.9, 0.1, 0.1, 0.8]], None).unwrap();
-        m.append_sample_rows(&[
-            vec![0.1, 0.2, 0.1, 0.9],
-            vec![0.2, 0.1, 0.2, 0.95],
-            vec![0.1, 0.1, 0.1, 0.9],
-        ])
+        let m = ScoreMatrix::from_rows(
+            vec![
+                vec![0.9, 0.1, 0.1, 0.8],
+                vec![0.1, 0.2, 0.1, 0.9],
+                vec![0.2, 0.1, 0.2, 0.95],
+                vec![0.1, 0.1, 0.1, 0.9],
+            ],
+            None,
+        )
         .unwrap();
         let mut ev = SelectionEvaluator::new_with(&m, &[0]);
         let outcome = reoptimize(&mut ev, 1, 1).unwrap();

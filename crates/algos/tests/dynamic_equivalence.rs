@@ -1,15 +1,15 @@
 //! Bit-identity of the dynamic-update subsystem.
 //!
 //! The incremental path — [`ScoreMatrix::insert_points`] /
-//! [`ScoreMatrix::delete_points`] patching both layouts in place, the
-//! evaluator resuming via `resume_after_update`, and `warm_repair`
-//! re-optimizing from the surviving selection — must be **bit-identical**
-//! to the from-scratch path: rebuilding the matrix with
-//! [`ScoreMatrix::from_flat_with_layout`] on the updated rows and running
-//! the same warm start on it. The contract holds in every execution mode
-//! (serial, forced 4-worker pool, with and without the point-major
-//! mirror), because every reduction folds the same fixed chunks in the
-//! same order; see `fam_core::par` and `parallel_equivalence.rs`.
+//! [`ScoreMatrix::delete_points`] re-laying both layouts, the evaluator
+//! resuming via `resume_after_update`, and `warm_repair` re-optimizing
+//! from the surviving selection — must be **bit-identical** to the
+//! from-scratch path: rebuilding the matrix with
+//! [`ScoreMatrix::from_flat`] on the updated rows and running the same
+//! warm start on it. The contract holds in every execution mode (serial
+//! and a forced 4-worker pool), because every reduction folds the same
+//! fixed chunks in the same order; see `fam_core::par` and
+//! `parallel_equivalence.rs`.
 //!
 //! The checks share process-global execution-mode switches, so they all
 //! run inside one `#[test]`.
@@ -43,7 +43,6 @@ fn apply_shadow(rows: &mut [Vec<f64>], batch: &UpdateBatch) {
 fn assert_matrices_identical(inc: &ScoreMatrix, fresh: &ScoreMatrix) {
     assert_eq!(inc.n_points(), fresh.n_points());
     assert_eq!(inc.n_samples(), fresh.n_samples());
-    assert_eq!(inc.has_column_mirror(), fresh.has_column_mirror());
     for u in 0..inc.n_samples() {
         assert_eq!(inc.row(u), fresh.row(u), "row {u} diverged");
         assert_eq!(inc.best_index(u), fresh.best_index(u), "best index {u} diverged");
@@ -55,23 +54,18 @@ fn assert_matrices_identical(inc: &ScoreMatrix, fresh: &ScoreMatrix) {
         assert_eq!(inc.weight(u).to_bits(), fresh.weight(u).to_bits());
     }
     for p in 0..inc.n_points() {
-        assert_eq!(
-            inc.column(p).map(<[f64]>::to_vec),
-            fresh.column(p).map(<[f64]>::to_vec),
-            "mirror column {p} diverged"
-        );
+        assert_eq!(inc.column(p), fresh.column(p), "mirror column {p} diverged");
     }
 }
 
 /// Streams random batches through a `DynamicEngine` and, after each one,
 /// pins the incremental state against the from-scratch rebuild + the same
 /// warm start. Returns the per-batch outcomes for cross-mode comparison.
-fn run_scenario(seed: u64, mirror: bool) -> Vec<(Vec<usize>, u64)> {
+fn run_scenario(seed: u64) -> Vec<(Vec<usize>, u64)> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut rows: Vec<Vec<f64>> =
         (0..N_SAMPLES).map(|_| (0..24).map(|_| rng.gen_range(0.01..1.0)).collect()).collect();
     let base = ScoreMatrix::from_rows(rows.clone(), None).unwrap();
-    let base = if mirror { base } else { base.drop_column_mirror() };
     let initial = add_greedy(&base, K).unwrap();
     let mut engine = DynamicEngine::new(base, K, &initial.indices).unwrap();
     let mut outcomes = Vec::new();
@@ -92,9 +86,7 @@ fn run_scenario(seed: u64, mirror: bool) -> Vec<(Vec<usize>, u64)> {
 
         // 1. Incremental matrix == from-scratch construction.
         let flat: Vec<f64> = rows.iter().flatten().copied().collect();
-        let fresh =
-            ScoreMatrix::from_flat_with_layout(flat, N_SAMPLES, rows[0].len(), None, mirror)
-                .unwrap();
+        let fresh = ScoreMatrix::from_flat(flat, N_SAMPLES, rows[0].len(), None).unwrap();
         assert_matrices_identical(engine.matrix(), &fresh);
 
         // 2. Incremental resume + repair == the same warm start on the
@@ -116,19 +108,15 @@ fn run_scenario(seed: u64, mirror: bool) -> Vec<(Vec<usize>, u64)> {
 #[test]
 fn dynamic_updates_are_bit_identical_across_modes() {
     for seed in [1u64, 7, 42] {
-        // Reference: serial, both layouts.
+        // Reference: serial.
         par::force_serial(true);
-        let serial = run_scenario(seed, true);
-        let serial_bare = run_scenario(seed, false);
+        let serial = run_scenario(seed);
         par::force_serial(false);
         // Forced 4-worker pool (real spawns even on single-core hosts).
         par::set_max_threads(Some(4));
-        let parallel = run_scenario(seed, true);
-        let parallel_bare = run_scenario(seed, false);
+        let parallel = run_scenario(seed);
         par::set_max_threads(None);
 
         assert_eq!(serial, parallel, "seed {seed}: parallel diverged from serial");
-        assert_eq!(serial, serial_bare, "seed {seed}: dropping the mirror changed results");
-        assert_eq!(serial, parallel_bare, "seed {seed}: parallel row-major diverged");
     }
 }

@@ -9,7 +9,6 @@
 //!
 //! One `#[test]`: the checks toggle process-global execution-mode
 //! switches, which would race across harness threads.
-#![cfg(feature = "parallel")]
 
 use fam_algos::{add_greedy, greedy_shrink, GreedyShrinkConfig};
 use fam_core::{par, ScoreMatrix, Selection};

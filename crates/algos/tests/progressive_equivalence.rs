@@ -1,15 +1,16 @@
 //! Bit-identity of the progressive-precision (dynamic sample axis)
 //! subsystem.
 //!
-//! Two contracts are pinned, each across serial × forced-4-worker ×
-//! mirrored/mirrorless execution and in both feature configs:
+//! Two contracts are pinned, each across serial × forced-4-worker
+//! execution:
 //!
 //! (a) **append ≡ from-scratch**: growing a matrix with
-//!     [`ScoreMatrix::append_samples`] off a continuing RNG is
+//!     [`ScoreMatrix::append_functions`] off a continuing RNG is
 //!     bit-identical — every stored matrix field, and the `arr` a fresh
 //!     [`SelectionEvaluator::new_with`] reads off it — to building one
 //!     fresh matrix over the concatenated sample stream (fresh RNG, same
-//!     seed).
+//!     seed). The compact `LinearScores` grown with the same functions
+//!     reads the same `arr` bits.
 //!
 //! (b) **refine ≡ cold solve at the final N**: the refine driver's final
 //!     selection and `arr` equal a cold solve of the configured
@@ -19,7 +20,12 @@
 //! run inside one `#[test]` (see `dynamic_equivalence.rs`).
 
 use fam_algos::{refine, RefineConfig};
-use fam_core::{par, Dataset, ScoreMatrix, SelectionEvaluator, UniformLinear};
+use std::sync::Arc;
+
+use fam_core::{
+    par, Dataset, LinearScores, ScoreMatrix, SelectionEvaluator, UniformLinear,
+    UtilityDistribution, UtilityFunction,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -36,7 +42,6 @@ fn dataset(seed: u64) -> Dataset {
 fn assert_matrices_identical(grown: &ScoreMatrix, fresh: &ScoreMatrix) {
     assert_eq!(grown.n_points(), fresh.n_points());
     assert_eq!(grown.n_samples(), fresh.n_samples());
-    assert_eq!(grown.has_column_mirror(), fresh.has_column_mirror());
     for u in 0..grown.n_samples() {
         assert_eq!(grown.row(u), fresh.row(u), "row {u} diverged");
         assert_eq!(grown.best_index(u), fresh.best_index(u), "best index {u} diverged");
@@ -48,42 +53,37 @@ fn assert_matrices_identical(grown: &ScoreMatrix, fresh: &ScoreMatrix) {
         assert_eq!(grown.weight(u).to_bits(), fresh.weight(u).to_bits(), "weight {u} diverged");
     }
     for p in 0..grown.n_points() {
-        assert_eq!(
-            grown.column(p).map(<[f64]>::to_vec),
-            fresh.column(p).map(<[f64]>::to_vec),
-            "mirror column {p} diverged"
-        );
+        assert_eq!(grown.column(p), fresh.column(p), "mirror column {p} diverged");
     }
 }
 
 /// (a): grows a matrix through several appends (doubling plus a couple
 /// of small odd-sized batches, each re-laying the mirror) and pins every
 /// intermediate state against a from-scratch build over the same
-/// stream. Returns the final (selection, arr bits) for cross-mode
-/// comparison.
-fn run_append_scenario(seed: u64, mirror: bool) -> (Vec<usize>, u64) {
+/// stream, with the compact backing grown alongside. Returns the final
+/// (selection, arr bits) for cross-mode comparison.
+fn run_append_scenario(seed: u64) -> (Vec<usize>, u64) {
     let ds = dataset(seed);
     let dist = UniformLinear::new(3).unwrap();
     let n0 = 40usize;
     let mut rng = StdRng::seed_from_u64(seed ^ 0xA99E);
-    let base = ScoreMatrix::from_distribution(&ds, &dist, n0, &mut rng).unwrap();
-    let mut grown = if mirror { base } else { base.drop_column_mirror() };
+    let mut sample = |count: usize| -> Vec<Arc<dyn UtilityFunction>> {
+        (0..count).map(|_| dist.sample(&mut rng)).collect()
+    };
+    let initial = sample(n0);
+    let mut grown = ScoreMatrix::from_functions(&ds, &initial, None).unwrap();
+    let mut compact = LinearScores::from_functions(ds.clone(), &initial).unwrap();
 
     let selection: Vec<usize> = (0..N_POINTS).step_by(5).collect();
     let mut arr_bits = 0u64;
     for batch in [3usize, 40, 7, 83, 160] {
-        grown.append_samples(&ds, &dist, batch, &mut rng).unwrap();
+        let functions = sample(batch);
+        grown.append_functions(&ds, &functions).unwrap();
+        compact.append_functions(&functions).unwrap();
         // From-scratch reference over the concatenated sample stream.
         let mut fresh_rng = StdRng::seed_from_u64(seed ^ 0xA99E);
-        let fresh = {
-            let m = ScoreMatrix::from_distribution(&ds, &dist, grown.n_samples(), &mut fresh_rng)
-                .unwrap();
-            if mirror {
-                m
-            } else {
-                m.drop_column_mirror()
-            }
-        };
+        let fresh =
+            ScoreMatrix::from_distribution(&ds, &dist, grown.n_samples(), &mut fresh_rng).unwrap();
         assert_matrices_identical(&grown, &fresh);
 
         let arr = SelectionEvaluator::new_with(&grown, &selection).arr();
@@ -94,6 +94,8 @@ fn run_append_scenario(seed: u64, mirror: bool) -> (Vec<usize>, u64) {
             "arr diverged from rebuild at N = {}",
             grown.n_samples()
         );
+        let on_compact = SelectionEvaluator::new_with(&compact, &selection).arr();
+        assert_eq!(on_compact.to_bits(), arr.to_bits(), "compact arr diverged");
         arr_bits = arr.to_bits();
     }
     (selection, arr_bits)
@@ -132,24 +134,20 @@ fn run_refine_scenario(seed: u64, solver: &str) -> (Vec<usize>, u64, usize) {
 #[test]
 fn progressive_precision_is_bit_identical_across_modes() {
     for seed in [2u64, 19, 77] {
-        // Reference: serial, both layouts.
+        // Reference: serial.
         par::force_serial(true);
-        let serial = run_append_scenario(seed, true);
-        let serial_bare = run_append_scenario(seed, false);
+        let serial = run_append_scenario(seed);
         let serial_refine_gs = run_refine_scenario(seed, "greedy-shrink");
         let serial_refine_ag = run_refine_scenario(seed, "add-greedy");
         par::force_serial(false);
         // Forced 4-worker pool (real spawns even on single-core hosts).
         par::set_max_threads(Some(4));
-        let parallel = run_append_scenario(seed, true);
-        let parallel_bare = run_append_scenario(seed, false);
+        let parallel = run_append_scenario(seed);
         let parallel_refine_gs = run_refine_scenario(seed, "greedy-shrink");
         let parallel_refine_ag = run_refine_scenario(seed, "add-greedy");
         par::set_max_threads(None);
 
         assert_eq!(serial, parallel, "seed {seed}: parallel append diverged from serial");
-        assert_eq!(serial, serial_bare, "seed {seed}: dropping the mirror changed results");
-        assert_eq!(serial, parallel_bare, "seed {seed}: parallel row-major diverged");
         assert_eq!(
             serial_refine_gs, parallel_refine_gs,
             "seed {seed}: refine(greedy-shrink) diverged across modes"

@@ -11,8 +11,8 @@
 //! ADD-GREEDY).
 //!
 //! Inputs are random and tie-heavy (2–5 distinct score levels, plus
-//! duplicate points), at `k = 1` through `k = n`, on the mirrored matrix,
-//! the mirrorless matrix, and the compact `LinearScores` backing.
+//! duplicate points), at `k = 1` through `k = n`, on the mirrored matrix
+//! and the compact `LinearScores` backing.
 
 use std::sync::Arc;
 
@@ -174,19 +174,17 @@ fn duplicate_some<T: Clone>(rng: &mut StdRng, items: &mut [T]) {
     }
 }
 
-/// One instance on every backing it has: the mirrored and mirrorless
-/// matrices, plus the compact backing when the scores are linear.
+/// One instance on every backing it has: the mirrored matrix, plus the
+/// compact backing when the scores are linear.
 struct Instance {
     label: String,
     mirrored: ScoreMatrix,
-    mirrorless: ScoreMatrix,
     compact: Option<LinearScores>,
 }
 
 impl Instance {
     fn backings(&self) -> Vec<(&'static str, &dyn ScoreSource)> {
-        let mut out: Vec<(&'static str, &dyn ScoreSource)> =
-            vec![("mirrored", &self.mirrored), ("mirrorless", &self.mirrorless)];
+        let mut out: Vec<(&'static str, &dyn ScoreSource)> = vec![("mirrored", &self.mirrored)];
         if let Some(compact) = &self.compact {
             out.push(("compact", compact));
         }
@@ -209,18 +207,16 @@ fn matrix_instance(rng: &mut StdRng, n: usize, n_samples: usize, levels: usize) 
     let rows: Vec<Vec<f64>> =
         (0..n_samples).map(|u| columns.iter().map(|c| c[u]).collect()).collect();
     let mirrored = ScoreMatrix::from_rows(rows, None).unwrap();
-    let mirrorless = mirrored.clone_without_mirror();
     Instance {
         label: format!("matrix n={n} N={n_samples} levels={levels}"),
         mirrored,
-        mirrorless,
         compact: None,
     }
 }
 
 /// Linear scores from `d`-dimensional points and weights: uniform, or
 /// drawn from `levels` distinct coordinates and weights with duplicated
-/// points, on all three backings.
+/// points, on both backings.
 fn linear_instance(
     rng: &mut StdRng,
     n: usize,
@@ -241,12 +237,10 @@ fn linear_instance(
         .map(|w| Arc::new(LinearUtility::new(w.clone()).unwrap()) as Arc<dyn UtilityFunction>)
         .collect();
     let mirrored = ScoreMatrix::from_functions(&ds, &functions, None).unwrap();
-    let mirrorless = mirrored.clone_without_mirror();
     let compact = LinearScores::from_weight_rows(ds, weights).unwrap();
     Instance {
         label: format!("linear n={n} N={n_samples} d={d} levels={levels}"),
         mirrored,
-        mirrorless,
         compact: Some(compact),
     }
 }

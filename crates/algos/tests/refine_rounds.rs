@@ -7,12 +7,10 @@
 //! over the same seed stream, then either the configured solver cold
 //! (the first and last rounds) or a fresh evaluator on the previous
 //! round's selection followed by `reoptimize(k, churn)` (the warm
-//! rounds). The rebuild must reproduce the round's `N`, ε bits, `arr`
-//! bits and `warm` flag, for GREEDY-SHRINK and ADD-GREEDY, in serial and
-//! forced-4-worker execution. `RefineRound` carries no selection, so
-//! each warm round's selection is pinned through its `arr` bits and, as
-//! the next round's warm start, through every round after it; the last
-//! round's selection is the returned one.
+//! rounds). The rebuild must reproduce the round's `N`, ε bits,
+//! selection, `arr` bits and `warm` flag, for GREEDY-SHRINK and
+//! ADD-GREEDY, in serial and forced-4-worker execution; the last round's
+//! selection is the returned one.
 //!
 //! One `#[test]`: the checks toggle process-global execution-mode
 //! switches.
@@ -34,8 +32,9 @@ fn dataset(seed: u64) -> Dataset {
     Dataset::from_rows(rows).unwrap()
 }
 
-/// One round as compared across modes: `(N, ε bits, arr bits, warm)`.
-type Round = (usize, u64, u64, bool);
+/// One round as compared across modes: `(N, ε bits, selection, arr
+/// bits, warm)`.
+type Round = (usize, u64, Vec<usize>, u64, bool);
 
 /// Runs `refine` and checks every round against its recomputation.
 /// Returns the rounds and the final selection for cross-mode comparison,
@@ -76,14 +75,17 @@ fn check_rounds(seed: u64, solver: &str) -> (Vec<Round>, Vec<usize>, usize) {
             ev.arr()
         };
         assert_eq!(round.warm, !cold, "{what}: warm flag");
+        assert_eq!(round.selection, selection, "{what}: selection");
         assert_eq!(round.arr.to_bits(), arr.to_bits(), "{what}: arr bits");
         let epsilon = chernoff_epsilon(round.n_samples as u64, SIGMA).unwrap();
         assert_eq!(round.epsilon.to_bits(), epsilon.to_bits(), "{what}: epsilon bits");
     }
     assert_eq!(out.n_samples, out.target_samples);
     assert_eq!(out.selection.indices, selection, "seed {seed} {solver}: final selection");
-    let rounds =
-        out.rounds.iter().map(|r| (r.n_samples, r.epsilon.to_bits(), r.arr.to_bits(), r.warm));
+    let rounds = out
+        .rounds
+        .iter()
+        .map(|r| (r.n_samples, r.epsilon.to_bits(), r.selection.clone(), r.arr.to_bits(), r.warm));
     (rounds.collect(), selection, moved)
 }
 

@@ -15,18 +15,26 @@ use fam_algos::{
     mrr_greedy_sampled, sky_dom, GreedyShrinkConfig, LocalSearchConfig, Registry, SolverSpec,
     UniformAngleMeasure, UniformBoxMeasure,
 };
-use fam_core::{par, Dataset, ScoreMatrix, Selection, UniformLinear};
+use fam_core::{
+    par, Dataset, LinearScores, ScoreMatrix, ScoreSource, Selection, UniformLinear,
+    UtilityDistribution, UtilityFunction,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
-fn instance(rng: &mut StdRng, n: usize, n_samples: usize) -> (Dataset, ScoreMatrix) {
+/// One instance on both backings: the mirrored matrix and the compact
+/// `LinearScores` over the same sampled weights.
+fn instance(rng: &mut StdRng, n: usize, n_samples: usize) -> (Dataset, ScoreMatrix, LinearScores) {
     let rows: Vec<Vec<f64>> =
         (0..n).map(|_| vec![rng.gen_range(0.05..1.0), rng.gen_range(0.05..1.0)]).collect();
     let ds = Dataset::from_rows(rows).unwrap();
     let dist = UniformLinear::new(2).unwrap();
-    let m = ScoreMatrix::from_distribution(&ds, &dist, n_samples, rng).unwrap();
-    (ds, m)
+    let functions: Vec<Arc<dyn UtilityFunction>> =
+        (0..n_samples).map(|_| dist.sample(rng)).collect();
+    let m = ScoreMatrix::from_functions(&ds, &functions, None).unwrap();
+    let compact = LinearScores::from_functions(ds.clone(), &functions).unwrap();
+    (ds, m, compact)
 }
 
 fn assert_same(via_registry: &Selection, direct: &Selection, what: &str) {
@@ -177,22 +185,19 @@ fn registry_is_bit_identical_to_free_functions() {
         } else {
             (48, 1_000, 2)
         };
-        let (ds, m) = instance(&mut rng, n, n_samples);
-        let bare = m.clone_without_mirror();
+        let (ds, m, _) = instance(&mut rng, n, n_samples);
 
         par::force_serial(true);
         check_instance(&ds, &m, k, &format!("trial {trial} serial"));
-        check_instance(&ds, &bare, k, &format!("trial {trial} serial bare"));
         par::force_serial(false);
 
         // Forced 4-worker pool: real spawns even on single-core hosts.
         par::set_max_threads(Some(4));
         let jobs = par::pool_stats().jobs_dispatched;
         check_instance(&ds, &m, k, &format!("trial {trial} parallel"));
-        check_instance(&ds, &bare, k, &format!("trial {trial} parallel bare"));
         let dispatched = par::pool_stats().jobs_dispatched - jobs;
         par::set_max_threads(None);
-        if trial == 4 && cfg!(feature = "parallel") {
+        if trial == 4 {
             assert!(dispatched > 0, "trial {trial}: the 4-thread legs dispatched no pool job");
         }
     }
@@ -208,10 +213,11 @@ fn registry_is_bit_identical_to_free_functions() {
 fn pruned_solvers_report_fewer_scans_than_exhaustive_loops() {
     let _pool = POOL.lock().unwrap_or_else(PoisonError::into_inner);
     let mut rng = StdRng::seed_from_u64(1804);
-    let (ds, m) = instance(&mut rng, 300, 2_000);
+    let (ds, m, compact) = instance(&mut rng, 300, 2_000);
     let (n, k) = (m.n_points(), 10);
     let r = Registry::global();
-    for (what, m) in [("mirrored", &m), ("mirrorless", &m.clone_without_mirror())] {
+    let backings: [(&str, &dyn ScoreSource); 2] = [("mirrored", &m), ("compact", &compact)];
+    for (what, m) in backings {
         let got = r.solve(&SolverSpec::new("mrr-greedy", k), m, Some(&ds)).unwrap();
         let evaluations = got.note("regret_evaluations").unwrap();
         let exhaustive: usize = (1..k).map(|j| n - j).sum();

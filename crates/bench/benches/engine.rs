@@ -1,25 +1,23 @@
-//! Engine A/B: the row-major serial baseline versus the columnar parallel
-//! evaluation engine, end to end on GREEDY-SHRINK and ADD-GREEDY, plus the
-//! fused scoring kernel versus the pre-kernel scalar pass.
+//! Engine bench: the evaluation engine end to end on GREEDY-SHRINK and
+//! ADD-GREEDY over the mirrored `ScoreMatrix`, the fused scoring kernel
+//! versus the pre-kernel scalar pass, serial versus parallel
+//! construction, and a thread-scaling sweep.
 //!
 //! Scale defaults to the acceptance configuration (`n = 2,000` points,
 //! `N = 50,000` samples, `k = 10`); override with `FAM_ENGINE_POINTS`,
 //! `FAM_ENGINE_SAMPLES`, `FAM_ENGINE_K`. Besides the criterion groups,
 //! the run emits one JSON trajectory point (default
 //! `BENCH_engine.json` at the workspace root, override with
-//! `FAM_BENCH_ENGINE_OUT`) recording both engines' times and the speedup.
+//! `FAM_BENCH_ENGINE_OUT`) recording every leg's best time.
 //!
-//! The A/B legs are **interleaved** (baseline leg and engine leg back to
-//! back, alternating which side goes first) and each side keeps its
-//! best-observed time: with sequential legs, allocator state, page-cache
-//! warmup, and frequency scaling drift between the two measurement
-//! windows and get misattributed to whichever engine runs second — on a
-//! single-core host both legs run the same code, and interleaving is
-//! what makes the reported ratio actually converge to 1. Each algorithm
-//! gets its own alternating loop (GREEDY-SHRINK runs
-//! `FAM_ENGINE_SHRINK_REPS` pairs, default `3 × FAM_ENGINE_REPS`), so a
-//! short shrink leg never inherits the thermal state of a ~10 s
-//! addition sweep.
+//! GREEDY-SHRINK and ADD-GREEDY each keep their best time over their own
+//! loop (GREEDY-SHRINK runs `FAM_ENGINE_SHRINK_REPS` times, default
+//! `3 × FAM_ENGINE_REPS`). Two-sided A/B legs are **interleaved** (the
+//! two sides back to back, alternating which goes first) and each side
+//! keeps its best-observed time: with sequential legs, allocator state,
+//! page-cache warmup, and frequency scaling drift between the two
+//! measurement windows and get misattributed to whichever side runs
+//! second.
 //!
 //! The **dispatch** leg times ADD-GREEDY through `Registry::solve` — the
 //! `&dyn ScoreSource` path every front end takes — against the generic
@@ -109,7 +107,7 @@ fn ab_minimum(
 }
 
 /// One timed GREEDY-SHRINK pass in the current engine mode (the caller
-/// sets layout and serial/parallel).
+/// sets the thread count).
 fn shrink_once(m: &ScoreMatrix, k: usize) -> (Vec<usize>, f64, Duration) {
     let t = Instant::now();
     let out = greedy_shrink(m, GreedyShrinkConfig::new(k)).expect("greedy_shrink");
@@ -310,7 +308,7 @@ fn bench_engine(c: &mut Criterion) {
     // Construction A/B (per-sample scoring fan-out + transpose),
     // interleaved serial/parallel with best-of-reps per leg; each build is
     // dropped before the next so peak memory stays at one mirrored
-    // matrix. The final parallel build is kept for the algorithm A/B.
+    // matrix. The final parallel build is kept for the algorithm legs.
     let build = || {
         let mut r = StdRng::seed_from_u64(7);
         ScoreMatrix::from_distribution(&ds, &dist, n_samples, &mut r).expect("matrix")
@@ -338,67 +336,26 @@ fn bench_engine(c: &mut Criterion) {
         }
     }
     par::force_serial(false);
-    let built = match matrix {
+    let matrix = match matrix {
         Some(m) => m,
         None => build(),
     };
-    // Derive BOTH legs' matrices from fresh back-to-back clones so their
-    // row buffers have identical allocation character (the original
-    // build's buffer, allocated amid scoring churn, measurably loses a
-    // few percent of page/TLB locality to a compact clone — enough to
-    // masquerade as an engine difference on row-bound algorithms).
-    let base = built.drop_column_mirror();
-    let bare = base.clone_without_mirror();
-    let mut matrix = base.clone_without_mirror();
-    drop(base);
-    matrix.build_column_mirror();
 
-    // GREEDY-SHRINK A/B in its own tight alternating loop, decoupled from
-    // the much longer ADD-GREEDY legs: when both algorithms shared one
-    // timed pass, every shrink leg inherited the thermal/frequency state
-    // left behind by whichever ~10 s addition sweep preceded it, and that
-    // adjacency bias (a persistent few percent) swamped the actual engine
-    // difference. Shrink legs are short, so extra pairs are cheap.
-    let shrink_pairs = env_usize("FAM_ENGINE_SHRINK_REPS", 3 * reps).max(2);
-    let (s_base, s_engine) = ab_minimum(
-        shrink_pairs,
-        || {
-            par::force_serial(true);
-            let r = shrink_once(&bare, k);
-            par::force_serial(false);
-            r
-        },
-        || shrink_once(&matrix, k),
-    );
-    assert_eq!(s_base.selection, s_engine.selection, "engines must select identical sets");
-    assert_eq!(
-        s_base.objective.to_bits(),
-        s_engine.objective.to_bits(),
-        "engines must report bit-identical arr"
-    );
-
-    // ADD-GREEDY A/B: same alternating discipline, fewer pairs (the
-    // row-major leg re-scores a full column per candidate and dominates
-    // the bench's wall clock).
-    let (a_base, a_engine) = ab_minimum(
-        reps,
-        || {
-            par::force_serial(true);
-            let r = add_once(&bare, k);
-            par::force_serial(false);
-            r
-        },
-        || add_once(&matrix, k),
-    );
-    assert_eq!(
-        a_base.selection, a_engine.selection,
-        "add_greedy engines must select identical sets"
-    );
-    assert_eq!(
-        a_base.objective.to_bits(),
-        a_engine.objective.to_bits(),
-        "add_greedy engines must report bit-identical arr"
-    );
+    // GREEDY-SHRINK and ADD-GREEDY at the default thread count, each in
+    // its own loop so a short shrink run never inherits the thermal state
+    // of a long addition sweep. Shrink runs are short, so extra reps are
+    // cheap.
+    let shrink_reps = env_usize("FAM_ENGINE_SHRINK_REPS", 3 * reps).max(2);
+    let mut shrink = None;
+    for _ in 0..shrink_reps {
+        fold(&mut shrink, shrink_once(&matrix, k));
+    }
+    let shrink = shrink.expect("at least one rep");
+    let mut add = None;
+    for _ in 0..reps {
+        fold(&mut add, add_once(&matrix, k));
+    }
+    let add = add.expect("at least one rep");
 
     // Dispatch A/B: the same ADD-GREEDY through `&dyn ScoreSource` (the
     // registry) and through the generic entry point, same matrix, same
@@ -446,16 +403,8 @@ fn bench_engine(c: &mut Criterion) {
         .collect::<Vec<_>>()
         .join(",");
 
-    let speedup = s_base.best.as_secs_f64() / s_engine.best.as_secs_f64().max(1e-12);
-    let add_speedup = a_base.best.as_secs_f64() / a_engine.best.as_secs_f64().max(1e-12);
-    eprintln!(
-        "greedy_shrink: row-major serial {:?} vs columnar parallel {:?} ({speedup:.2}x)",
-        s_base.best, s_engine.best
-    );
-    eprintln!(
-        "add_greedy:    row-major serial {:?} vs columnar parallel {:?} ({add_speedup:.2}x)",
-        a_base.best, a_engine.best
-    );
+    eprintln!("greedy_shrink: {:?}", shrink.best);
+    eprintln!("add_greedy:    {:?}", add.best);
 
     // Fork-join overhead A/B: the same trivial two-index job dispatched
     // through the persistent pool versus a scoped one-thread spawn. This
@@ -510,12 +459,12 @@ fn bench_engine(c: &mut Criterion) {
         let mut pruned_best = [Duration::MAX; 2];
         for _ in 0..reps {
             let (sel, obj, dt) = shrink_once(&matrix, k);
-            assert_eq!(sel, s_engine.selection, "threads={count}: greedy_shrink diverged");
-            assert_eq!(obj.to_bits(), s_engine.objective.to_bits(), "threads={count}: arr");
+            assert_eq!(sel, shrink.selection, "threads={count}: greedy_shrink diverged");
+            assert_eq!(obj.to_bits(), shrink.objective.to_bits(), "threads={count}: arr");
             shrink_best = shrink_best.min(dt);
             let (sel, obj, dt) = add_once(&matrix, k);
-            assert_eq!(sel, a_engine.selection, "threads={count}: add_greedy diverged");
-            assert_eq!(obj.to_bits(), a_engine.objective.to_bits(), "threads={count}: arr");
+            assert_eq!(sel, add.selection, "threads={count}: add_greedy diverged");
+            assert_eq!(obj.to_bits(), add.objective.to_bits(), "threads={count}: arr");
             add_best = add_best.min(dt);
             for ((spec, answers), best) in
                 pruned.iter().zip(&mut pruned_answers).zip(&mut pruned_best)
@@ -566,10 +515,8 @@ fn bench_engine(c: &mut Criterion) {
          \"scoring_scalar_ms\":{:.3},\"scoring_fused_ms\":{:.3},\
          \"scoring_kernel_speedup\":{scoring_speedup:.3},\
          \"construct_serial_ms\":{:.3},\"construct_parallel_ms\":{:.3},\
-         \"greedy_shrink_row_serial_ms\":{:.3},\"greedy_shrink_columnar_parallel_ms\":{:.3},\
-         \"greedy_shrink_speedup\":{speedup:.3},\
-         \"add_greedy_row_serial_ms\":{:.3},\"add_greedy_columnar_parallel_ms\":{:.3},\
-         \"add_greedy_speedup\":{add_speedup:.3},\
+         \"greedy_shrink_columnar_parallel_ms\":{:.3},\
+         \"add_greedy_columnar_parallel_ms\":{:.3},\
          \"add_greedy_registry_ms\":{:.3},\"add_greedy_generic_ms\":{:.3},\
          \"dispatch_ratio\":{dispatch_ratio:.3},\
          \"pool_forkjoin_overhead_us\":{pool_forkjoin_overhead_us:.3},\
@@ -580,10 +527,8 @@ fn bench_engine(c: &mut Criterion) {
         scoring_fused.as_secs_f64() * 1e3,
         construct_serial.as_secs_f64() * 1e3,
         construct_parallel.as_secs_f64() * 1e3,
-        s_base.best.as_secs_f64() * 1e3,
-        s_engine.best.as_secs_f64() * 1e3,
-        a_base.best.as_secs_f64() * 1e3,
-        a_engine.best.as_secs_f64() * 1e3,
+        shrink.best.as_secs_f64() * 1e3,
+        add.best.as_secs_f64() * 1e3,
         d_registry.best.as_secs_f64() * 1e3,
         d_generic.best.as_secs_f64() * 1e3,
     );
@@ -624,11 +569,6 @@ fn bench_engine(c: &mut Criterion) {
     g.bench_function("rebuild_columnar_parallel", |b| {
         b.iter(|| SelectionEvaluator::new_full(&matrix).arr())
     });
-    g.bench_function("rebuild_row_serial", |b| {
-        par::force_serial(true);
-        b.iter(|| SelectionEvaluator::new_full(&bare).arr());
-        par::force_serial(false);
-    });
     g.bench_function("addition_sweep_columnar", |b| {
         let ev = SelectionEvaluator::new_with(&matrix, &[0]);
         b.iter(|| {
@@ -638,18 +578,6 @@ fn bench_engine(c: &mut Criterion) {
             }
             acc
         })
-    });
-    g.bench_function("addition_sweep_row_major", |b| {
-        let ev = SelectionEvaluator::new_with(&bare, &[0]);
-        par::force_serial(true);
-        b.iter(|| {
-            let mut acc = 0.0;
-            for p in 1..bare.n_points() {
-                acc += ev.addition_delta(p);
-            }
-            acc
-        });
-        par::force_serial(false);
     });
     g.finish();
 }

@@ -261,43 +261,31 @@ fn bench_progressive(c: &mut Criterion) {
     }
 
     // Criterion group for the append kernel itself: appending a 10%
-    // sample block in place versus rebuilding the matrix from scratch on
-    // the concatenated rows (small fixed scale so iterations stay cheap).
+    // sample block versus rebuilding the matrix from scratch on the
+    // concatenated functions (small fixed scale so iterations stay
+    // cheap). Both legs score what they build: the append only the
+    // block, the rebuild every sample.
     let kernel_n = 400.min(n);
     let kernel_rows = 1_000usize;
     let block = kernel_rows / 10;
     let mut krng = StdRng::seed_from_u64(11);
     let kds = synthetic(kernel_n, 4, Correlation::AntiCorrelated, &mut krng).expect("kernel ds");
-    let kmatrix =
-        ScoreMatrix::from_distribution(&kds, &dist, kernel_rows, &mut krng).expect("kernel matrix");
-    let block_fns: Vec<Arc<dyn UtilityFunction>> =
-        (0..block).map(|_| dist.sample(&mut krng)).collect();
-    // Score the block once outside the timers: both legs receive the new
-    // rows for free and pay only their own maintenance.
-    let block_rows: Vec<Vec<f64>> = block_fns
-        .iter()
-        .map(|f| kds.points().enumerate().map(|(idx, p)| f.utility(idx, p)).collect())
-        .collect();
+    let all_fns: Vec<Arc<dyn UtilityFunction>> =
+        (0..kernel_rows + block).map(|_| dist.sample(&mut krng)).collect();
+    let (base_fns, block_fns) = all_fns.split_at(kernel_rows);
+    let kmatrix = ScoreMatrix::from_functions(&kds, base_fns, None).expect("kernel matrix");
     let mut g = c.benchmark_group("progressive_kernels");
     g.sample_size(10);
     g.bench_function("append_10pct_samples", |bench| {
         bench.iter(|| {
             let mut m = kmatrix.clone();
-            m.append_sample_rows(&block_rows).expect("append");
+            m.append_functions(&kds, block_fns).expect("append");
             m.n_samples()
         })
     });
     g.bench_function("rebuild_on_10pct_growth", |bench| {
         bench.iter(|| {
-            let mut flat = Vec::with_capacity((kernel_rows + block) * kernel_n);
-            for u in 0..kernel_rows {
-                flat.extend_from_slice(kmatrix.row(u));
-            }
-            for row in &block_rows {
-                flat.extend_from_slice(row);
-            }
-            let fresh =
-                ScoreMatrix::from_flat(flat, kernel_rows + block, kernel_n, None).expect("rebuild");
+            let fresh = ScoreMatrix::from_functions(&kds, &all_fns, None).expect("rebuild");
             fresh.n_samples()
         })
     });

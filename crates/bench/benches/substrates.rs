@@ -46,13 +46,11 @@ fn bench_substrates(c: &mut Criterion) {
     });
     g.finish();
 
-    // Incremental evaluator: removal deltas vs full recomputation, in
-    // both engine modes (columnar+parallel vs row-major serial).
+    // Incremental evaluator: removal deltas vs full recomputation.
     let mut g = c.benchmark_group("evaluator");
     g.sample_size(20);
     let mut r = StdRng::seed_from_u64(5);
     let m = ScoreMatrix::from_distribution(&sub, &dist, 1_000, &mut r).unwrap();
-    let bare = m.clone_without_mirror();
     g.bench_function("new_full_plus_one_sweep", |b| {
         b.iter(|| {
             let mut ev = SelectionEvaluator::new_full(&m);
@@ -62,18 +60,6 @@ fn bench_substrates(c: &mut Criterion) {
             }
             acc
         })
-    });
-    g.bench_function("new_full_plus_one_sweep_row_serial", |b| {
-        fam_core::par::force_serial(true);
-        b.iter(|| {
-            let mut ev = SelectionEvaluator::new_full(&bare);
-            let mut acc = 0.0;
-            for p in 0..bare.n_points().min(256) {
-                acc += ev.removal_delta(p);
-            }
-            acc
-        });
-        fam_core::par::force_serial(false);
     });
     g.bench_with_input(BenchmarkId::new("arr_unchecked_k", 10), &m, |b, m| {
         let sel: Vec<usize> = (0..10).collect();

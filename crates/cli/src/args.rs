@@ -5,8 +5,8 @@ use std::collections::BTreeMap;
 /// Parsed `--key value` flags plus boolean switches.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ParsedArgs {
-    values: BTreeMap<String, String>,
-    multi: BTreeMap<String, Vec<String>>,
+    /// Every value each flag was given, in order.
+    values: BTreeMap<String, Vec<String>>,
     switches: Vec<String>,
 }
 
@@ -31,12 +31,17 @@ impl ParsedArgs {
                 continue;
             }
             let value = it.next().ok_or_else(|| format!("flag --{name} needs a value"))?;
-            // Repeats accumulate in `multi` (see `Self::all`); the scalar
-            // accessors keep their historical last-one-wins behavior.
-            out.multi.entry(name.to_string()).or_default().push(value.clone());
-            out.values.insert(name.to_string(), value.clone());
+            // Repeats accumulate (see `Self::all`); which flags may repeat
+            // is the command's call, so the scalar accessors read the
+            // last value.
+            out.values.entry(name.to_string()).or_default().push(value.clone());
         }
         Ok(out)
+    }
+
+    /// The last value of a flag.
+    fn last(&self, name: &str) -> Option<&str> {
+        self.values.get(name).and_then(|v| v.last()).map(String::as_str)
     }
 
     /// Required string flag.
@@ -45,21 +50,18 @@ impl ParsedArgs {
     ///
     /// Returns an error when missing.
     pub fn required(&self, name: &str) -> Result<&str, String> {
-        self.values
-            .get(name)
-            .map(String::as_str)
-            .ok_or_else(|| format!("missing required flag --{name}"))
+        self.last(name).ok_or_else(|| format!("missing required flag --{name}"))
     }
 
     /// Optional string flag.
     pub fn optional(&self, name: &str) -> Option<&str> {
-        self.values.get(name).map(String::as_str)
+        self.last(name)
     }
 
     /// Every value a repeatable flag was given, in order (empty when the
     /// flag is absent) — e.g. `fam serve --data a.csv --data b.csv`.
     pub fn all(&self, name: &str) -> Vec<&str> {
-        self.multi.get(name).map(|v| v.iter().map(String::as_str).collect()).unwrap_or_default()
+        self.values.get(name).map(|v| v.iter().map(String::as_str).collect()).unwrap_or_default()
     }
 
     /// Optional parsed flag with default.
@@ -68,7 +70,7 @@ impl ParsedArgs {
     ///
     /// Returns an error when present but unparsable.
     pub fn parsed_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.values.get(name) {
+        match self.last(name) {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| format!("flag --{name}: cannot parse `{v}`")),
         }

@@ -408,9 +408,10 @@ pub fn refine_cmd(a: &ParsedArgs) -> Result<String, String> {
     );
     for round in &out.rounds {
         report.push_str(&format!(
-            "  N = {:>9}  eps = {:.6}  arr = {:.6}  [{}]\n",
+            "  N = {:>9}  eps = {:.6}  selection = {:?}  arr = {:.6}  [{}]\n",
             round.n_samples,
             round.epsilon,
+            round.selection,
             round.arr,
             if round.warm { "warm repair" } else { "cold solve" }
         ));
@@ -982,6 +983,12 @@ mod tests {
         assert!(msg.contains("warm repair"), "{msg}");
         assert!(msg.contains("achieved eps"), "{msg}");
         assert!(msg.contains("bit-identical"), "{msg}");
+        // Every round prints its points; the last round's are the final ones.
+        let rounds: Vec<&str> = msg.lines().filter(|l| l.trim_start().starts_with("N =")).collect();
+        assert!(rounds.iter().all(|l| l.contains("selection = [")), "{msg}");
+        let points = |l: &str| l[l.find('[').unwrap()..=l.find(']').unwrap()].to_string();
+        let last = msg.lines().find(|l| l.starts_with("final:")).unwrap();
+        assert_eq!(points(rounds[rounds.len() - 1]), points(last), "{msg}");
         // A different final algorithm flows through --algo.
         let msg = refine_cmd(&argv(&format!(
             "--data {path} --k 3 --epsilon 0.2 --algo add-greedy --initial 50 --seed 13"

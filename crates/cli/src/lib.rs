@@ -38,12 +38,14 @@ type Command = fn(&ParsedArgs) -> Result<String, String>;
 
 /// Every command with the flags its usage line documents, space-separated;
 /// any other flag is a usage error, so a typo (`--sample` for
-/// `--samples`) cannot silently change a run.
+/// `--samples`) cannot silently change a run. A flag marked `...` may
+/// repeat; any other flag given twice is a usage error too, so a
+/// duplicate cannot silently override the first value.
 const COMMANDS: &[(&str, Command, &str)] = &[
     ("generate", commands::generate, "out n d corr seed"),
     ("skyline", commands::skyline_cmd, "data labelled"),
     ("algos", |_| Ok(commands::algos()), ""),
-    ("solve", commands::solve, "data k algo param samples epsilon sigma dist seed labelled"),
+    ("solve", commands::solve, "data k algo param... samples epsilon sigma dist seed labelled"),
     ("select", commands::select, "data k algo samples epsilon sigma dist seed compact labelled"),
     ("evaluate", commands::evaluate, "data selection samples seed labelled"),
     ("refine", commands::refine_cmd, "data k epsilon sigma initial churn algo dist seed labelled"),
@@ -55,7 +57,7 @@ const COMMANDS: &[(&str, Command, &str)] = &[
     (
         "serve",
         commands::serve,
-        "data port bind workers cache-k samples epsilon sigma dist seed labelled reduce \
+        "data... port bind workers cache-k samples epsilon sigma dist seed labelled reduce \
          reduce-eps deadline-ms max-pending keepalive-requests idle-ms retry-after",
     ),
     (
@@ -105,8 +107,17 @@ fn parse(argv: &[String]) -> Result<Option<(Command, ParsedArgs)>, String> {
         return Ok(None);
     }
     let args = ParsedArgs::parse(rest)?;
-    if let Some(flag) = args.names().find(|f| !flags.split_whitespace().any(|g| g == *f)) {
-        return Err(format!("unknown flag --{flag} for `fam {command}` (see `fam --help`)"));
+    for flag in args.names() {
+        let accepted = flags.split_whitespace().find(|g| g.trim_end_matches("...") == flag);
+        let Some(accepted) = accepted else {
+            return Err(format!("unknown flag --{flag} for `fam {command}` (see `fam --help`)"));
+        };
+        let given = args.all(flag).len();
+        if given > 1 && !accepted.ends_with("...") {
+            return Err(format!(
+                "flag --{flag} given {given} times for `fam {command}`; it takes one value"
+            ));
+        }
     }
     Ok(Some((run_command, args)))
 }
@@ -180,6 +191,29 @@ mod tests {
             assert!(err.contains(flag), "{line}: {err}");
             assert!(err.contains(&format!("`fam {command}`")), "{line}: {err}");
         }
+    }
+
+    #[test]
+    fn repeated_single_value_flags_are_rejected_by_name() {
+        for (line, flag) in [
+            ("solve --data d.csv --k 3 --k 5 --samples 300", "--k"),
+            ("solve --data d.csv --k 3 --samples 300 --samples 50", "--samples"),
+            ("solve --data a.csv --data b.csv --k 3", "--data"),
+            ("select --data d.csv --k 3 --algo add-greedy --algo greedy-shrink", "--algo"),
+            ("serve --data a.csv --port 1 --port 2", "--port"),
+        ] {
+            // Rejected before the command runs: no file is ever read.
+            let err = run(&argv(line)).unwrap_err();
+            let command = line.split_whitespace().next().unwrap();
+            assert!(err.contains(&format!("{flag} given 2 times")), "{line}: {err}");
+            assert!(err.contains(&format!("`fam {command}`")), "{line}: {err}");
+        }
+        // `--data` on `fam serve` and `--param` on `fam solve` repeat.
+        let parsed = |line: &str| parse(&argv(line)).unwrap().expect("a command, not the usage").1;
+        let serve = parsed("serve --data a.csv --data b.csv --data c.csv --port 0");
+        assert_eq!(serve.all("data"), vec!["a.csv", "b.csv", "c.csv"]);
+        let solve = parsed("solve --data d.csv --k 3 --param lazy=false --param cache=false");
+        assert_eq!(solve.all("param"), vec!["lazy=false", "cache=false"]);
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! A [`DynamicEngine`] holds the current [`ScoreMatrix`], the current
 //! selection, and the evaluator caches, and applies an [`UpdateBatch`] by
 //!
-//! 1. patching both matrix layouts in place
-//!    ([`ScoreMatrix::delete_points`] / [`ScoreMatrix::insert_points`] —
-//!    bit-identical to a from-scratch build of the updated database),
+//! 1. editing the matrix ([`ScoreMatrix::delete_points`] /
+//!    [`ScoreMatrix::insert_points`], each a re-lay of both layouts at
+//!    the new exact size — bit-identical to a from-scratch build of the
+//!    updated database),
 //! 2. resuming the evaluator incrementally
 //!    ([`SelectionEvaluator::resume_after_update`] — only samples whose
 //!    cached best points died are rescanned), and
@@ -21,9 +22,9 @@
 //! cold, so they give one answer per `(algo, k, generation)`; warm
 //! repair does not (`BENCH_dynamic.json` records its `arr` 17–19% above
 //! the cold answer). The engine, [`UpdateBatch`], [`WarmStart`],
-//! [`RepairOutcome`], [`ApplyReport`] and the row-stride slack of
-//! [`ScoreMatrix`] stay because perfbench's traced serve replay compiles
-//! against them, as do `crates/bench/benches/dynamic.rs` and
+//! [`RepairOutcome`] and [`ApplyReport`] stay because perfbench's traced
+//! serve replay compiles against them, as do
+//! `crates/bench/benches/dynamic.rs` and
 //! `crates/algos/tests/dynamic_equivalence.rs`. They go together with
 //! that replica, once perfbench's traced mode records production spans
 //! instead of replaying layers.
@@ -31,9 +32,8 @@
 //! The incremental path is pinned against full recomputation by
 //! `crates/algos/tests/dynamic_equivalence.rs` and A/B-benchmarked across
 //! churn rates by `crates/bench/benches/dynamic.rs` (`BENCH_dynamic.json`).
-//! How the in-place patches interact with the matrix's row slack and the
-//! point-major mirror, and with the bit-identity contract, is documented
-//! in `docs/PERFORMANCE.md`.
+//! How the point edits re-lay the matrix and keep the bit-identity
+//! contract is documented in `docs/PERFORMANCE.md`.
 
 use std::ops::Range;
 

@@ -24,11 +24,10 @@
 //! order as one `lane_sum` over the column. A stored matrix lends each
 //! band ([`ScoreSource::column_scores`]); a computing substrate scores
 //! each sample as the fold consumes it ([`ScoreSource::linear_columns`])
-//! (see the dual-layout notes in [`crate::scores`]). With the default
-//! `parallel` feature, [`rebuild`] and the batched rescans triggered by
-//! [`remove`] fan out over all cores through [`crate::par`]; reductions
-//! fold fixed chunks in order, so the maintained `arr` is bit-identical
-//! between serial and parallel runs. The scans themselves go through the
+//! (see the layout notes in [`crate::scores`]). [`rebuild`] and the
+//! batched rescans triggered by [`remove`] fan out over the worker pool
+//! through [`crate::par`]; reductions fold fixed chunks in order, so the
+//! maintained `arr` is bit-identical for every thread count. The scans themselves go through the
 //! cache-blocked kernels of [`crate::kernels`] (`top_two_dense` /
 //! `top_two_gather` for removals, `lane_sum` for the arr folds) —
 //! `docs/PERFORMANCE.md` documents the layout trade-offs and the
@@ -73,7 +72,7 @@ fn top_two<S: ScoreSource + ?Sized>(
 }
 
 /// [`SelectionEvaluator::addition_delta`] over the bands of point `p`'s
-/// column that `m` lends (a mirror) or gathers: `held[u]` is the value
+/// column that `m` lends (the matrix mirror) or fills: `held[u]` is the value
 /// `p` must beat on sample `u` (its best within the selection, or its
 /// runner-up for [`SelectionEvaluator::runner_up_addition_bound`]). Out
 /// of line, as is [`fused_addition_delta`], so neither scan's code
@@ -811,8 +810,8 @@ impl<'a, S: ScoreSource + ?Sized> SelectionEvaluator<'a, S> {
     /// statistics of the same multiset); on bit-equal ties the recorded
     /// runner-up *index* may differ between the two scans, which no
     /// consumer observes — deltas and arr use values only, and the
-    /// density cutoff depends only on `(|S|, n)`, so serial, parallel,
-    /// mirrored, and mirrorless runs all take the same branch.
+    /// density cutoff depends only on `(|S|, n)`, so every thread count
+    /// and every backing takes the same branch.
     fn scan_runner_ups(&self, samples: &[u32], out: &mut Vec<(u32, f64)>) {
         let m = self.m;
         let members = &self.members;

@@ -18,12 +18,12 @@
 //! * **top-two scans** ([`top_two_gather`], [`top_two_listed`],
 //!   [`top_two_dense`]) — the evaluator's removal rescans;
 //!
-//! plus the cache-blocked transposes ([`transpose_band`],
-//! [`transpose_into`], [`transpose`]) that maintain the point-major
-//! mirror. Centralizing them here keeps the floating-point *shape* of
-//! each pass single-sourced, which is what the bit-identity contract
-//! (serial × parallel × mirrored/mirrorless all bit-equal, see
-//! [`crate::par`]) actually pins.
+//! plus the cache-blocked transposes ([`transpose`],
+//! [`transpose_appended`]) that build and grow the point-major mirror.
+//! Centralizing them here keeps the floating-point *shape* of each pass
+//! single-sourced, which is what the bit-identity contract (every
+//! thread count and every backing bit-equal, see [`crate::par`])
+//! actually pins.
 //!
 //! # Determinism model
 //!
@@ -924,20 +924,18 @@ impl LaneMax {
 }
 
 /// Cache-blocked transpose of one band of columns: rows `0..n_rows` of
-/// `src` (physical row width `src_stride`) land at
-/// `out[local * dst_col_stride + dst_offset + u]` for band-local column
-/// `local` (absolute column `first_col + local`). Row blocks of [`TILE`]
-/// samples keep both the source rows and the destination columns
-/// cache-resident. Shared by the mirror construction and the mirror
-/// re-lay of a sample append.
+/// `src` (`n_cols` values each) land at `out[local * col_len + offset +
+/// u]` for band-local column `local` (absolute column `first_col +
+/// local`). Row blocks of [`TILE`] samples keep both the source rows and
+/// the destination columns cache-resident.
 #[allow(clippy::too_many_arguments)]
-pub fn transpose_band(
+fn transpose_band(
     src: &[f64],
     n_rows: usize,
-    src_stride: usize,
+    n_cols: usize,
     out: &mut [f64],
-    dst_col_stride: usize,
-    dst_offset: usize,
+    col_len: usize,
+    offset: usize,
     first_col: usize,
     band: usize,
 ) {
@@ -945,43 +943,49 @@ pub fn transpose_band(
         let u1 = (u0 + TILE).min(n_rows);
         for local in 0..band {
             let p = first_col + local;
-            let col = &mut out[local * dst_col_stride..(local + 1) * dst_col_stride];
+            let col = &mut out[local * col_len..(local + 1) * col_len];
             for u in u0..u1 {
-                col[dst_offset + u] = src[u * src_stride + p];
+                col[offset + u] = src[u * n_cols + p];
             }
         }
     }
 }
 
-/// Cache-blocked transpose of `n_rows` sample-major rows (physical row
-/// width `src_stride`) into per-column segments of `dst`: row `u`,
-/// column `p` lands at `dst[p * dst_col_stride + dst_offset + u]`.
-/// Parallelized over bands of whole columns (`dst.len()` must be a
-/// multiple of `dst_col_stride`); bands never go below [`TILE`] columns
-/// — a one-column band would degenerate the blocked transpose into a
-/// cache miss per element.
-pub fn transpose_into(
-    src: &[f64],
-    n_rows: usize,
-    src_stride: usize,
-    dst: &mut [f64],
-    dst_col_stride: usize,
-    dst_offset: usize,
-) {
-    let cols_per_chunk = (crate::par::CHUNK / dst_col_stride.max(1)).max(TILE);
-    crate::par::for_each_chunk_mut(dst, cols_per_chunk * dst_col_stride, |chunk, out| {
-        let first_col = chunk * cols_per_chunk;
-        let band = out.len() / dst_col_stride;
-        transpose_band(src, n_rows, src_stride, out, dst_col_stride, dst_offset, first_col, band);
-    });
+/// Cache-blocked transpose of a sample-major `n_rows × n_cols` buffer
+/// into a point-major one (column `p` is `n_rows` contiguous values).
+pub fn transpose(src: &[f64], n_rows: usize, n_cols: usize) -> Vec<f64> {
+    transpose_appended(&[], 0, src, n_rows, n_cols)
 }
 
-/// Cache-blocked transpose of a sample-major `n_samples × n_points`
-/// buffer (physical row width `stride`) into a tight point-major mirror.
-pub fn transpose(scores: &[f64], n_samples: usize, n_points: usize, stride: usize) -> Vec<f64> {
-    let mut columns = vec![0.0f64; n_samples * n_points];
-    transpose_into(scores, n_samples, stride, &mut columns, n_samples, 0);
-    columns
+/// A point-major buffer grown by sample-major rows: column `p` of the
+/// result holds `columns`' column `p` (`n_old` values), then column `p`
+/// of the `n_rows × n_cols` block `rows`, exact-size. Every stage is
+/// memory-bandwidth bound, so each band of columns copies its old
+/// columns and transposes the new rows behind them in one pass, with no
+/// intermediate buffer. Parallelized over bands of whole columns; bands
+/// never go below [`TILE`] columns — a one-column band would degenerate
+/// the blocked transpose into a cache miss per element.
+pub fn transpose_appended(
+    columns: &[f64],
+    n_old: usize,
+    rows: &[f64],
+    n_rows: usize,
+    n_cols: usize,
+) -> Vec<f64> {
+    let col_len = n_old + n_rows;
+    let mut grown = vec![0.0f64; n_cols * col_len];
+    let cols_per_chunk = (crate::par::CHUNK / col_len.max(1)).max(TILE);
+    crate::par::for_each_chunk_mut(&mut grown, cols_per_chunk * col_len, |chunk, out| {
+        let first_col = chunk * cols_per_chunk;
+        let band = out.len() / col_len;
+        for local in 0..band {
+            let p = first_col + local;
+            out[local * col_len..local * col_len + n_old]
+                .copy_from_slice(&columns[p * n_old..(p + 1) * n_old]);
+        }
+        transpose_band(rows, n_rows, n_cols, out, col_len, n_old, first_col, band);
+    });
+    grown
 }
 
 #[cfg(test)]
@@ -1112,7 +1116,7 @@ mod tests {
                 let first = 3;
                 let n = first + len + 2;
                 let flat: Vec<f64> = (0..n * dim).map(|_| rng.gen_range(0.0..1.0)).collect();
-                let coords_t = transpose(&flat, n, dim, dim);
+                let coords_t = transpose(&flat, n, dim);
                 let mut out = vec![0.0; len];
                 linear_fill(&w, &coords_t, n, first, &mut out);
                 for (i, got) in out.iter().enumerate() {
@@ -1144,7 +1148,7 @@ mod tests {
                 let stride = first + len + 5;
                 let weights: Vec<f64> =
                     (0..stride * dim).map(|_| rng.gen_range(0.0..1.0)).collect();
-                let weights_t = transpose(&weights, stride, dim, dim);
+                let weights_t = transpose(&weights, stride, dim);
                 let point: Vec<f64> = (0..dim).map(|_| rng.gen_range(0.0..1.0)).collect();
                 let mass: Vec<f64> = (0..len).map(|_| rng.gen_range(0.0..0.1)).collect();
                 let top1: Vec<f64> = (0..len).map(|_| rng.gen_range(0.0..1.5)).collect();
@@ -1318,30 +1322,22 @@ mod tests {
     }
 
     #[test]
-    fn transpose_round_trip_with_stride_and_offset() {
+    fn transpose_round_trip() {
         let mut rng = StdRng::seed_from_u64(17);
         for (n_rows, n_cols) in [(1, 1), (1, 5), (5, 1), (TILE + 3, 3), (7, TILE + 2)] {
-            let stride = n_cols + 2; // physical slack
-            let mut src = vec![0.0; n_rows * stride];
+            let src: Vec<f64> = (0..n_rows * n_cols).map(|_| rng.gen_range(0.0..1.0)).collect();
+            let tight = transpose(&src, n_rows, n_cols);
             for r in 0..n_rows {
                 for c in 0..n_cols {
-                    src[r * stride + c] = rng.gen_range(0.0..1.0);
+                    assert_eq!(tight[c * n_rows + r].to_bits(), src[r * n_cols + c].to_bits());
                 }
             }
-            let cs = n_rows + 1; // column slack
-            let mut dst = vec![0.0; n_cols * cs];
-            transpose_into(&src, n_rows, stride, &mut dst, cs, 0);
-            for r in 0..n_rows {
-                for c in 0..n_cols {
-                    assert_eq!(dst[c * cs + r].to_bits(), src[r * stride + c].to_bits());
-                }
-            }
-            let tight = transpose(&src, n_rows, n_cols, stride);
-            for r in 0..n_rows {
-                for c in 0..n_cols {
-                    assert_eq!(tight[c * n_rows + r].to_bits(), src[r * stride + c].to_bits());
-                }
-            }
+            // Growing by more rows equals transposing the concatenation.
+            let extra = n_rows / 2 + 1;
+            let more: Vec<f64> = (0..extra * n_cols).map(|_| rng.gen_range(0.0..1.0)).collect();
+            let grown = transpose_appended(&tight, n_rows, &more, extra, n_cols);
+            let whole = transpose(&[src, more].concat(), n_rows + extra, n_cols);
+            assert_eq!(grown, whole, "{n_rows} x {n_cols} + {extra} rows");
         }
     }
 }

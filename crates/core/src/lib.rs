@@ -21,14 +21,14 @@
 //!   paper's Improvement 1, with detachable state ([`EvaluatorState`]) for
 //!   dynamic databases;
 //! * [`DynamicEngine`] — the library replica of the point-update path:
-//!   in-place insert/delete patches with warm repair ([`dynamic`]);
+//!   insert/delete edits with warm repair ([`dynamic`]);
 //! * Chernoff sampling bounds ([`chernoff_sample_size`], Theorem 4 /
 //!   Table V);
 //! * structural-property checks (supermodularity, monotonicity, steepness —
 //!   Theorems 2–3) in [`properties`];
-//! * the deterministic multicore substrate behind the default-on
-//!   `parallel` cargo feature ([`par`]) — every hot path runs chunked with
-//!   ordered reductions, so serial and parallel results are bit-identical;
+//! * the deterministic multicore substrate ([`par`]) — every hot path
+//!   runs chunked with ordered reductions, so serial and parallel results
+//!   are bit-identical;
 //! * the cache-blocked numeric kernels those hot paths share ([`kernels`]):
 //!   fused score+validate+best scoring, lane-decomposed folds, top-two
 //!   scans, and blocked transposes. The memory-layout and performance

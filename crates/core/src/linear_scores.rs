@@ -228,7 +228,7 @@ impl LinearScores {
     /// weight vectors — the sample-append path that keeps progressive
     /// precision available on the compact substrate (the
     /// [`crate::ScoreMatrix`] twin is
-    /// [`crate::ScoreMatrix::append_samples_flat`]). The weight buffer
+    /// [`crate::ScoreMatrix::append_functions`]). The weight buffer
     /// extends at the end, the best-point pass runs over the new samples
     /// only, and per-sample probabilities re-spread to `1/N` — so every
     /// observable value is **bit-identical** to
@@ -559,7 +559,7 @@ impl LinearScores {
 /// A row-major `rows × dim` buffer transposed to `dim × rows`: the
 /// operand layout [`kernels::linear_fill`] streams.
 fn transposed(flat: &[f64], dim: usize) -> Vec<f64> {
-    kernels::transpose(flat, flat.len() / dim, dim, dim)
+    kernels::transpose(flat, flat.len() / dim, dim)
 }
 
 /// The weight vectors of linear utility functions of dimension `dim`,

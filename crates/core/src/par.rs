@@ -1,5 +1,5 @@
-//! Deterministic fork-join helpers — the multicore substrate behind the
-//! `parallel` cargo feature.
+//! Deterministic fork-join helpers — the multicore substrate of the
+//! evaluation engine.
 //!
 //! The offline dependency set has no `rayon`, so this module provides the
 //! small slice of it the workspace needs, built on a **persistent
@@ -26,16 +26,15 @@
 //! the thread count. The pool changes *who* computes a chunk (workers
 //! claim chunk indices from a shared cursor, exactly like the scoped
 //! teams did), never *what* is computed or how partials fold. The serial
-//! fallback (1 core, the `parallel` feature disabled, or [`force_serial`])
-//! executes the *same* chunked code path, so parallel and serial runs
-//! produce **bit-identical** floating-point results. Do not "optimize" a
+//! fallback (1 core, `FAM_THREADS=1`, or [`force_serial`]) executes the
+//! *same* chunked code path, so parallel and serial runs produce
+//! **bit-identical** floating-point results. Do not "optimize" a
 //! caller into accumulating across chunk boundaries; that is what breaks
 //! the contract.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-#[cfg(feature = "parallel")]
 mod pool;
 
 /// Fixed reduction granularity (indices per chunk) used by the evaluation
@@ -80,7 +79,6 @@ pub fn set_max_threads(threads: Option<usize>) {
 }
 
 /// Number of worker threads the helpers may use right now.
-#[cfg(feature = "parallel")]
 pub fn max_threads() -> usize {
     if serial_forced() {
         return 1;
@@ -95,7 +93,6 @@ pub fn max_threads() -> usize {
 /// integer, else [`std::thread::available_parallelism`]. Read once — the
 /// pool is process-wide, so flip-flopping the default mid-run would only
 /// mislead; use [`set_max_threads`] for dynamic control.
-#[cfg(feature = "parallel")]
 fn default_threads() -> usize {
     static DEFAULT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *DEFAULT.get_or_init(|| {
@@ -107,24 +104,14 @@ fn default_threads() -> usize {
     })
 }
 
-/// Number of worker threads the helpers may use right now (always 1
-/// without the `parallel` feature).
-#[cfg(not(feature = "parallel"))]
-pub fn max_threads() -> usize {
-    1
-}
-
 /// Pre-spawns the pool's workers for the current [`max_threads`] so the
 /// first real dispatch does not pay thread-spawn latency. Called by the
-/// serve layer at startup; a no-op when one thread (or no `parallel`
-/// feature) makes the pool irrelevant.
+/// serve layer at startup; a no-op when one thread makes the pool
+/// irrelevant.
 pub fn prewarm() {
-    #[cfg(feature = "parallel")]
-    {
-        let threads = max_threads();
-        if threads > 1 {
-            pool::ensure_workers(threads - 1);
-        }
+    let threads = max_threads();
+    if threads > 1 {
+        pool::ensure_workers(threads - 1);
     }
 }
 
@@ -140,17 +127,9 @@ pub struct PoolStats {
 /// Snapshot of the pool's lifetime counters — lets tests pin that
 /// sequential solves **reuse** workers instead of respawning them, and
 /// the bench harness report dispatch counts.
-#[cfg(feature = "parallel")]
 pub fn pool_stats() -> PoolStats {
     let (workers_spawned, jobs_dispatched) = pool::stats();
     PoolStats { workers_spawned, jobs_dispatched }
-}
-
-/// Snapshot of the pool's lifetime counters (always zeros without the
-/// `parallel` feature — there is no pool).
-#[cfg(not(feature = "parallel"))]
-pub fn pool_stats() -> PoolStats {
-    PoolStats::default()
 }
 
 /// Splits `0..len` into chunks of `chunk` indices (the last may be short).
@@ -182,21 +161,18 @@ where
     F: Fn(usize, &mut [T]) + Sync,
 {
     assert!(chunk_items > 0, "chunk size must be positive");
-    #[cfg(feature = "parallel")]
-    {
-        let threads = max_threads();
-        if threads > 1 && data.len() > chunk_items {
-            // One slot per chunk: each pool task claims exactly its own
-            // sub-slice, so writes stay disjoint without `unsafe`.
-            let slots: Vec<std::sync::Mutex<Option<&mut [T]>>> =
-                data.chunks_mut(chunk_items).map(|c| std::sync::Mutex::new(Some(c))).collect();
-            let task = |i: usize| {
-                let chunk = lock_unpoisoned(&slots[i]).take().expect("each chunk claimed once");
-                f(i, chunk);
-            };
-            pool::run(slots.len(), threads, &task);
-            return;
-        }
+    let threads = max_threads();
+    if threads > 1 && data.len() > chunk_items {
+        // One slot per chunk: each pool task claims exactly its own
+        // sub-slice, so writes stay disjoint without `unsafe`.
+        let slots: Vec<std::sync::Mutex<Option<&mut [T]>>> =
+            data.chunks_mut(chunk_items).map(|c| std::sync::Mutex::new(Some(c))).collect();
+        let task = |i: usize| {
+            let chunk = lock_unpoisoned(&slots[i]).take().expect("each chunk claimed once");
+            f(i, chunk);
+        };
+        pool::run(slots.len(), threads, &task);
+        return;
     }
     for (i, c) in data.chunks_mut(chunk_items).enumerate() {
         f(i, c);
@@ -231,22 +207,19 @@ where
     F: Fn(usize, &mut [T]) -> R + Sync,
 {
     assert!(chunk_items > 0, "chunk size must be positive");
-    #[cfg(feature = "parallel")]
-    {
-        let threads = max_threads();
-        if threads > 1 && data.len() > chunk_items {
-            let slots: Vec<std::sync::Mutex<Option<&mut [T]>>> =
-                data.chunks_mut(chunk_items).map(|c| std::sync::Mutex::new(Some(c))).collect();
-            let out: Vec<std::sync::Mutex<Option<R>>> =
-                (0..slots.len()).map(|_| std::sync::Mutex::new(None)).collect();
-            let task = |i: usize| {
-                let chunk = lock_unpoisoned(&slots[i]).take().expect("each chunk claimed once");
-                let r = f(i, chunk);
-                *lock_unpoisoned(&out[i]) = Some(r);
-            };
-            pool::run(slots.len(), threads, &task);
-            return collect_slots(out);
-        }
+    let threads = max_threads();
+    if threads > 1 && data.len() > chunk_items {
+        let slots: Vec<std::sync::Mutex<Option<&mut [T]>>> =
+            data.chunks_mut(chunk_items).map(|c| std::sync::Mutex::new(Some(c))).collect();
+        let out: Vec<std::sync::Mutex<Option<R>>> =
+            (0..slots.len()).map(|_| std::sync::Mutex::new(None)).collect();
+        let task = |i: usize| {
+            let chunk = lock_unpoisoned(&slots[i]).take().expect("each chunk claimed once");
+            let r = f(i, chunk);
+            *lock_unpoisoned(&out[i]) = Some(r);
+        };
+        pool::run(slots.len(), threads, &task);
+        return collect_slots(out);
     }
     data.chunks_mut(chunk_items).enumerate().map(|(i, c)| f(i, c)).collect()
 }
@@ -258,7 +231,6 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    #[cfg(feature = "parallel")]
     if threads > 1 && count > 1 {
         let out: Vec<std::sync::Mutex<Option<R>>> =
             (0..count).map(|_| std::sync::Mutex::new(None)).collect();
@@ -269,14 +241,11 @@ where
         pool::run(count, threads, &task);
         return collect_slots(out);
     }
-    #[cfg(not(feature = "parallel"))]
-    let _ = threads;
     (0..count).map(f).collect()
 }
 
 /// Unwraps per-index result slots into an ordered `Vec` — index order, so
 /// downstream folds see exactly the serial sequence.
-#[cfg(feature = "parallel")]
 fn collect_slots<R>(out: Vec<std::sync::Mutex<Option<R>>>) -> Vec<R> {
     out.into_iter()
         .map(|m| {
@@ -290,7 +259,6 @@ fn collect_slots<R>(out: Vec<std::sync::Mutex<Option<R>>>) -> Vec<R> {
 /// Locks ignoring poisoning: the pool contains task panics before they
 /// can poison these per-slot mutexes, and a slot holding plain data has
 /// no invariant a panic could break mid-update.
-#[cfg(feature = "parallel")]
 fn lock_unpoisoned<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }

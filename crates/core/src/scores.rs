@@ -7,41 +7,40 @@
 //! functions from `Θ` (`O(nN)`) and find each user's best point in `D`
 //! (`O(nN)`).
 //!
-//! # Dual layout
+//! # Layout
 //!
-//! The matrix is stored **sample-major** (row `u` is contiguous) *and*, by
-//! default, mirrored **point-major** (column `p` contiguous) at roughly 2×
-//! memory. The two layouts serve the two access patterns of the paper's
-//! algorithms:
+//! The matrix is stored twice, both exact-size: **sample-major** (row
+//! `u` is `n_points` contiguous scores) and mirrored **point-major**
+//! (column `p` is `n_samples` contiguous scores). The two layouts serve
+//! the two access patterns of the paper's algorithms:
 //!
 //! * removal rescans (GREEDY-SHRINK, the evaluator's `rebuild`) stream a
 //!   sample's **row**;
-//! * addition scans (ADD-GREEDY, K-HIT, MRR-GREEDY) stream a candidate
-//!   point's **column** — without the mirror each probe is a stride-`n`
-//!   cache miss.
+//! * addition scans (ADD-GREEDY, K-HIT, MRR-GREEDY, local search's
+//!   replacement scans) stream a candidate point's **column** — read
+//!   from the rows, each probe would be a stride-`n` cache miss.
+//!
+//! The mirror doubles the memory and pays for it: on the engine bench
+//! (`n = 2,000`, `N = 50,000`, one thread) ADD-GREEDY took 5,864 ms
+//! probing the rows against 555 ms on the mirror, while the row-bound
+//! GREEDY-SHRINK did not move (385 vs 401 ms); see `docs/PERFORMANCE.md`.
 //!
 //! Consumers read scores through [`ScoreSource`]'s borrow-or-fill
 //! accessors ([`ScoreSource::row_scores`],
 //! [`ScoreSource::column_scores`], [`ScoreSource::member_scores`]): the
-//! matrix lends its rows and mirror columns (a mirrorless matrix gathers
-//! column bands from its rows), while the compact
+//! matrix lends its rows and mirror columns, while the compact
 //! [`crate::linear_scores::LinearScores`] substrate computes the same
-//! bits into the caller's buffer. Call
-//! [`ScoreMatrix::drop_column_mirror`] to trade the addition-scan speedup
-//! back for memory. Construction and the per-row best-point pass run on
-//! all cores when the default `parallel` feature is enabled; results are
-//! bit-identical to the serial build (see [`crate::par`]).
+//! bits into the caller's buffer. Construction and the per-row
+//! best-point pass run on the worker pool; results are bit-identical to
+//! a one-thread build (see [`crate::par`]).
 //!
-//! The mirror is always exact-size: column `p` holds exactly `n_samples`
-//! values, and a sample append re-lays it at the grown height. Rows are
-//! laid out at `stride ≥ n_points`. That slack serves only the in-place
-//! point patches of the library update replica (`DynamicEngine`): point
-//! insertions fill it, re-laying with doubled slack only when it runs
-//! out, and every fresh build is exact-size. Scoring, validation, and
-//! the best-point pass go through
-//! the cache-blocked kernels in [`crate::kernels`]; the full
-//! memory-layout and performance model is documented in
-//! `docs/PERFORMANCE.md`.
+//! Point edits ([`ScoreMatrix::insert_points`],
+//! [`ScoreMatrix::delete_points`]) and sample appends
+//! ([`ScoreMatrix::append_functions`]) re-lay both buffers at the new
+//! exact size, so an edited matrix equals a fresh build of its rows bit
+//! for bit. Scoring, validation, and the best-point pass go through the
+//! cache-blocked kernels in [`crate::kernels`]; the full memory-layout
+//! and performance model is documented in `docs/PERFORMANCE.md`.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -101,8 +100,8 @@ pub trait ScoreSource: Send + Sync {
 
     /// Point `p`'s scores for the samples in `samples`, in sample order:
     /// borrowed from a point-major layout (the [`ScoreMatrix`] mirror),
-    /// or written into `buf[..samples.len()]` — gathered from the rows
-    /// of a mirrorless matrix, computed by [`crate::LinearScores`].
+    /// or computed into `buf[..samples.len()]` by a substrate that
+    /// stores no columns ([`crate::LinearScores`]).
     /// Column consumers walk the samples in bands of
     /// [`crate::kernels::BAND`] and fold each band while it is
     /// L1-resident ([`crate::kernels::LaneSum`]), so both forms fold the
@@ -190,15 +189,7 @@ pub trait ScoreSource: Send + Sync {
             best_index.push(bi);
             best_value.push(bv);
         }
-        Ok(ScoreMatrix::assemble(
-            scores,
-            n_samples,
-            columns.len(),
-            weights,
-            true,
-            best_index,
-            best_value,
-        ))
+        Ok(ScoreMatrix::assemble(scores, n_samples, columns.len(), weights, best_index, best_value))
     }
 }
 
@@ -243,18 +234,9 @@ impl ScoreSource for ScoreMatrix {
         &'a self,
         p: usize,
         samples: Range<usize>,
-        buf: &'a mut [f64],
+        _buf: &'a mut [f64],
     ) -> &'a [f64] {
-        match ScoreMatrix::column(self, p) {
-            Some(col) => &col[samples],
-            None => {
-                let out = &mut buf[..samples.len()];
-                for (o, u) in out.iter_mut().zip(samples) {
-                    *o = self.scores[u * self.stride + p];
-                }
-                out
-            }
-        }
+        &ScoreMatrix::column(self, p)[samples]
     }
 
     fn restricted(&self, columns: &[usize]) -> Result<ScoreMatrix> {
@@ -295,27 +277,21 @@ pub enum MemberScores<'a> {
 /// assert_eq!((m.n_samples(), m.n_points()), (2, 3));
 /// assert_eq!((m.best_index(1), m.best_value(1)), (1, 1.0));
 /// assert_eq!(m.row(0), &[0.9, 0.7, 0.2]); // sample-major
-/// assert_eq!(m.column(1).unwrap(), &[0.7, 1.0]); // point-major mirror
+/// assert_eq!(m.column(1), &[0.7, 1.0]); // point-major mirror
 /// assert_eq!(m.weight(0), 0.5);
 /// # Ok::<(), fam_core::FamError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct ScoreMatrix {
-    /// Sample-major buffer with row stride `stride >= n_points`: row `u`
-    /// occupies `scores[u * stride .. u * stride + n_points]`; the tail of
-    /// each row is slack left by deletions (or reserved by insertions) so
-    /// dynamic updates stay `O(batch)` per row instead of re-laying the
-    /// whole buffer.
+    /// Sample-major, exact-size: row `u` is
+    /// `scores[u * n_points..(u + 1) * n_points]`.
     scores: Vec<f64>,
     /// Point-major mirror, exact-size: `columns[p * n_samples + u] ==
-    /// score(u, p)`. Built at construction unless opted out; costs ~2×
-    /// memory and buys contiguous column access for addition scans.
-    columns: Option<Vec<f64>>,
+    /// score(u, p)`. A second copy of the scores that buys contiguous
+    /// column reads for the addition scans.
+    columns: Vec<f64>,
     n_samples: usize,
     n_points: usize,
-    /// Physical row width of `scores` (== `n_points` until a dynamic
-    /// update leaves slack).
-    stride: usize,
     weights: Vec<f64>,
     best_index: Vec<u32>,
     best_value: Vec<f64>,
@@ -430,54 +406,10 @@ impl ScoreMatrix {
         let n_points = dataset.len();
         let n_samples = functions.len();
         let weights = normalize_weights(weights, n_samples)?;
-        // Score samples in parallel: each worker fills a disjoint block of
-        // whole rows, so the buffer is identical for any thread count.
-        // Scoring, validation, and the per-row best-point pass are fused —
-        // each row is summarized while it is still cache-hot instead of
-        // being re-read by two later whole-buffer passes. Linear utilities
-        // take the batch kernel (bit-identical to calling `utility` per
-        // element, see `UtilityFunction::linear_weights`); everything else
-        // scores through the trait object and validates with the same
-        // fused kernel.
         let mut scores = vec![0.0f64; n_samples * n_points];
-        let rows_per_chunk = (crate::par::CHUNK / n_points.max(1)).max(1);
-        let flat = dataset.as_flat();
-        let dim = dataset.dim();
-        let per_chunk = crate::par::for_each_chunk_mut_map(
-            &mut scores,
-            rows_per_chunk * n_points,
-            |chunk, out| {
-                let first_row = chunk * rows_per_chunk;
-                out.chunks_mut(n_points)
-                    .enumerate()
-                    .map(|(local, row)| {
-                        let u = first_row + local;
-                        let f = &functions[u];
-                        match f.linear_weights() {
-                            Some(w) if w.len() == dim => {
-                                let (bi, bv, ok) =
-                                    crate::kernels::linear_score_row(w, flat, dim, row);
-                                if !ok {
-                                    row_best_checked(row, u)
-                                } else if bv <= 0.0 {
-                                    Err(FamError::DegenerateUtility { sample: u })
-                                } else {
-                                    Ok((bi, bv))
-                                }
-                            }
-                            _ => {
-                                for (idx, p) in dataset.points().enumerate() {
-                                    row[idx] = f.utility(idx, p);
-                                }
-                                row_best_checked(row, u)
-                            }
-                        }
-                    })
-                    .collect::<Result<Vec<_>>>()
-            },
-        );
-        let (best_index, best_value) = merge_row_bests(per_chunk, n_samples)?;
-        Ok(Self::assemble(scores, n_samples, n_points, weights, true, best_index, best_value))
+        let (best_index, best_value) =
+            fill_rows(&mut scores, n_points, |u, row| score_row(&*functions[u], dataset, row, u))?;
+        Ok(Self::assemble(scores, n_samples, n_points, weights, best_index, best_value))
     }
 
     /// Builds a matrix over the `keep` subset of `dataset`'s points by
@@ -648,7 +580,7 @@ impl ScoreMatrix {
             }
         }
         let stats = TiledBuildStats::from_bests(full_n, n_points, &full_best, &best_value);
-        let m = Self::assemble(scores, n_samples, n_points, weights, true, best_index, best_value);
+        let m = Self::assemble(scores, n_samples, n_points, weights, best_index, best_value);
         Ok((m, stats))
     }
 
@@ -694,23 +626,6 @@ impl ScoreMatrix {
         n_points: usize,
         weights: Option<Vec<f64>>,
     ) -> Result<Self> {
-        Self::from_flat_with_layout(scores, n_samples, n_points, weights, true)
-    }
-
-    /// Builds from a flat row-major buffer, choosing whether to construct
-    /// the point-major mirror (`mirror = false` halves memory but makes
-    /// [`ScoreMatrix::column`] return `None`).
-    ///
-    /// # Errors
-    ///
-    /// See [`ScoreMatrix::from_rows`].
-    pub fn from_flat_with_layout(
-        scores: Vec<f64>,
-        n_samples: usize,
-        n_points: usize,
-        weights: Option<Vec<f64>>,
-        mirror: bool,
-    ) -> Result<Self> {
         if n_points == 0 {
             return Err(FamError::EmptyDataset);
         }
@@ -732,33 +647,21 @@ impl ScoreMatrix {
                 .collect::<Result<Vec<_>>>()
         });
         let (best_index, best_value) = merge_row_bests(per_chunk, n_samples)?;
-        Ok(Self::assemble(scores, n_samples, n_points, weights, mirror, best_index, best_value))
+        Ok(Self::assemble(scores, n_samples, n_points, weights, best_index, best_value))
     }
 
     /// Final assembly once scores, normalized weights, and per-row bests
-    /// are known: optionally builds the point-major mirror and packs the
-    /// struct with tight strides.
+    /// are known: builds the point-major mirror.
     fn assemble(
         scores: Vec<f64>,
         n_samples: usize,
         n_points: usize,
         weights: Vec<f64>,
-        mirror: bool,
         best_index: Vec<u32>,
         best_value: Vec<f64>,
     ) -> Self {
-        let columns =
-            mirror.then(|| crate::kernels::transpose(&scores, n_samples, n_points, n_points));
-        ScoreMatrix {
-            scores,
-            columns,
-            n_samples,
-            n_points,
-            stride: n_points,
-            weights,
-            best_index,
-            best_value,
-        }
+        let columns = crate::kernels::transpose(&scores, n_samples, n_points);
+        ScoreMatrix { scores, columns, n_samples, n_points, weights, best_index, best_value }
     }
 
     /// Number of utility samples `N`.
@@ -776,63 +679,27 @@ impl ScoreMatrix {
     /// Score of point `p` under sample `u`.
     #[inline]
     pub fn score(&self, u: usize, p: usize) -> f64 {
-        self.scores[u * self.stride + p]
+        self.scores[u * self.n_points + p]
     }
 
     /// Full score row of sample `u`.
     #[inline]
     pub fn row(&self, u: usize) -> &[f64] {
-        &self.scores[u * self.stride..u * self.stride + self.n_points]
+        &self.scores[u * self.n_points..(u + 1) * self.n_points]
     }
 
-    /// Contiguous score column of point `p` (one entry per sample), when
-    /// the point-major mirror is present.
+    /// Contiguous score column of point `p` (one entry per sample), from
+    /// the point-major mirror.
     #[inline]
-    pub fn column(&self, p: usize) -> Option<&[f64]> {
-        self.columns.as_deref().map(|c| &c[p * self.n_samples..(p + 1) * self.n_samples])
+    pub fn column(&self, p: usize) -> &[f64] {
+        &self.columns[p * self.n_samples..(p + 1) * self.n_samples]
     }
 
-    /// Whether the point-major mirror is present.
+    /// Always `true`: every matrix carries its point-major mirror (the
+    /// [`crate::LinearScores::has_column_mirror`] twin, which is `false`).
     #[inline]
     pub fn has_column_mirror(&self) -> bool {
-        self.columns.is_some()
-    }
-
-    /// Drops the point-major mirror, halving memory; column access falls
-    /// back to strided row probes. Used by benchmarks to A/B the layouts.
-    #[must_use]
-    pub fn drop_column_mirror(mut self) -> Self {
-        self.columns = None;
-        self
-    }
-
-    /// Clone that skips the point-major mirror — the cheap way to obtain a
-    /// row-major-only copy for layout A/B comparisons (a full `clone()`
-    /// would deep-copy the mirror just to throw it away).
-    #[must_use]
-    pub fn clone_without_mirror(&self) -> Self {
-        ScoreMatrix {
-            scores: self.scores.clone(),
-            columns: None,
-            n_samples: self.n_samples,
-            n_points: self.n_points,
-            stride: self.stride,
-            weights: self.weights.clone(),
-            best_index: self.best_index.clone(),
-            best_value: self.best_value.clone(),
-        }
-    }
-
-    /// (Re)builds the point-major mirror if absent.
-    pub fn build_column_mirror(&mut self) {
-        if self.columns.is_none() {
-            self.columns = Some(crate::kernels::transpose(
-                &self.scores,
-                self.n_samples,
-                self.n_points,
-                self.stride,
-            ));
-        }
+        true
     }
 
     /// Probability mass of sample `u` (weights sum to 1 over all samples).
@@ -897,21 +764,18 @@ impl ScoreMatrix {
         Ok(())
     }
 
-    /// Appends new points **in place**: each element of `cols` is one
-    /// point's score column (`n_samples` entries, sample order). The new
-    /// points take indices `n_points..n_points + cols.len()`.
+    /// Appends new points: each element of `cols` is one point's score
+    /// column (`n_samples` entries, sample order). The new points take
+    /// indices `n_points..n_points + cols.len()`.
     ///
-    /// Both layouts are patched without a rebuild. Each sample row writes
-    /// the new entries into its slack (`O(cols)` per row — the buffer is
-    /// only re-laid, with doubled slack, when capacity runs out), and the
-    /// point-major mirror (when present) simply extends, since mirror
-    /// columns are contiguous per point. Per-sample best tracking updates
-    /// by comparing only the new columns. Every observable value —
+    /// The rows are copied once at the new width, each followed by the
+    /// new points' entries for that sample; the mirror extends, since its
+    /// columns are contiguous per point. Per-sample best tracking compares
+    /// only the new columns. Every observable value —
     /// [`ScoreMatrix::row`], [`ScoreMatrix::column`], best tracking — is
-    /// **bit-identical** to [`ScoreMatrix::from_flat_with_layout`] on the
-    /// equivalently extended buffer: appended points sit after the
-    /// existing ones, so the strict first-argmax scan agrees entry for
-    /// entry.
+    /// **bit-identical** to [`ScoreMatrix::from_flat`] on the extended
+    /// rows: appended points sit after the existing ones, so the strict
+    /// first-argmax scan agrees entry for entry.
     ///
     /// # Errors
     ///
@@ -934,29 +798,20 @@ impl ScoreMatrix {
         }
         let n_old = self.n_points;
         let n_new = n_old + cols.len();
-        if n_new <= self.stride {
-            // In-place fast path: fill each row's slack.
-            let (stride, rows_per_chunk) = self.row_chunking();
-            crate::par::for_each_chunk_mut(
-                &mut self.scores,
-                rows_per_chunk * stride,
-                |chunk, out| {
-                    let first_row = chunk * rows_per_chunk;
-                    for (local, row) in out.chunks_mut(stride).enumerate() {
-                        let u = first_row + local;
-                        for (j, col) in cols.iter().enumerate() {
-                            row[n_old + j] = col[u];
-                        }
-                    }
-                },
-            );
-        } else {
-            // Amortized growth: one re-lay with doubled slack, so a steady
-            // insert stream pays O(1) re-lays per point overall.
-            let stride_new = n_new.max(self.stride.saturating_mul(2));
-            self.scores = self.relaid_rows(stride_new, cols);
-            self.stride = stride_new;
-        }
+        let mut scores = vec![0.0f64; self.n_samples * n_new];
+        let old = &self.scores;
+        let rows_per_chunk = (crate::par::CHUNK / n_new).max(1);
+        crate::par::for_each_chunk_mut(&mut scores, rows_per_chunk * n_new, |chunk, out| {
+            let first_row = chunk * rows_per_chunk;
+            for (local, row) in out.chunks_mut(n_new).enumerate() {
+                let u = first_row + local;
+                row[..n_old].copy_from_slice(&old[u * n_old..(u + 1) * n_old]);
+                for (j, col) in cols.iter().enumerate() {
+                    row[n_old + j] = col[u];
+                }
+            }
+        });
+        self.scores = scores;
         for (u, (bi, bv)) in self.best_index.iter_mut().zip(&mut self.best_value).enumerate() {
             for (j, col) in cols.iter().enumerate() {
                 if col[u] > *bv {
@@ -965,33 +820,25 @@ impl ScoreMatrix {
                 }
             }
         }
-        if let Some(columns) = &mut self.columns {
-            columns.reserve(cols.len() * self.n_samples);
-            for col in cols {
-                columns.extend_from_slice(col);
-            }
+        self.columns.reserve_exact(cols.len() * self.n_samples);
+        for col in cols {
+            self.columns.extend_from_slice(col);
         }
         self.n_points = n_new;
     }
 
-    /// Deletes the given point columns **in place** with swap-remove
-    /// semantics: freed slots are processed in descending index order and
-    /// each is filled by the then-last point, so every row (and mirror
-    /// column) moves only `O(delete.len())` entries — no buffer re-lay.
-    /// Returns the index remap: `remap[old] == Some(new)` for survivors,
+    /// Deletes the given point columns with swap-remove semantics: freed
+    /// slots are processed in descending index order and each is filled
+    /// by the then-last point. Returns the index remap
+    /// ([`swap_remove_remap`]): `remap[old] == Some(new)` for survivors,
     /// `None` for deleted points. (Like [`Vec::swap_remove`], surviving
     /// indices are *not* order-preserving; consult the remap.)
     ///
-    /// Per-sample best tracking is repaired incrementally: only the
-    /// samples whose best point died rescan their row (in the post-swap
-    /// point order, so the strict first-argmax agrees with
-    /// [`ScoreMatrix::from_flat_with_layout`] on the equivalently
-    /// reordered buffer); every other sample keeps its best value and
-    /// remaps the index, additionally probing the few swap-moved slots
-    /// for a bit-equal tie that now precedes it — the recorded best is
-    /// the first *strict* maximum, so unmoved earlier points are strictly
-    /// smaller and only a relocated duplicate can steal the first-argmax
-    /// position.
+    /// The matrix becomes [`ScoreMatrix::restrict_columns`] over the
+    /// survivors in slot order — one gather of the rows, the strict
+    /// first-argmax best pass and a fresh mirror — so it is
+    /// **bit-identical** to [`ScoreMatrix::from_flat`] on the reordered
+    /// rows.
     ///
     /// # Errors
     ///
@@ -1000,142 +847,22 @@ impl ScoreMatrix {
     /// or if some sample would be left with no positive score
     /// ([`FamError::DegenerateUtility`]).
     pub fn delete_points(&mut self, delete: &[usize]) -> Result<Vec<Option<u32>>> {
+        let remap = swap_remove_remap(self.n_points, delete)?;
         if delete.is_empty() {
-            return Ok((0..self.n_points).map(|p| Some(p as u32)).collect());
+            return Ok(remap);
         }
-        let n_old = self.n_points;
-        let remap = swap_remove_remap(n_old, delete)?;
-        let n_new = n_old - delete.len();
-        if n_new == 0 {
+        if delete.len() == self.n_points {
             return Err(FamError::EmptyDataset);
         }
-        // `order[slot]` is the original point that ends up in `slot`.
-        let mut order = vec![0u32; n_new];
+        // `survivors[slot]` is the original point that ends up in `slot`.
+        let mut survivors = vec![0usize; self.n_points - delete.len()];
         for (p, slot) in remap.iter().enumerate() {
             if let Some(s) = slot {
-                order[*s as usize] = p as u32;
+                survivors[*s as usize] = p;
             }
         }
-        let mut dels: Vec<usize> = delete.to_vec();
-        dels.sort_unstable();
-        // Slots whose occupant changed (freed slots refilled by tail
-        // points), ascending: the only places a bit-equal duplicate of a
-        // surviving best can move in front of it.
-        let moved: Vec<u32> = dels
-            .iter()
-            .filter(|&&d| d < n_new && order[d] as usize != d)
-            .map(|&d| d as u32)
-            .collect();
-        // Repair best tracking *before* mutating anything: rescan only
-        // the samples whose best point died, reading the untouched rows
-        // through the post-swap point order (errors leave the matrix
-        // untouched).
-        let (order_ref, remap_ref, moved_ref, stride) = (&order, &remap, &moved, self.stride);
-        let (scores_ref, best_index_ref, best_value_ref) =
-            (&self.scores, &self.best_index, &self.best_value);
-        let per_row = crate::par::map_chunks(self.n_samples, crate::par::CHUNK, |rows| {
-            rows.map(|u| match remap_ref[best_index_ref[u] as usize] {
-                Some(nb) => {
-                    let bv = best_value_ref[u];
-                    let row = &scores_ref[u * stride..u * stride + n_old];
-                    // First argmax in post-swap order: a relocated point
-                    // tying the best bit-for-bit at an earlier slot wins.
-                    let mut slot = nb;
-                    for &m in moved_ref {
-                        if m >= slot {
-                            break;
-                        }
-                        if row[order_ref[m as usize] as usize] == bv {
-                            slot = m;
-                            break;
-                        }
-                    }
-                    Ok((slot, bv))
-                }
-                None => {
-                    let row = &scores_ref[u * stride..u * stride + n_old];
-                    let (mut bi, mut bv) = (0usize, row[order_ref[0] as usize]);
-                    for (slot, &p) in order_ref.iter().enumerate().skip(1) {
-                        let v = row[p as usize];
-                        if v > bv {
-                            bi = slot;
-                            bv = v;
-                        }
-                    }
-                    if bv <= 0.0 {
-                        return Err(FamError::DegenerateUtility { sample: u });
-                    }
-                    Ok((bi as u32, bv))
-                }
-            })
-            .collect::<Result<Vec<_>>>()
-        });
-        let mut best_index = Vec::with_capacity(self.n_samples);
-        let mut best_value = Vec::with_capacity(self.n_samples);
-        for chunk in per_row {
-            for (bi, bv) in chunk? {
-                best_index.push(bi);
-                best_value.push(bv);
-            }
-        }
-        // Apply the swaps to every row in place: O(|delete|) per row.
-        let (stride, rows_per_chunk) = self.row_chunking();
-        let dels_ref = &dels;
-        crate::par::for_each_chunk_mut(&mut self.scores, rows_per_chunk * stride, |_, out| {
-            for row in out.chunks_mut(stride) {
-                let mut len = n_old;
-                for &d in dels_ref.iter().rev() {
-                    len -= 1;
-                    row[d] = row[len];
-                }
-            }
-        });
-        // Same swaps on the mirror's contiguous per-point columns.
-        if let Some(c) = &mut self.columns {
-            let cs = self.n_samples;
-            let mut len = n_old;
-            for &d in dels.iter().rev() {
-                len -= 1;
-                if d != len {
-                    c.copy_within(len * cs..(len + 1) * cs, d * cs);
-                }
-            }
-            c.truncate(n_new * cs);
-        }
-        self.n_points = n_new;
-        self.best_index = best_index;
-        self.best_value = best_value;
+        *self = self.restrict_columns(&survivors)?;
         Ok(remap)
-    }
-
-    /// The sample-major buffer re-laid at row stride `stride_new`: each
-    /// row holds its live points, then `cols`' entries for that sample
-    /// (one column per appended point), then zero slack — the insert
-    /// path's amortized growth.
-    fn relaid_rows(&self, stride_new: usize, cols: &[Vec<f64>]) -> Vec<f64> {
-        let n_old = self.n_points;
-        debug_assert!(n_old + cols.len() <= stride_new);
-        let mut scores = vec![0.0f64; self.n_samples * stride_new];
-        let old = &self.scores;
-        let stride_old = self.stride;
-        let rows_per_chunk = (crate::par::CHUNK / stride_new.max(1)).max(1);
-        crate::par::for_each_chunk_mut(&mut scores, rows_per_chunk * stride_new, |chunk, out| {
-            let first_row = chunk * rows_per_chunk;
-            for (local, row) in out.chunks_mut(stride_new).enumerate() {
-                let u = first_row + local;
-                row[..n_old].copy_from_slice(&old[u * stride_old..u * stride_old + n_old]);
-                for (j, col) in cols.iter().enumerate() {
-                    row[n_old + j] = col[u];
-                }
-            }
-        });
-        scores
-    }
-
-    /// Physical stride plus the row count per parallel chunk used by the
-    /// in-place update kernels.
-    fn row_chunking(&self) -> (usize, usize) {
-        (self.stride, (crate::par::CHUNK / self.stride.max(1)).max(1))
     }
 
     /// Restricts the matrix to the given point columns (in order),
@@ -1164,234 +891,53 @@ impl ScoreMatrix {
         // constructor would re-normalize the weights — perturbing every
         // weight by an ULP when their fp sum is not exactly 1, which
         // would break the bit-identity of skyline-reduced objectives.
-        let mut scores = Vec::with_capacity(self.n_samples * columns.len());
-        let mut best_index = Vec::with_capacity(self.n_samples);
-        let mut best_value = Vec::with_capacity(self.n_samples);
-        for u in 0..self.n_samples {
-            let row = self.row(u);
-            let start = scores.len();
-            for &c in columns {
-                scores.push(row[c]);
+        let mut scores = vec![0.0f64; self.n_samples * columns.len()];
+        let (best_index, best_value) = fill_rows(&mut scores, columns.len(), |u, row| {
+            let src = self.row(u);
+            for (v, &c) in row.iter_mut().zip(columns) {
+                *v = src[c];
             }
-            let (bi, bv) = row_best_checked(&scores[start..], u)?;
-            best_index.push(bi);
-            best_value.push(bv);
-        }
+            row_best_checked(row, u)
+        })?;
         Ok(Self::assemble(
             scores,
             self.n_samples,
             columns.len(),
             self.weights.clone(),
-            self.columns.is_some(),
             best_index,
             best_value,
         ))
     }
 
-    /// Pre-growth checks shared by every append entry point; cheap and
-    /// side-effect free, so a rejected append leaves the matrix
-    /// untouched.
-    fn precheck_append(&self, count: usize) -> Result<()> {
-        // Appending samples re-spreads the probability mass uniformly
-        // (each sample is one i.i.d. draw), which is only sound when the
-        // resident mass is uniform too — exact discrete enumerations and
-        // hand-weighted matrices must be rebuilt instead.
-        let uniform = (1.0 / self.n_samples as f64).to_bits();
-        if self.weights.iter().any(|w| w.to_bits() != uniform) {
-            return Err(FamError::InvalidParameter {
-                name: "weights",
-                message: "append_samples requires uniform sample weights; \
-                          rebuild weighted or exact-discrete matrices instead"
-                    .into(),
-            });
-        }
-        crate::sampling::check_matrix_budget(self.n_samples + count, self.n_points)
-    }
-
-    /// Validates the `count` rows sitting in the sample-major tail
-    /// (starting at element offset `base`), returning each row's best
-    /// point. One merged pass per row checks finiteness/sign, finds the
-    /// strict first argmax (identical to the from-scratch best pass),
-    /// and rejects degenerate rows; the first offending **row** wins,
-    /// with in-row element order deciding within a row. Indices in
-    /// errors name the concatenated sample stream.
-    fn validate_appended(&self, base: usize, count: usize) -> Result<Vec<(u32, f64)>> {
-        let n_points = self.n_points;
-        let stride = self.stride;
-        let n_old = self.n_samples;
-        let tail = &self.scores[base..];
-        let rows_per_chunk = (crate::par::CHUNK / n_points.max(1)).max(1);
-        let per_row = crate::par::map_chunks(count, rows_per_chunk, |rows| {
-            rows.map(|j| row_best_checked(&tail[j * stride..j * stride + n_points], n_old + j))
-                .collect::<Result<Vec<_>>>()
-        });
-        let mut best = Vec::with_capacity(count);
-        for chunk in per_row {
-            best.extend(chunk?);
-        }
-        Ok(best)
-    }
-
-    /// Commits `count` rows already written into the sample-major tail:
-    /// validate, then patch the mirror/weights/best tracking. On a
-    /// validation error the tail truncates back and the matrix is
-    /// untouched.
-    fn commit_appended(&mut self, base: usize, count: usize) -> Result<()> {
-        let best = match self.validate_appended(base, count) {
-            Ok(best) => best,
-            Err(e) => {
-                self.scores.truncate(base);
-                return Err(e);
-            }
-        };
-        self.commit_appended_with(base, count, best);
-        Ok(())
-    }
-
-    /// [`ScoreMatrix::commit_appended`] once the tail rows are already
-    /// validated and summarized (the fused scoring paths produce `best`
-    /// in the same pass that writes the rows).
-    fn commit_appended_with(&mut self, base: usize, count: usize, best: Vec<(u32, f64)>) {
-        let n_points = self.n_points;
-        let n_old = self.n_samples;
-        let n_new = n_old + count;
-        // Mirror columns: re-lay at exactly the grown height, copying each
-        // old column and transposing the new rows behind it in one pass
-        // (every stage here is memory-bandwidth bound, so no intermediate
-        // buffers).
-        let ScoreMatrix { scores, columns, stride, .. } = self;
-        if let Some(columns) = columns.as_mut() {
-            let src = &scores[base..];
-            let mut grown = vec![0.0f64; n_points * n_new];
-            let old = &*columns;
-            let stride = *stride;
-            // Bands must stay at least TILE columns wide: a one-column
-            // band degenerates the blocked transpose into a
-            // cache-miss-per-element gather.
-            let cols_per_chunk = (crate::par::CHUNK / n_new.max(1)).max(crate::kernels::TILE);
-            crate::par::for_each_chunk_mut(&mut grown, cols_per_chunk * n_new, |chunk, out| {
-                let first_col = chunk * cols_per_chunk;
-                let band = out.len() / n_new;
-                for local in 0..band {
-                    let p = first_col + local;
-                    out[local * n_new..local * n_new + n_old]
-                        .copy_from_slice(&old[p * n_old..(p + 1) * n_old]);
-                }
-                crate::kernels::transpose_band(
-                    src, count, stride, out, n_new, n_old, first_col, band,
-                );
-            });
-            *columns = grown;
-        }
-        // Each sample is one i.i.d. draw: the mass re-spreads uniformly,
-        // exactly as a from-scratch build with `weights = None` would.
-        self.weights.clear();
-        self.weights.resize(n_new, 1.0 / n_new as f64);
-        for (bi, bv) in best {
-            self.best_index.push(bi);
-            self.best_value.push(bv);
-        }
-        self.n_samples = n_new;
-    }
-
-    /// Appends `count` new utility samples **in place** from a flat
-    /// row-major block (`count` rows of `n_points` scores each) — the
-    /// sample-axis twin of [`ScoreMatrix::insert_points`].
-    ///
-    /// Both layouts are patched without a rebuild: the sample-major
-    /// buffer extends at the end (rows are contiguous, so growing the
-    /// sample axis never re-lays it), and the point-major mirror (when
-    /// present) is re-laid at exactly the grown height, each old column
-    /// copied and the new samples transposed behind it in one pass.
-    /// Per-sample weights re-spread to `1/N` and best-point
-    /// tracking extends with the new rows only. Every observable value —
-    /// [`ScoreMatrix::row`], [`ScoreMatrix::column`], weights, best
-    /// tracking — is **bit-identical** to a from-scratch
-    /// [`ScoreMatrix::from_flat_with_layout`] over the concatenated
-    /// sample stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error (leaving the matrix untouched) when the block
-    /// has the wrong length, contains non-finite or negative scores, a
-    /// new row has no positive score, the resident weights are not
-    /// uniform, or the grown matrix would exceed the footprint budget
-    /// ([`crate::sampling::check_matrix_budget`]).
-    pub fn append_samples_flat(&mut self, flat: &[f64], count: usize) -> Result<()> {
-        if flat.len() != count * self.n_points {
-            return Err(FamError::DimensionMismatch {
-                expected: count * self.n_points,
-                got: flat.len(),
-            });
-        }
-        self.precheck_append(count)?;
-        if count == 0 {
-            return Ok(());
-        }
-        let base = self.scores.len();
-        if self.stride == self.n_points {
-            self.scores.extend_from_slice(flat);
-        } else {
-            // A point update left per-row slack: place each new row at
-            // its stride position.
-            let (stride, rows_per_chunk) = self.row_chunking();
-            let n_points = self.n_points;
-            self.scores.resize(base + count * stride, 0.0);
-            let tail = &mut self.scores[base..];
-            crate::par::for_each_chunk_mut(tail, rows_per_chunk * stride, |chunk, out| {
-                let first_row = chunk * rows_per_chunk;
-                for (local, row) in out.chunks_mut(stride).enumerate() {
-                    let j = first_row + local;
-                    row[..n_points].copy_from_slice(&flat[j * n_points..(j + 1) * n_points]);
-                }
-            });
-        }
-        self.commit_appended(base, count)
-    }
-
-    /// Appends new utility samples given as one score row per sample
-    /// (the Table I format). See [`ScoreMatrix::append_samples_flat`].
-    ///
-    /// # Errors
-    ///
-    /// As [`ScoreMatrix::append_samples_flat`]; a ragged row reports a
-    /// [`FamError::DimensionMismatch`].
-    pub fn append_sample_rows(&mut self, rows: &[Vec<f64>]) -> Result<()> {
-        for row in rows {
-            if row.len() != self.n_points {
-                return Err(FamError::DimensionMismatch {
-                    expected: self.n_points,
-                    got: row.len(),
-                });
-            }
-        }
-        self.precheck_append(rows.len())?;
-        if rows.is_empty() {
-            return Ok(());
-        }
-        let base = self.scores.len();
-        let stride = self.stride;
-        self.scores.reserve(rows.len() * stride);
-        for row in rows {
-            self.scores.extend_from_slice(row);
-            self.scores.resize(self.scores.len() + (stride - row.len()), 0.0);
-        }
-        self.commit_appended(base, rows.len())
-    }
-
     /// Appends new utility samples by scoring every point of `dataset`
     /// under each function — the incremental twin of
-    /// [`ScoreMatrix::from_functions`], scoring **directly into the
-    /// grown buffer** (no staging copy). Callers that retain their
-    /// sampled population (e.g. a serving layer that must score future
-    /// point inserts under the same users) sample the functions
-    /// themselves and go through here; [`ScoreMatrix::append_samples`]
-    /// is the fire-and-forget wrapper.
+    /// [`ScoreMatrix::from_functions`], and the matrix's one sample-axis
+    /// growth path. Sampling the functions off the RNG that built the
+    /// matrix continues its sample stream: `from_distribution(ds, dist,
+    /// N₀, rng)` followed by appending `N₁ − N₀` functions drawn from
+    /// `dist` with the same `rng` is bit-identical to
+    /// `from_distribution(ds, dist, N₁, rng')` with a fresh RNG from the
+    /// same seed.
+    ///
+    /// The new rows are scored straight into the grown sample-major
+    /// buffer (rows are contiguous, so growing the sample axis never
+    /// re-lays them), and the mirror is re-laid at exactly the grown
+    /// height, each old column copied and the new samples transposed
+    /// behind it in one pass. Per-sample weights re-spread to `1/N` and
+    /// best-point tracking extends with the new rows only. Every
+    /// observable value — [`ScoreMatrix::row`], [`ScoreMatrix::column`],
+    /// weights, best tracking — is **bit-identical** to a from-scratch
+    /// [`ScoreMatrix::from_functions`] over the concatenated functions.
     ///
     /// # Errors
     ///
-    /// As [`ScoreMatrix::append_samples_flat`]; a dataset over a
-    /// different point universe reports a [`FamError::DimensionMismatch`].
+    /// Returns an error (leaving the matrix untouched) when `dataset`
+    /// covers a different point universe ([`FamError::DimensionMismatch`]),
+    /// a new score is non-finite or negative, a new row has no positive
+    /// score, the resident weights are not uniform, or the grown matrix
+    /// would exceed the footprint budget
+    /// ([`crate::sampling::check_matrix_budget`]). Error indices name the
+    /// concatenated sample stream.
     pub fn append_functions(
         &mut self,
         dataset: &Dataset,
@@ -1403,86 +949,50 @@ impl ScoreMatrix {
                 got: dataset.len(),
             });
         }
-        self.precheck_append(functions.len())?;
-        if functions.is_empty() {
+        // Appending samples re-spreads the probability mass uniformly
+        // (each sample is one i.i.d. draw), which is only sound when the
+        // resident mass is uniform too — exact discrete enumerations and
+        // hand-weighted matrices must be rebuilt instead.
+        let uniform = (1.0 / self.n_samples as f64).to_bits();
+        if self.weights.iter().any(|w| w.to_bits() != uniform) {
+            return Err(FamError::InvalidParameter {
+                name: "weights",
+                message: "appending samples requires uniform sample weights; \
+                          rebuild weighted or exact-discrete matrices instead"
+                    .into(),
+            });
+        }
+        let count = functions.len();
+        crate::sampling::check_matrix_budget(self.n_samples + count, self.n_points)?;
+        if count == 0 {
             return Ok(());
         }
+        let (n_old, n_points) = (self.n_samples, self.n_points);
         let base = self.scores.len();
-        let (stride, rows_per_chunk) = self.row_chunking();
-        let n_points = self.n_points;
-        let n_old = self.n_samples;
-        self.scores.resize(base + functions.len() * stride, 0.0);
-        // Score in parallel over whole rows with the same fused
-        // score+validate+best pass as the from-scratch construction
-        // (bit-identical for any thread count).
-        let tail = &mut self.scores[base..];
-        let flat = dataset.as_flat();
-        let dim = dataset.dim();
-        let per_chunk =
-            crate::par::for_each_chunk_mut_map(tail, rows_per_chunk * stride, |chunk, out| {
-                let first_row = chunk * rows_per_chunk;
-                out.chunks_mut(stride)
-                    .enumerate()
-                    .map(|(local, padded)| {
-                        let j = first_row + local;
-                        let f = &functions[j];
-                        let row = &mut padded[..n_points];
-                        match f.linear_weights() {
-                            Some(w) if w.len() == dim => {
-                                let (bi, bv, ok) =
-                                    crate::kernels::linear_score_row(w, flat, dim, row);
-                                if !ok {
-                                    row_best_checked(row, n_old + j)
-                                } else if bv <= 0.0 {
-                                    Err(FamError::DegenerateUtility { sample: n_old + j })
-                                } else {
-                                    Ok((bi, bv))
-                                }
-                            }
-                            _ => {
-                                for (idx, p) in dataset.points().enumerate() {
-                                    row[idx] = f.utility(idx, p);
-                                }
-                                row_best_checked(row, n_old + j)
-                            }
-                        }
-                    })
-                    .collect::<Result<Vec<_>>>()
-            });
-        match merge_row_bests(per_chunk, functions.len()) {
-            Ok((bi, bv)) => {
-                let best = bi.into_iter().zip(bv).collect();
-                self.commit_appended_with(base, functions.len(), best);
-                Ok(())
-            }
+        self.scores.reserve_exact(count * n_points);
+        self.scores.resize(base + count * n_points, 0.0);
+        let bests = fill_rows(&mut self.scores[base..], n_points, |j, row| {
+            score_row(&*functions[j], dataset, row, n_old + j)
+        });
+        let (best_index, best_value) = match bests {
+            Ok(bests) => bests,
             Err(e) => {
                 self.scores.truncate(base);
-                Err(e)
+                return Err(e);
             }
-        }
-    }
-
-    /// Samples `count` fresh utility functions from `dist` and appends
-    /// them — the incremental twin of [`ScoreMatrix::from_distribution`].
-    /// Continuing the **same** RNG that built the matrix reproduces the
-    /// from-scratch sample stream: `from_distribution(ds, dist, N₀, rng)`
-    /// followed by `append_samples(ds, dist, N₁ − N₀, rng)` is
-    /// bit-identical to `from_distribution(ds, dist, N₁, rng')` with a
-    /// fresh RNG from the same seed.
-    ///
-    /// # Errors
-    ///
-    /// As [`ScoreMatrix::append_functions`].
-    pub fn append_samples(
-        &mut self,
-        dataset: &Dataset,
-        dist: &dyn UtilityDistribution,
-        count: usize,
-        rng: &mut dyn RngCore,
-    ) -> Result<()> {
-        let functions: Vec<Arc<dyn UtilityFunction>> =
-            (0..count).map(|_| dist.sample(rng)).collect();
-        self.append_functions(dataset, &functions)
+        };
+        let rows = &self.scores[base..];
+        self.columns =
+            crate::kernels::transpose_appended(&self.columns, n_old, rows, count, n_points);
+        // Each sample is one i.i.d. draw: the mass re-spreads uniformly,
+        // exactly as a from-scratch build with `weights = None` would.
+        let n_new = n_old + count;
+        self.weights.clear();
+        self.weights.resize(n_new, 1.0 / n_new as f64);
+        self.best_index.extend(best_index);
+        self.best_value.extend(best_value);
+        self.n_samples = n_new;
+        Ok(())
     }
 }
 
@@ -1583,6 +1093,62 @@ fn merge_row_bests(
         }
     }
     Ok((best_index, best_value))
+}
+
+/// Fills `scores` one whole row (`n_points` values) at a time:
+/// `fill(u, row)` writes row `u` and returns its best point. Each pool
+/// worker fills a disjoint block of rows, so the buffer is identical for
+/// any thread count, and the bests merge in row order, so the first
+/// failing row's error wins — the error a serial row-by-row pass reports.
+fn fill_rows<F>(scores: &mut [f64], n_points: usize, fill: F) -> Result<(Vec<u32>, Vec<f64>)>
+where
+    F: Fn(usize, &mut [f64]) -> Result<(u32, f64)> + Sync,
+{
+    let n_rows = scores.len() / n_points;
+    let rows_per_chunk = (crate::par::CHUNK / n_points).max(1);
+    let per_chunk =
+        crate::par::for_each_chunk_mut_map(scores, rows_per_chunk * n_points, |chunk, out| {
+            let first_row = chunk * rows_per_chunk;
+            out.chunks_mut(n_points)
+                .enumerate()
+                .map(|(local, row)| fill(first_row + local, row))
+                .collect::<Result<Vec<_>>>()
+        });
+    merge_row_bests(per_chunk, n_rows)
+}
+
+/// Scores row `sample` — `f` over every point of `dataset` — fused with
+/// validation and the best-point pass, so each row is summarized while it
+/// is still cache-hot. Linear utilities take the batch kernel
+/// (bit-identical to calling `utility` per element, see
+/// `UtilityFunction::linear_weights`); everything else scores through the
+/// trait object and validates with the same fused kernel.
+#[inline]
+fn score_row(
+    f: &dyn UtilityFunction,
+    dataset: &Dataset,
+    row: &mut [f64],
+    sample: usize,
+) -> Result<(u32, f64)> {
+    let dim = dataset.dim();
+    match f.linear_weights() {
+        Some(w) if w.len() == dim => {
+            let (bi, bv, ok) = crate::kernels::linear_score_row(w, dataset.as_flat(), dim, row);
+            if !ok {
+                row_best_checked(row, sample)
+            } else if bv <= 0.0 {
+                Err(FamError::DegenerateUtility { sample })
+            } else {
+                Ok((bi, bv))
+            }
+        }
+        _ => {
+            for (idx, p) in dataset.points().enumerate() {
+                row[idx] = f.utility(idx, p);
+            }
+            row_best_checked(row, sample)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1760,14 +1326,7 @@ mod tests {
         for u in 0..m.n_samples() {
             flat.extend_from_slice(m.row(u));
         }
-        let fresh = ScoreMatrix::from_flat_with_layout(
-            flat,
-            m.n_samples(),
-            m.n_points(),
-            None,
-            m.has_column_mirror(),
-        )
-        .unwrap();
+        let fresh = ScoreMatrix::from_flat(flat, m.n_samples(), m.n_points(), None).unwrap();
         for u in 0..m.n_samples() {
             assert_eq!(m.row(u), fresh.row(u), "row {u} diverged");
             assert_eq!(m.best_index(u), fresh.best_index(u), "best index {u} diverged");
@@ -1779,8 +1338,36 @@ mod tests {
             assert_eq!(m.weight(u).to_bits(), fresh.weight(u).to_bits());
         }
         for p in 0..m.n_points() {
-            assert_eq!(m.column(p).map(<[f64]>::to_vec), fresh.column(p).map(<[f64]>::to_vec));
+            assert_eq!(m.column(p), fresh.column(p), "column {p} diverged");
         }
+    }
+
+    /// Both buffers hold exactly `n_samples × n_points` values: no row
+    /// slack, no mirror slack.
+    fn assert_exact_size(m: &ScoreMatrix) {
+        assert_eq!(m.scores.len(), m.n_samples() * m.n_points(), "rows carry slack");
+        assert_eq!(m.columns.len(), m.n_points() * m.n_samples(), "mirror carries slack");
+    }
+
+    /// A utility that reads its scores from a table by point index, so a
+    /// test can append exact rows through [`ScoreMatrix::append_functions`]
+    /// (unlike [`TableUtility`], it accepts any value, invalid ones too).
+    struct Row(Vec<f64>);
+
+    impl UtilityFunction for Row {
+        fn utility(&self, index: usize, _point: &[f64]) -> f64 {
+            self.0[index]
+        }
+    }
+
+    /// Appends one sample per row of `rows` to `m` through
+    /// [`ScoreMatrix::append_functions`], over a dataset of `n_points`
+    /// points (the matrix's own count unless a test wants a mismatch).
+    fn append_rows(m: &mut ScoreMatrix, n_points: usize, rows: &[Vec<f64>]) -> Result<()> {
+        let points = Dataset::from_rows((0..n_points).map(|p| vec![p as f64]).collect()).unwrap();
+        let functions: Vec<Arc<dyn UtilityFunction>> =
+            rows.iter().map(|r| Arc::new(Row(r.clone())) as Arc<dyn UtilityFunction>).collect();
+        m.append_functions(&points, &functions)
     }
 
     #[test]
@@ -1794,13 +1381,10 @@ mod tests {
         // Jerry keeps Shangri la.
         assert_eq!(m.best_index(1), 1);
         assert_matches_fresh_build(&m);
-        // No-op insert and mirrorless layout.
+        // No-op insert.
         m.insert_points(&[]).unwrap();
         assert_eq!(m.n_points(), 6);
-        let mut bare = table_i_matrix().drop_column_mirror();
-        bare.insert_points(&[vec![0.95, 0.1, 0.4, 0.3]]).unwrap();
-        assert!(bare.column(0).is_none());
-        assert_matches_fresh_build(&bare);
+        assert_matches_fresh_build(&m);
     }
 
     #[test]
@@ -1838,17 +1422,17 @@ mod tests {
         assert_matches_fresh_build(&m);
         let remap = m.delete_points(&[]).unwrap();
         assert_eq!(remap.len(), 3);
-        let mut bare = table_i_matrix().drop_column_mirror();
-        bare.delete_points(&[0, 3]).unwrap();
-        assert_matches_fresh_build(&bare);
+        m.delete_points(&[0, 2]).unwrap();
+        assert_eq!(m.n_points(), 1);
+        assert_matches_fresh_build(&m);
     }
 
     #[test]
     fn delete_with_bitwise_tied_duplicates_matches_fresh_build() {
         // Point 2 duplicates the best (point 1) bit for bit. Deleting
         // point 0 swap-moves the duplicate into slot 0, ahead of the
-        // surviving best — the repaired first-argmax must follow it, just
-        // like a fresh build of the reordered buffer would.
+        // surviving best — the first-argmax must follow it, just like a
+        // fresh build of the reordered buffer would.
         let mut m =
             ScoreMatrix::from_rows(vec![vec![0.5, 0.9, 0.9], vec![0.4, 0.3, 0.2]], None).unwrap();
         assert_eq!(m.best_index(0), 1);
@@ -1904,67 +1488,54 @@ mod tests {
     #[test]
     fn append_samples_matches_fresh_build() {
         let mut m = table_i_matrix();
-        m.append_sample_rows(&[vec![0.3, 0.2, 0.8, 0.1], vec![0.95, 0.4, 0.2, 0.9]]).unwrap();
+        append_rows(&mut m, 4, &[vec![0.3, 0.2, 0.8, 0.1], vec![0.95, 0.4, 0.2, 0.9]]).unwrap();
         assert_eq!(m.n_samples(), 6);
         assert_eq!(m.best_index(4), 2);
         assert!((m.best_value(5) - 0.95).abs() < 1e-12);
         // The mass re-spread uniformly over the grown stream.
         assert!((m.weight(0) - 1.0 / 6.0).abs() < 1e-15);
         assert_matches_fresh_build(&m);
-        // Empty appends are identity; mirrorless layouts append too.
-        m.append_sample_rows(&[]).unwrap();
+        // Empty appends are identity.
+        append_rows(&mut m, 4, &[]).unwrap();
         assert_eq!(m.n_samples(), 6);
-        let mut bare = table_i_matrix().drop_column_mirror();
-        bare.append_sample_rows(&[vec![0.5, 0.6, 0.7, 0.8]]).unwrap();
-        assert!(bare.column(0).is_none());
-        assert_matches_fresh_build(&bare);
-        // The flat entry point is equivalent.
-        let mut flat = table_i_matrix();
-        flat.append_samples_flat(&[0.3, 0.2, 0.8, 0.1, 0.95, 0.4, 0.2, 0.9], 2).unwrap();
-        for u in 0..6 {
-            assert_eq!(flat.row(u), m.row(u));
-        }
-        assert_matches_fresh_build(&flat);
+        assert_matches_fresh_build(&m);
     }
 
     #[test]
     fn append_samples_validates_without_mutating() {
         let mut m = table_i_matrix();
+        // A dataset over another point universe.
         assert!(matches!(
-            m.append_sample_rows(&[vec![1.0, 2.0]]),
+            append_rows(&mut m, 2, &[vec![1.0, 2.0]]),
             Err(FamError::DimensionMismatch { expected: 4, got: 2 })
         ));
         // Error indices name the concatenated sample stream.
         assert!(matches!(
-            m.append_sample_rows(&[vec![1.0, 0.1, f64::NAN, 0.2]]),
+            append_rows(&mut m, 4, &[vec![1.0, 0.1, f64::NAN, 0.2]]),
             Err(FamError::NonFinite { row: 4, col: 2 })
         ));
         assert!(matches!(
-            m.append_sample_rows(&[vec![0.5; 4], vec![0.2, -0.1, 0.3, 0.4]]),
+            append_rows(&mut m, 4, &[vec![0.5; 4], vec![0.2, -0.1, 0.3, 0.4]]),
             Err(FamError::NegativeValue { row: 5, col: 1 })
         ));
         assert!(matches!(
-            m.append_sample_rows(&[vec![0.5; 4], vec![0.0; 4]]),
+            append_rows(&mut m, 4, &[vec![0.5; 4], vec![0.0; 4]]),
             Err(FamError::DegenerateUtility { sample: 5 })
-        ));
-        assert!(matches!(
-            m.append_samples_flat(&[0.5; 7], 2),
-            Err(FamError::DimensionMismatch { expected: 8, got: 7 })
         ));
         assert_eq!(m.n_samples(), 4);
         assert_matches_fresh_build(&m);
+        assert_exact_size(&m);
         // Non-uniform weights cannot absorb i.i.d. appends.
         let mut weighted =
             ScoreMatrix::from_rows(vec![vec![1.0, 0.5], vec![0.5, 1.0]], Some(vec![3.0, 1.0]))
                 .unwrap();
-        let err = weighted.append_sample_rows(&[vec![0.5, 0.5]]).unwrap_err();
+        let err = append_rows(&mut weighted, 2, &[vec![0.5, 0.5]]).unwrap_err();
         assert!(err.to_string().contains("uniform"), "{err}");
     }
 
     #[test]
     fn repeated_appends_keep_the_mirror_exact_size() {
         use rand::Rng;
-        let mirror_len = |m: &ScoreMatrix| m.columns.as_ref().map(Vec::len);
         // Many small odd-sized appends: after each one the mirror holds
         // exactly n × N values and equals a fresh build.
         let mut rng = StdRng::seed_from_u64(7);
@@ -1973,9 +1544,9 @@ mod tests {
             let rows: Vec<Vec<f64>> = (0..rng.gen_range(1..4))
                 .map(|_| (0..4).map(|_| rng.gen_range(0.01..1.0)).collect())
                 .collect();
-            m.append_sample_rows(&rows).unwrap();
+            append_rows(&mut m, 4, &rows).unwrap();
             assert_matches_fresh_build(&m);
-            assert_eq!(mirror_len(&m), Some(m.n_points() * m.n_samples()));
+            assert_exact_size(&m);
         }
         assert!(m.n_samples() > 4);
         // Refine's doubling schedule plus one sample: 40 points at
@@ -1986,11 +1557,13 @@ mod tests {
         let dist = UniformLinear::new(2).unwrap();
         let mut m = ScoreMatrix::from_distribution(&ds, &dist, 1_000, &mut rng).unwrap();
         for (count, n_samples) in [(1_000, 2_000), (1, 2_001)] {
-            m.append_samples(&ds, &dist, count, &mut rng).unwrap();
+            let fns: Vec<Arc<dyn UtilityFunction>> =
+                (0..count).map(|_| dist.sample(&mut rng)).collect();
+            m.append_functions(&ds, &fns).unwrap();
             assert_eq!(m.n_samples(), n_samples);
-            assert_eq!(mirror_len(&m), Some(40 * n_samples));
+            assert_exact_size(&m);
         }
-        assert_eq!(mirror_len(&m), Some(80_040));
+        assert_eq!(m.columns.len(), 80_040);
         assert_matches_fresh_build(&m);
     }
 
@@ -1999,32 +1572,32 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(123);
-        for mirror in [true, false] {
-            let rows: Vec<Vec<f64>> =
-                (0..6).map(|_| (0..5).map(|_| rng.gen_range(0.01..1.0)).collect()).collect();
-            let base = ScoreMatrix::from_rows(rows, None).unwrap();
-            let mut m = if mirror { base } else { base.drop_column_mirror() };
-            for _ in 0..14 {
-                match rng.gen_range(0..3) {
-                    0 if m.n_points() > 2 => {
-                        let d = rng.gen_range(0..m.n_points());
-                        m.delete_points(&[d]).unwrap();
-                    }
-                    1 => {
-                        let cols: Vec<Vec<f64>> = (0..rng.gen_range(1..3))
-                            .map(|_| (0..m.n_samples()).map(|_| rng.gen_range(0.01..1.0)).collect())
-                            .collect();
-                        m.insert_points(&cols).unwrap();
-                    }
-                    _ => {
-                        let new_rows: Vec<Vec<f64>> = (0..rng.gen_range(1..4))
-                            .map(|_| (0..m.n_points()).map(|_| rng.gen_range(0.01..1.0)).collect())
-                            .collect();
-                        m.append_sample_rows(&new_rows).unwrap();
-                    }
+        let rows: Vec<Vec<f64>> =
+            (0..6).map(|_| (0..5).map(|_| rng.gen_range(0.01..1.0)).collect()).collect();
+        let mut m = ScoreMatrix::from_rows(rows, None).unwrap();
+        for _ in 0..28 {
+            match rng.gen_range(0..3) {
+                0 if m.n_points() > 2 => {
+                    let d = rng.gen_range(0..m.n_points());
+                    m.delete_points(&[d]).unwrap();
                 }
-                assert_matches_fresh_build(&m);
+                1 => {
+                    let cols: Vec<Vec<f64>> = (0..rng.gen_range(1..3))
+                        .map(|_| (0..m.n_samples()).map(|_| rng.gen_range(0.01..1.0)).collect())
+                        .collect();
+                    m.insert_points(&cols).unwrap();
+                }
+                _ => {
+                    let new_rows: Vec<Vec<f64>> = (0..rng.gen_range(1..4))
+                        .map(|_| (0..m.n_points()).map(|_| rng.gen_range(0.01..1.0)).collect())
+                        .collect();
+                    let n_points = m.n_points();
+                    append_rows(&mut m, n_points, &new_rows).unwrap();
+                }
             }
+            assert_matches_fresh_build(&m);
+            // Every edit re-lays both buffers at the new exact size.
+            assert_exact_size(&m);
         }
     }
 
@@ -2037,8 +1610,11 @@ mod tests {
         // Grown: N0 = 20, then +20 +40 off the same RNG stream.
         let mut rng = StdRng::seed_from_u64(5);
         let mut grown = ScoreMatrix::from_distribution(&d, &dist, 20, &mut rng).unwrap();
-        grown.append_samples(&d, &dist, 20, &mut rng).unwrap();
-        grown.append_samples(&d, &dist, 40, &mut rng).unwrap();
+        for count in [20, 40] {
+            let fns: Vec<Arc<dyn UtilityFunction>> =
+                (0..count).map(|_| dist.sample(&mut rng)).collect();
+            grown.append_functions(&d, &fns).unwrap();
+        }
         // From scratch over the concatenated stream (fresh RNG, same seed).
         let mut rng2 = StdRng::seed_from_u64(5);
         let fresh = ScoreMatrix::from_distribution(&d, &dist, 80, &mut rng2).unwrap();
@@ -2050,13 +1626,12 @@ mod tests {
             assert_eq!(grown.weight(u).to_bits(), fresh.weight(u).to_bits());
         }
         for p in 0..3 {
-            assert_eq!(grown.column(p).map(<[f64]>::to_vec), fresh.column(p).map(<[f64]>::to_vec));
+            assert_eq!(grown.column(p), fresh.column(p));
         }
         // A wrong-universe dataset is rejected up front, without
         // mutating the matrix.
         let wrong = Dataset::from_rows(vec![vec![0.1, 0.2]]).unwrap();
         let mut rng3 = StdRng::seed_from_u64(5);
-        assert!(grown.append_samples(&wrong, &dist, 5, &mut rng3).is_err());
         let fns: Vec<Arc<dyn UtilityFunction>> = (0..6).map(|_| dist.sample(&mut rng3)).collect();
         assert!(grown.append_functions(&wrong, &fns).is_err());
         assert_eq!(grown.n_samples(), 80);
@@ -2083,7 +1658,7 @@ mod tests {
         // 1×1: the smallest legal matrix.
         let m = ScoreMatrix::from_rows(vec![vec![0.5]], None).unwrap();
         assert_eq!((m.best_index(0), m.best_value(0)), (0, 0.5));
-        assert_eq!(m.column(0).unwrap(), &[0.5]);
+        assert_eq!(m.column(0), &[0.5]);
         // 1×n around the tile boundary: the max sits in the tail tile.
         for n in [1, 2, TILE - 1, TILE, TILE + 1, 2 * TILE + 3] {
             let mut row: Vec<f64> = (0..n).map(|p| 0.1 + (p % 7) as f64 * 0.01).collect();
@@ -2099,7 +1674,7 @@ mod tests {
             assert_eq!(m.best_index(u), 0);
             assert_eq!(m.best_value(u), 0.01 + u as f64);
         }
-        assert_eq!(m.column(0).unwrap().len(), TILE + 5);
+        assert_eq!(m.column(0).len(), TILE + 5);
     }
 
     /// The fused linear scoring kernel in `from_functions` must be

@@ -9,7 +9,6 @@
 //! All of them toggle the process-global thread override, so every test
 //! serializes on one lock — the harness would otherwise interleave the
 //! toggles across its own worker threads.
-#![cfg(feature = "parallel")]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard};

@@ -117,17 +117,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The point-major mirror agrees with `score(u, p)` entry for entry,
-    /// and `row_scores` lends exactly the sample-major rows.
+    /// `column_scores` lends its bands, and `row_scores` lends exactly
+    /// the sample-major rows.
     #[test]
     fn column_mirror_matches_scores(m in matrix_strategy(12, 12)) {
         use fam_core::ScoreSource;
         prop_assert!(m.has_column_mirror());
+        let mut band = vec![0.0; m.n_samples()];
         for p in 0..m.n_points() {
-            let col = m.column(p).expect("mirror present");
+            let col = m.column(p);
             prop_assert_eq!(col.len(), m.n_samples());
             for (u, &v) in col.iter().enumerate() {
                 prop_assert_eq!(v.to_bits(), m.score(u, p).to_bits());
             }
+            let lent = m.column_scores(p, 0..m.n_samples(), &mut band);
+            prop_assert!(std::ptr::eq(lent, col), "mirror columns are borrowed, not copied");
         }
         let mut buf = Vec::new();
         for u in 0..m.n_samples() {
@@ -138,72 +142,13 @@ proptest! {
             }
         }
     }
-
-    /// Dropping the mirror changes layout only: every score, best value,
-    /// and evaluator result is unchanged, `column` reports `None`, and
-    /// `column_scores` gathers the column from the rows.
-    #[test]
-    fn mirrorless_matrix_is_equivalent(m in matrix_strategy(10, 10)) {
-        use fam_core::ScoreSource;
-        let bare = m.clone_without_mirror();
-        prop_assert!(!bare.has_column_mirror());
-        prop_assert!(bare.column(0).is_none());
-        let mut buf = vec![0.0; bare.n_samples()];
-        let gathered = ScoreSource::column_scores(&bare, 0, 0..bare.n_samples(), &mut buf).to_vec();
-        prop_assert_eq!(&gathered[..], &buf[..], "a mirrorless column is gathered into the buffer");
-        for (u, &v) in gathered.iter().enumerate() {
-            prop_assert_eq!(v.to_bits(), m.score(u, 0).to_bits());
-        }
-        for u in 0..m.n_samples() {
-            prop_assert_eq!(bare.best_value(u).to_bits(), m.best_value(u).to_bits());
-            for p in 0..m.n_points() {
-                prop_assert_eq!(bare.score(u, p).to_bits(), m.score(u, p).to_bits());
-            }
-        }
-        let mut with = SelectionEvaluator::new_full(&m);
-        let mut without = SelectionEvaluator::new_full(&bare);
-        prop_assert_eq!(with.arr().to_bits(), without.arr().to_bits());
-        for p in (0..m.n_points() - 1).rev() {
-            prop_assert_eq!(
-                with.removal_delta(p).to_bits(),
-                without.removal_delta(p).to_bits()
-            );
-            with.remove(p);
-            without.remove(p);
-            prop_assert_eq!(with.arr().to_bits(), without.arr().to_bits());
-        }
-        // Additions exercise the columnar fast path against the probe path.
-        for p in 1..m.n_points() - 1 {
-            prop_assert_eq!(
-                with.addition_delta(p).to_bits(),
-                without.addition_delta(p).to_bits()
-            );
-            with.add(p);
-            without.add(p);
-            prop_assert_eq!(with.arr().to_bits(), without.arr().to_bits());
-        }
-    }
-
-    /// A rebuilt mirror is identical to the one made at construction.
-    #[test]
-    fn rebuilt_mirror_roundtrips(m in matrix_strategy(9, 9)) {
-        let mut bare = m.clone_without_mirror();
-        bare.build_column_mirror();
-        for p in 0..m.n_points() {
-            prop_assert_eq!(m.column(p).unwrap(), bare.column(p).unwrap());
-        }
-    }
 }
 
-/// One linear instance on all three backings — mirrored, mirrorless and
-/// compact — plus a selection with at least one member. Coordinates and
-/// weights are uniform when `levels` is 0, else drawn from `levels`
-/// evenly spaced values with some points duplicated, so scores tie
-/// exactly.
-fn runner_up_instance(
-    seed: u64,
-    levels: usize,
-) -> (ScoreMatrix, ScoreMatrix, LinearScores, Vec<usize>) {
+/// One linear instance on both backings — mirrored and compact — plus a
+/// selection with at least one member. Coordinates and weights are
+/// uniform when `levels` is 0, else drawn from `levels` evenly spaced
+/// values with some points duplicated, so scores tie exactly.
+fn runner_up_instance(seed: u64, levels: usize) -> (ScoreMatrix, LinearScores, Vec<usize>) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let draw = |rng: &mut rand::rngs::StdRng| -> f64 {
         if levels == 0 {
@@ -228,7 +173,6 @@ fn runner_up_instance(
         .map(|w| Arc::new(LinearUtility::new(w.clone()).unwrap()) as Arc<dyn UtilityFunction>)
         .collect();
     let mirrored = ScoreMatrix::from_functions(&ds, &functions, None).unwrap();
-    let mirrorless = mirrored.clone_without_mirror();
     let compact = LinearScores::from_weight_rows(ds, weights).unwrap();
     let k = rng.gen_range(1..n);
     let mut selection: Vec<usize> = (0..n).collect();
@@ -236,7 +180,7 @@ fn runner_up_instance(
         selection.swap(i, rng.gen_range(0..=i));
     }
     selection.truncate(k);
-    (mirrored, mirrorless, compact, selection)
+    (mirrored, compact, selection)
 }
 
 /// Asserts, with no tolerance, that every non-member's runner-up bound
@@ -271,9 +215,8 @@ proptest! {
         seed in 0u64..1_000_000,
         levels in 0usize..6,
     ) {
-        let (mirrored, mirrorless, compact, selection) = runner_up_instance(seed, levels);
+        let (mirrored, compact, selection) = runner_up_instance(seed, levels);
         assert_runner_up_bounds(&mirrored, &selection, "mirrored");
-        assert_runner_up_bounds(&mirrorless, &selection, "mirrorless");
         assert_runner_up_bounds(&compact, &selection, "compact");
     }
 }

@@ -206,7 +206,6 @@ pub struct RefineSummary {
 pub struct DatasetService {
     name: String,
     dim: usize,
-    functions: Vec<Arc<dyn UtilityFunction>>,
     /// The sampled weights and the current point coordinates, in score
     /// column order — coordinate-based solvers answer against the live
     /// universe. On a reduced service the coordinates are the **kept**
@@ -381,7 +380,6 @@ impl DatasetService {
         Ok(DatasetService {
             name: name.to_string(),
             dim: dataset.dim(),
-            functions,
             scores: Arc::new(scores),
             cache,
             cache_k: opts.cache_k.clone(),
@@ -968,7 +966,6 @@ impl DatasetService {
         // the cache) untouched.
         check_matrix_budget(target, self.n_points())?;
         Arc::make_mut(&mut self.scores).append_functions(&fresh)?;
-        self.functions.extend(fresh);
         // The population has grown: the old cache's entries no longer
         // equal cold solves on the resident database. If the re-harvest
         // fails, drop the cache entirely — misses fall through to
@@ -1043,10 +1040,24 @@ fn permuted_dataset(
 mod tests {
     use super::*;
     use fam_algos::{add_greedy, dp_2d, greedy_shrink, GreedyShrinkConfig, UniformBoxMeasure};
-    use fam_core::{ScoreMatrix, ScoreSource};
+    use fam_core::{LinearUtility, ScoreMatrix, ScoreSource};
     use fam_data::{synthetic, Correlation};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The dense matrix of `svc`'s sampled population over its live
+    /// coordinates. The functions are rebuilt from the compact scores'
+    /// weight vectors, bit-equal to the sampled ones because
+    /// `LinearUtility::new` keeps its weights as given.
+    fn dense_rebuild(svc: &DatasetService) -> ScoreMatrix {
+        let functions: Vec<Arc<dyn UtilityFunction>> = (0..svc.n_samples())
+            .map(|u| {
+                let w = svc.matrix().weight_vector(u).to_vec();
+                Arc::new(LinearUtility::new(w).unwrap()) as Arc<dyn UtilityFunction>
+            })
+            .collect();
+        ScoreMatrix::from_functions(svc.dataset(), &functions, None).unwrap()
+    }
 
     /// Sample `u`'s scores as bits, read through the borrow-or-fill
     /// accessor (a matrix lends the row, the compact backing fills it).
@@ -1190,7 +1201,7 @@ mod tests {
         assert_eq!((svc.n_points(), next.n_points()), (30, 31));
         // The next scores are the in-place patch of a private copy of the
         // source's matrix, bit for bit.
-        let mut patched = ScoreMatrix::from_functions(svc.dataset(), &svc.functions, None).unwrap();
+        let mut patched = dense_rebuild(&svc);
         patched.delete_points(&[3]).unwrap();
         let inserted: Vec<Vec<f64>> = [29, 30]
             .iter()
@@ -1215,7 +1226,7 @@ mod tests {
         let cold = dp_2d(svc.dataset(), 2, &UniformBoxMeasure).unwrap();
         assert_eq!(res.indices, cold.selection.indices);
         // The coordinates the scores are computed from are the mirror's.
-        let m2 = ScoreMatrix::from_functions(svc.dataset(), &svc.functions, None).unwrap();
+        let m2 = dense_rebuild(&svc);
         for u in 0..svc.n_samples() {
             assert_eq!(
                 row_bits(svc.matrix(), u),
@@ -1365,8 +1376,7 @@ mod tests {
     fn refine_composes_with_point_updates() {
         let mut svc = DatasetService::build("demo", &dataset(25), &options()).unwrap();
         svc.refine(0.15, 0.1).unwrap();
-        // Inserts after a refine score under the grown population: the
-        // matrix row count and the functions list stay in lockstep.
+        // Inserts after a refine score under the grown population.
         svc.apply_update_text("insert,0.9,0.8,0.7\ndelete,3\n", "ops").unwrap();
         assert_eq!(svc.n_points(), 25);
         let (hit, cached) = svc.solve(&SolverSpec::new("greedy-shrink", 2)).unwrap();
@@ -1612,7 +1622,7 @@ mod tests {
         assert_eq!(svc.n_points(), 3);
         svc.apply_update_text(EVICT_PROMOTE_INSERT, "ops").unwrap();
         assert_eq!(svc.n_points(), 4, "b evicted, d promoted, the insert kept");
-        let m2 = ScoreMatrix::from_functions(svc.dataset(), &svc.functions, None).unwrap();
+        let m2 = dense_rebuild(&svc);
         for u in 0..svc.n_samples() {
             assert_eq!(
                 row_bits(svc.matrix(), u),
@@ -1638,7 +1648,7 @@ mod tests {
         let ds = Dataset::from_rows(rows).unwrap();
         let mut svc = DatasetService::build("dup", &ds, &options()).unwrap();
         let check = |svc: &DatasetService, what: &str| {
-            let dense = ScoreMatrix::from_functions(svc.dataset(), &svc.functions, None).unwrap();
+            let dense = dense_rebuild(svc);
             for u in 0..svc.n_samples() {
                 let m = svc.matrix();
                 assert_eq!(ScoreSource::best_index(m, u), dense.best_index(u), "{what}: best {u}");
