@@ -5,10 +5,11 @@
 //! Supermodularity of `arr` means insertion marginals *shrink* in
 //! magnitude as the set grows, so the classic lazy-greedy optimization
 //! applies here too: a stale (more negative) delta is an optimistic bound.
-//! The lazy heap itself lives in [`crate::repair`], shared with the
-//! dynamic-database warm-repair path. Kept primarily as an ablation
-//! baseline against GREEDY-SHRINK — and, through [`add_greedy_from`], as
-//! the growth direction of warm-started repair after database updates.
+//! The grow loop lives in the crate's one lazy-greedy module (`lazy.rs`),
+//! and [`crate::add_greedy_range`], [`crate::warm_repair`] and
+//! [`crate::reoptimize`] run it as well. Kept primarily as an ablation
+//! baseline against GREEDY-SHRINK, and as the polish start of
+//! local search.
 
 use fam_core::solve::QueryTimer;
 
@@ -59,7 +60,7 @@ pub(crate) fn add_greedy_from_counted<S: ScoreSource + ?Sized>(
     }
     let start = QueryTimer::start();
     let mut ev = SelectionEvaluator::new_with(m, seed);
-    let evaluations = crate::repair::lazy_grow(&mut ev, k);
+    let evaluations = crate::lazy::grow(&mut ev, k, |_, _| {});
     let objective = ev.arr();
     let algorithm = if seed.is_empty() { "add-greedy" } else { "add-greedy-warm" };
     let sel = Selection::new(ev.selection(), algorithm)
@@ -135,6 +136,10 @@ mod tests {
             }
         }
         assert_eq!(sel.indices, vec![best.1]);
+        // The initial scan is fresh for the first pick: k = 1 costs the
+        // 12 initial marginals and no re-evaluation.
+        let (_, evaluations) = add_greedy_from_counted(&m, &[], 1).unwrap();
+        assert_eq!(evaluations, 12);
     }
 
     #[test]

@@ -10,22 +10,23 @@
 //! * **Improvement 1** (best-point caching) lives in
 //!   [`fam_core::SelectionEvaluator`]: evaluating `arr(S − {p})` touches
 //!   only the samples whose best point is `p`.
-//! * **Improvement 2** (lazy lower-bound pruning) is implemented here with
-//!   a priority queue over *stale* evaluation values, which Lemma 2 shows
-//!   are lower bounds of the current values; a popped entry that is already
+//! * **Improvement 2** (lazy lower-bound pruning) runs on the crate's
+//!   one lazy-greedy module (`lazy.rs`): stale evaluation values are lower
+//!   bounds of the current ones (Lemma 2), so a heap head that is already
 //!   fresh is the true argmin (Lemma 3).
 //!
 //! Both improvements are toggleable so the ablation experiment can measure
 //! their effect; instrumentation counters reproduce the paper's "~1% of
 //! best points change per iteration" and "~68% of candidates re-evaluated"
-//! claims.
+//! claims. No step of the shrink depends on where it stops, so one shrink
+//! serves a cold solve (the one-size range `k..=k`) and the multi-`k`
+//! harvest ([`crate::greedy_shrink_range`]) alike: every harvested entry
+//! is a cold solve's state, instrumentation included.
+
+use std::ops::RangeInclusive;
 
 use fam_core::solve::QueryTimer;
-use std::collections::BinaryHeap;
-
 use fam_core::{regret, FamError, Result, ScoreSource, Selection, SelectionEvaluator};
-
-use crate::repair::Entry;
 
 /// Configuration for [`greedy_shrink`].
 #[derive(Debug, Clone, Copy)]
@@ -63,9 +64,11 @@ pub struct GreedyShrinkOutput {
     /// (the paper reports ≈1% on real datasets).
     pub avg_best_change_frac: f64,
     /// Mean fraction of surviving candidates re-evaluated per iteration
-    /// (the paper reports ≈68%; 100% when lazy pruning is off).
+    /// (the paper reports ≈68%; 100% when lazy pruning is off). The lazy
+    /// loop's initial scan belongs to no iteration.
     pub avg_candidates_frac: f64,
-    /// Total number of `arr(S − {p})` evaluations.
+    /// Total number of `arr(S − {p})` evaluations, the lazy loop's
+    /// initial scan of every member included.
     pub arr_evaluations: u64,
 }
 
@@ -82,18 +85,15 @@ pub fn greedy_shrink<S: ScoreSource + ?Sized>(
     if cfg.k == 0 || cfg.k > n {
         return Err(FamError::InvalidK { k: cfg.k, n });
     }
-    run(m, None, cfg)
+    Ok(run(m, None, cfg))
 }
 
 /// Warm-started GREEDY-SHRINK: initializes the solution to `seed` — a
-/// previous selection plus any freshly inserted candidates, rather than
-/// the whole database — and shrinks to `cfg.k` points. Seeding with every
-/// point is exactly [`greedy_shrink`].
-///
-/// This is the shrink direction of dynamic-update repair: after a batch
-/// of insertions/deletions, re-running from `S = D` costs `O((n−k)·N)`
-/// evaluations while repairing from the surviving selection touches only
-/// `O(|seed|−k)` of them.
+/// previous selection plus any fresh candidates, rather than the whole
+/// database — and shrinks to `cfg.k` points, making `|seed| − k` picks
+/// where a cold run makes `n − k`. Seeding with every point is exactly
+/// [`greedy_shrink`]. The registry's `greedy-shrink` solver runs it for a
+/// `seed=` parameter.
 ///
 /// # Errors
 ///
@@ -115,132 +115,114 @@ pub fn greedy_shrink_warm<S: ScoreSource + ?Sized>(
             message: format!("seed of {} points is smaller than k = {}", seed.len(), cfg.k),
         });
     }
-    run(m, Some(seed), cfg)
+    Ok(run(m, Some(seed), cfg))
 }
 
 fn run<S: ScoreSource + ?Sized>(
     m: &S,
     seed: Option<&[usize]>,
     cfg: GreedyShrinkConfig,
-) -> Result<GreedyShrinkOutput> {
+) -> GreedyShrinkOutput {
     let algorithm = match (cfg.best_point_cache, seed.is_some()) {
         (true, false) => "greedy-shrink",
         (true, true) => "greedy-shrink-warm",
         (false, false) => "greedy-shrink-naive",
         (false, true) => "greedy-shrink-naive-warm",
     };
-    let start = QueryTimer::start();
-    let out = if cfg.best_point_cache {
-        shrink_cached(m, cfg, seed, algorithm)
+    if cfg.best_point_cache {
+        let mut outs = shrink_cached(m, seed, cfg.k..=cfg.k, cfg.lazy_pruning, algorithm);
+        outs.pop().expect("the one-size range holds k")
     } else {
         shrink_naive(m, cfg.k, seed, algorithm)
-    };
-    let elapsed = start.elapsed();
-    out.map(|mut o| {
-        o.selection.query_time = elapsed;
-        o
-    })
+    }
 }
 
-fn shrink_cached<S: ScoreSource + ?Sized>(
+/// GREEDY-SHRINK on the best-point cache, from `seed` (every point when
+/// `None`) down to `ks.start()`, returning the state at every size in `ks`
+/// (ascending) with the instrumentation a cold solve at that size
+/// reports. `lazy` runs the lazy loop of `lazy.rs`; otherwise every member is scored
+/// at every step, the ablation and test reference. A size that needs no
+/// pick (`|seed|` itself) is reported with no scan and 0 evaluations.
+///
+/// `ks` must lie within `1..=|seed|`.
+pub(crate) fn shrink_cached<S: ScoreSource + ?Sized>(
     m: &S,
-    cfg: GreedyShrinkConfig,
     seed: Option<&[usize]>,
+    ks: RangeInclusive<usize>,
+    lazy: bool,
     algorithm: &'static str,
-) -> Result<GreedyShrinkOutput> {
+) -> Vec<GreedyShrinkOutput> {
+    let timer = QueryTimer::start();
     let mut ev = match seed {
         None => SelectionEvaluator::new_full(m),
         Some(s) => SelectionEvaluator::new_with(m, s),
     };
     let start_len = ev.len();
-    let iterations = start_len - cfg.k;
-    if iterations == 0 {
-        // Already at the target size: skip the initial candidate sweep
-        // (it would spend |seed| removal evaluations to remove nothing).
-        return Ok(GreedyShrinkOutput {
-            selection: Selection::new(ev.selection(), algorithm).with_objective(ev.arr()),
-            iterations: 0,
-            avg_best_change_frac: 0.0,
-            avg_candidates_frac: 0.0,
-            arr_evaluations: 0,
-        });
-    }
-    let mut best_change_acc = 0.0;
-    let mut candidates_acc = 0.0;
-    let mut arr_evaluations = 0u64;
-
-    if cfg.lazy_pruning {
-        // Lazy greedy: stale values are lower bounds (Lemma 2), so the heap
-        // head, once refreshed in the current iteration, is the argmin
-        // (Lemma 3).
-        let mut heap: BinaryHeap<Entry> = BinaryHeap::with_capacity(start_len);
-        for p in ev.selection() {
-            let value = ev.arr() + ev.removal_delta(p);
-            arr_evaluations += 1;
-            heap.push(Entry { value, point: p as u32, stamp: 0 });
+    let mut out = Vec::new();
+    // Promotions and evaluations as of the previous pick; the lazy loop's
+    // initial scan of every member belongs to no pick.
+    let mut promotions = ev.counters().promotions;
+    let mut counted = if lazy { start_len as u64 } else { 0 };
+    let (mut best_change_acc, mut candidates_acc) = (0.0, 0.0);
+    let mut observe = |ev: &SelectionEvaluator<'_, S>, evaluations: u64| {
+        let iterations = start_len - ev.len();
+        if iterations > 0 {
+            let now = ev.counters().promotions;
+            best_change_acc += (now - promotions) as f64 / m.n_samples() as f64;
+            // Candidates that survived into this pick: |S| before removal.
+            candidates_acc += (evaluations - counted) as f64 / (ev.len() + 1) as f64;
+            (promotions, counted) = (now, evaluations);
         }
-        for iter in 1..=iterations as u32 {
-            let before_promotions = ev.counters().promotions;
-            let mut evaluated_this_iter = 0u64;
-            let victim;
-            loop {
-                let head = heap.pop().expect("heap tracks all remaining members");
-                if !ev.contains(head.point as usize) {
-                    continue; // already removed in an earlier iteration
-                }
-                if head.stamp == iter {
-                    victim = head.point as usize;
-                    break;
-                }
-                let value = ev.arr() + ev.removal_delta(head.point as usize);
-                arr_evaluations += 1;
-                evaluated_this_iter += 1;
-                heap.push(Entry { value, point: head.point, stamp: iter });
-            }
-            ev.remove(victim);
-            let promoted = ev.counters().promotions - before_promotions;
-            best_change_acc += promoted as f64 / m.n_samples() as f64;
-            // Candidates that survived into this iteration: |S| before removal.
-            let survivors = (start_len - iter as usize + 1) as f64;
-            candidates_acc += evaluated_this_iter as f64 / survivors;
+        if ks.contains(&ev.len()) {
+            let mean = |acc: f64| if iterations > 0 { acc / iterations as f64 } else { 0.0 };
+            out.push(GreedyShrinkOutput {
+                selection: Selection::new(ev.selection(), algorithm)
+                    .with_objective(ev.arr())
+                    .with_query_time(timer.elapsed()),
+                iterations,
+                avg_best_change_frac: mean(best_change_acc),
+                avg_candidates_frac: mean(candidates_acc),
+                arr_evaluations: evaluations,
+            });
         }
+    };
+    observe(&ev, 0);
+    if lazy {
+        crate::lazy::shrink(&mut ev, *ks.start(), &mut observe);
     } else {
-        let mut members = Vec::new();
-        for iter in 1..=iterations {
-            let before_promotions = ev.counters().promotions;
-            ev.selection_into(&mut members);
-            let mut best: Option<(f64, usize)> = None;
-            for &p in &members {
-                let value = ev.arr() + ev.removal_delta(p);
-                arr_evaluations += 1;
-                match best {
-                    None => best = Some((value, p)),
-                    Some((bv, _)) if value < bv => best = Some((value, p)),
-                    _ => {}
-                }
-            }
-            let (_, victim) = best.expect("selection non-empty");
-            ev.remove(victim);
-            let promoted = ev.counters().promotions - before_promotions;
-            best_change_acc += promoted as f64 / m.n_samples() as f64;
-            candidates_acc += 1.0;
-            let _ = iter;
-        }
+        shrink_eager(&mut ev, *ks.start(), &mut observe);
     }
+    out.reverse();
+    out
+}
 
-    let indices = ev.selection();
-    let objective = ev.arr();
-    Ok(GreedyShrinkOutput {
-        selection: Selection::new(indices, algorithm).with_objective(objective),
-        iterations,
-        avg_best_change_frac: if iterations > 0 {
-            best_change_acc / iterations as f64
-        } else {
-            0.0
-        },
-        avg_candidates_frac: if iterations > 0 { candidates_acc / iterations as f64 } else { 0.0 },
-        arr_evaluations,
-    })
+/// The eager reference for the lazy shrink: scores every member at every
+/// step and removes the first with the smallest value (members ascend,
+/// so ties go to the lowest index, as in the lazy heap), calling
+/// `on_pick` as the lazy loop does.
+fn shrink_eager<S, F>(ev: &mut SelectionEvaluator<'_, S>, k: usize, mut on_pick: F)
+where
+    S: ScoreSource + ?Sized,
+    F: FnMut(&SelectionEvaluator<'_, S>, u64),
+{
+    let mut members = Vec::new();
+    let mut evaluations = 0u64;
+    while ev.len() > k {
+        ev.selection_into(&mut members);
+        let mut best: Option<(f64, usize)> = None;
+        for &p in &members {
+            let value = ev.arr() + ev.removal_delta(p);
+            evaluations += 1;
+            match best {
+                None => best = Some((value, p)),
+                Some((bv, _)) if value < bv => best = Some((value, p)),
+                _ => {}
+            }
+        }
+        let (_, victim) = best.expect("selection non-empty");
+        ev.remove(victim);
+        on_pick(ev, evaluations);
+    }
 }
 
 /// Textbook Algorithm 1 with no caching: every candidate evaluation is a
@@ -253,7 +235,8 @@ fn shrink_naive<S: ScoreSource + ?Sized>(
     k: usize,
     seed: Option<&[usize]>,
     algorithm: &'static str,
-) -> Result<GreedyShrinkOutput> {
+) -> GreedyShrinkOutput {
+    let timer = QueryTimer::start();
     let n = m.n_points();
     let mut members: Vec<usize> = match seed {
         None => (0..n).collect(),
@@ -283,13 +266,15 @@ fn shrink_naive<S: ScoreSource + ?Sized>(
         members.remove(pos);
     }
     let objective = regret::arr_unchecked(m, &members);
-    Ok(GreedyShrinkOutput {
-        selection: Selection::new(members, algorithm).with_objective(objective),
+    GreedyShrinkOutput {
+        selection: Selection::new(members, algorithm)
+            .with_objective(objective)
+            .with_query_time(timer.elapsed()),
         iterations: start_len - k,
         avg_best_change_frac: f64::NAN,
         avg_candidates_frac: 1.0,
         arr_evaluations,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -382,6 +367,13 @@ mod tests {
         assert_eq!(out.selection.indices, vec![0, 1, 2, 3, 4, 5]);
         assert_eq!(out.iterations, 0);
         assert!(out.selection.objective.unwrap().abs() < 1e-12);
+        // No pick needed: no scan either.
+        assert_eq!(out.arr_evaluations, 0);
+        // One pick costs the initial scan of the 6 members and nothing
+        // more: the scan is fresh for the first pick.
+        let out = greedy_shrink(&m, GreedyShrinkConfig::new(5)).unwrap();
+        assert_eq!(out.arr_evaluations, 6);
+        assert_eq!(out.avg_candidates_frac, 0.0);
     }
 
     #[test]
@@ -500,6 +492,7 @@ mod tests {
         let out = greedy_shrink_warm(&m, &[4, 1], GreedyShrinkConfig::new(2)).unwrap();
         assert_eq!(out.selection.indices, vec![1, 4]);
         assert_eq!(out.iterations, 0);
+        assert_eq!(out.arr_evaluations, 0);
     }
 
     #[test]

@@ -43,6 +43,7 @@ pub mod cube;
 pub mod dp2d;
 pub mod greedy_shrink;
 pub mod k_hit;
+mod lazy;
 pub mod local_search;
 pub mod measure;
 pub mod mrr;

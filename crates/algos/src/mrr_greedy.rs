@@ -18,20 +18,19 @@
 //! grows, because `sat_u` only rises; subtraction, division by a positive
 //! `best_u` and `max` are monotone in floating point, so a stale value is
 //! an upper bound bit for bit. Every candidate is scored once, fanned out
-//! over all cores; each pick then re-evaluates only the stale heap heads,
-//! and the first fresh head is the pick. The heap breaks ties on the
+//! over all cores; each pick then runs the crate's lazy-greedy heap
+//! (`lazy.rs`) on the negated regrets, which re-evaluates only the stale
+//! heap heads and picks the first fresh one. The heap breaks ties on the
 //! lowest index, so the picks are exactly those of scanning every
 //! candidate at every step.
-
-use std::collections::BinaryHeap;
 
 use fam_core::solve::QueryTimer;
 
 use fam_core::{kernels, par, Dataset, FamError, LinearColumns, Result, ScoreSource, Selection};
 use fam_geometry::skyline;
 
+use crate::lazy::LazyHeap;
 use crate::mrr::witness_regret;
-use crate::repair::Entry;
 
 /// LP-exact MRR-GREEDY for linear utilities.
 ///
@@ -157,8 +156,7 @@ pub(crate) fn mrr_greedy_sampled_counted<S: ScoreSource + ?Sized>(
     // filled by a computing substrate), negated for the min-heap. `0.0 −
     // x` is exact and maps −0.0 to +0.0, so the heap's `total_cmp` orders
     // exactly as `>` on the regrets does.
-    let neg_regret = |p: u32, sat: &[f64]| {
-        let p = p as usize;
+    let neg_regret = |p: usize, sat: &[f64]| {
         0.0 - match linear {
             Some(linear) => fused_regret(&linear, p, sat, bests),
             None => banded_regret(m, p, sat, bests),
@@ -166,25 +164,12 @@ pub(crate) fn mrr_greedy_sampled_counted<S: ScoreSource + ?Sized>(
     };
     let mut evaluations = 0u64;
     if k > 1 {
-        let cands: Vec<u32> = (0..n as u32).filter(|&p| p as usize != seed).collect();
+        let cands: Vec<usize> = (0..n).filter(|&p| p != seed).collect();
         let mut values = vec![0.0; cands.len()];
         par::fill_adaptive(&mut values, n_samples, |i| neg_regret(cands[i], &sat));
-        evaluations += cands.len() as u64;
-        let mut heap: BinaryHeap<Entry> = cands
-            .iter()
-            .zip(&values)
-            .map(|(&point, &value)| Entry { value, point, stamp: 1 })
-            .collect();
+        let mut heap = LazyHeap::new(cands.into_iter().zip(values));
         while selection.len() < k {
-            let stamp = selection.len() as u32;
-            let head = heap.pop().expect("k <= n guarantees a candidate");
-            if head.stamp != stamp {
-                let value = neg_regret(head.point, &sat);
-                evaluations += 1;
-                heap.push(Entry { value, point: head.point, stamp });
-                continue;
-            }
-            let p = head.point as usize;
+            let p = heap.pick(|p| neg_regret(p, &sat)).expect("k <= n guarantees a candidate");
             selection.push(p);
             let mut buf = [0.0f64; kernels::BAND];
             for b0 in (0..n_samples).step_by(kernels::BAND) {
@@ -197,6 +182,7 @@ pub(crate) fn mrr_greedy_sampled_counted<S: ScoreSource + ?Sized>(
                 }
             }
         }
+        evaluations = heap.evaluations();
     }
     let sel = Selection::new(selection, "mrr-greedy-sampled").with_query_time(start.elapsed());
     Ok((sel, evaluations))

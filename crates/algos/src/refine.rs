@@ -16,7 +16,7 @@
 //!    ([`fam_core::SelectionEvaluator::new_with`], `O(N·k)` next to the
 //!    round's `O(N_new·n·d)` scoring), and re-polish the selection with
 //!    the warm-started greedy repertoire ([`crate::reoptimize`], the
-//!    same lazy heaps behind [`crate::add_greedy_from`] /
+//!    same lazy grow and shrink behind [`crate::add_greedy_from`] /
 //!    [`crate::greedy_shrink_warm`]) — each round is an **anytime
 //!    answer** with its achieved ε attached;
 //! 3. **finish canonically** — once the Chernoff target `N*` is reached,

@@ -726,11 +726,7 @@ impl Solver for GreedyShrinkSolver {
         } else {
             crate::greedy_shrink_warm(ctx.matrix, &p.seed, cfg)?
         };
-        Ok(SolveOutput::new(out.selection)
-            .with_note("iterations", out.iterations as f64)
-            .with_note("arr_evaluations", out.arr_evaluations as f64)
-            .with_note("avg_best_change_frac", out.avg_best_change_frac)
-            .with_note("avg_candidates_frac", out.avg_candidates_frac))
+        Ok(shrink_notes(out))
     }
 
     fn solve_range(
@@ -746,8 +742,18 @@ impl Solver for GreedyShrinkSolver {
                  (no seed, both improvements on)",
             ));
         }
-        Ok(crate::greedy_shrink_range(ctx.matrix, ks)?.into_iter().map(SolveOutput::new).collect())
+        let outs = crate::trajectory::greedy_shrink_range_counted(ctx.matrix, ks)?;
+        Ok(outs.into_iter().map(shrink_notes).collect())
     }
+}
+
+/// A GREEDY-SHRINK answer with its instrumentation as notes.
+fn shrink_notes(out: crate::GreedyShrinkOutput) -> SolveOutput {
+    SolveOutput::new(out.selection)
+        .with_note("iterations", out.iterations as f64)
+        .with_note("arr_evaluations", out.arr_evaluations as f64)
+        .with_note("avg_best_change_frac", out.avg_best_change_frac)
+        .with_note("avg_candidates_frac", out.avg_candidates_frac)
 }
 
 /// `dp-2d`: the exact dynamic program for 2-D linear utilities
@@ -1074,28 +1080,42 @@ mod tests {
     }
 
     #[test]
-    fn add_greedy_harvest_spends_what_cold_solves_spend() {
-        // One lazy heap per harvest: the entry at every k is the first k
-        // iterations of one loop, so it reports exactly the arr
-        // evaluations of a cold solve at that k. A harvest that rebuilt
-        // the heap per k would re-score every unselected candidate each
-        // time and report more.
+    fn harvests_report_what_cold_solves_report() {
+        // A harvest runs its cold solver's own loop once, to the far end
+        // of the range, so the entry at every k is a cold solve at that
+        // k: the same answer and every note bit for bit, evaluation
+        // counts included. A harvest that rebuilt its heap per k would
+        // re-score the survivors each time and report more.
         let mut rng = StdRng::seed_from_u64(41);
         let r = Registry::standard();
+        let harvesters: Vec<&str> =
+            r.iter().filter(|s| s.capabilities().range_harvest).map(|s| s.name()).collect();
+        assert_eq!(harvesters, ["add-greedy", "greedy-shrink"]);
+        let bits = |out: &SolveOutput| -> Vec<(&str, u64)> {
+            out.notes.iter().map(|&(name, value)| (name, value.to_bits())).collect()
+        };
         for trial in 0..4 {
             let n = rng.gen_range(12..40);
             let (_, m) = instance(&mut rng, n);
-            let hi = rng.gen_range(3..=8);
+            // One trial reaches k = n, which needs no pick at all.
+            let hi = if trial == 0 { n } else { rng.gen_range(3..=8) };
             let lo = rng.gen_range(1..=hi);
-            let spec = SolverSpec::new("add-greedy", hi);
-            let outs = r.solve_range(&spec, &m, None, lo..=hi).unwrap();
-            assert_eq!(outs.len(), hi - lo + 1);
-            for (i, out) in outs.iter().enumerate() {
-                let k = lo + i;
-                let cold = r.solve(&SolverSpec::new("add-greedy", k), &m, None).unwrap();
-                let harvested = out.note("arr_evaluations");
-                assert!(harvested.is_some_and(|e| e >= n as f64), "trial {trial}: k={k}");
-                assert_eq!(harvested, cold.note("arr_evaluations"), "trial {trial}: k={k}");
+            for name in &harvesters {
+                let outs = r.solve_range(&SolverSpec::new(name, hi), &m, None, lo..=hi).unwrap();
+                assert_eq!(outs.len(), hi - lo + 1);
+                for (i, out) in outs.iter().enumerate() {
+                    let k = lo + i;
+                    let what = format!("{name} trial {trial}: k={k} of {lo}..={hi}");
+                    let cold = r.solve(&SolverSpec::new(name, k), &m, None).unwrap();
+                    assert_eq!(out.selection.indices, cold.selection.indices, "{what}");
+                    assert_eq!(
+                        out.selection.objective.map(f64::to_bits),
+                        cold.selection.objective.map(f64::to_bits),
+                        "{what}"
+                    );
+                    assert!(out.note("arr_evaluations").is_some(), "{what}");
+                    assert_eq!(bits(out), bits(&cold), "{what}");
+                }
             }
         }
     }

@@ -14,215 +14,15 @@
 //! the warm round of the progressive-precision driver
 //! ([`mod@crate::refine`]).
 //!
-//! The lazy heaps here follow the same Lemma 2/3 reasoning as
-//! GREEDY-SHRINK's Improvement 2: stale evaluation values are optimistic
-//! bounds, so a heap head that is already fresh is the true argmin. The
-//! grow loop is shared with [`mod@crate::add_greedy`]; both directions break
-//! ties on the lowest point index, keeping every run deterministic.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! Both policies run the crate's one lazy-greedy module (`lazy.rs`): the
+//! grow and shrink loops behind ADD-GREEDY and GREEDY-SHRINK: stale
+//! values are optimistic bounds, so a heap head that is already fresh is
+//! the true argmin (Lemmas 2/3), and ties break on the lowest point
+//! index, keeping every run deterministic.
 
 use fam_core::{FamError, RepairOutcome, Result, ScoreSource, SelectionEvaluator, WarmStart};
 
-/// Heap entry ordered by smallest value first, then lowest point index —
-/// the lazy-greedy ordering every shrink/grow loop in this crate shares
-/// (the tie-break is part of the determinism contract).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Entry {
-    pub(crate) value: f64,
-    pub(crate) point: u32,
-    pub(crate) stamp: u32,
-}
-
-impl Eq for Entry {}
-
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we need the smallest value.
-        // `total_cmp` keeps a NaN evaluation value from aborting the
-        // worker thread that owns the heap; NaNs order last either way.
-        other.value.total_cmp(&self.value).then_with(|| other.point.cmp(&self.point))
-    }
-}
-
-impl PartialOrd for Entry {
-    // fam-lint: allow(D001) -- mandatory PartialOrd delegation to the total_cmp-based Ord impl above; no float comparison happens here
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Reusable buffers for the lazy grow/shrink loops.
-///
-/// GREEDY-SHRINK's trajectory harvest (and the serve layer's `POST
-/// /update` re-harvest behind it) calls [`lazy_shrink`] once per `k` on
-/// one evaluator, and [`reoptimize`] chains a grow and a shrink; each call
-/// used to allocate the member list, the marginal buffer, and the heap's
-/// backing storage from scratch. Holding one `RepairScratch` across the
-/// sweep retains those capacities, so steady-state repair iterations
-/// allocate nothing. (ADD-GREEDY's harvest runs a single grow loop — see
-/// [`lazy_grow_each`] — so nothing runs the grow loop once per `k`.)
-/// Purely an allocation cache — every buffer is cleared before use, so
-/// reusing or dropping it never changes results.
-#[derive(Default)]
-pub(crate) struct RepairScratch {
-    /// Unselected candidate points (grow).
-    cands: Vec<u32>,
-    /// Current members, sorted (shrink).
-    members: Vec<usize>,
-    /// Initial marginals, index-aligned with `cands`.
-    deltas: Vec<f64>,
-    /// Backing storage recycled through `BinaryHeap::from` / `into_vec`.
-    /// Heapify builds a different internal layout than one-by-one pushes,
-    /// but `Entry`'s order is total (no two entries tie on value *and*
-    /// point), so the pop sequence — all any caller observes — is
-    /// identical.
-    heap: Vec<Entry>,
-}
-
-/// Lazily grows the selection to exactly `k` points, adding the candidate
-/// with the most negative addition delta each step. Returns the number of
-/// `arr` evaluations spent.
-///
-/// Initial marginals fan out over all cores (the evaluator is read-only
-/// during the scan); the lazy heap then re-evaluates only the candidates
-/// whose stale bound reaches the head.
-///
-/// # Panics
-///
-/// Panics (debug) if the selection already exceeds `k`; `k` must be at
-/// most the number of points.
-pub(crate) fn lazy_grow<S: ScoreSource + ?Sized>(
-    ev: &mut SelectionEvaluator<'_, S>,
-    k: usize,
-) -> u64 {
-    lazy_grow_with(ev, k, &mut RepairScratch::default())
-}
-
-/// [`lazy_grow`] with caller-held scratch buffers — the allocation-free
-/// form for sweeps that repair one evaluator repeatedly.
-pub(crate) fn lazy_grow_with<S: ScoreSource + ?Sized>(
-    ev: &mut SelectionEvaluator<'_, S>,
-    k: usize,
-    scratch: &mut RepairScratch,
-) -> u64 {
-    lazy_grow_each(ev, k, scratch, |_, _| {})
-}
-
-/// [`lazy_grow_with`] that calls `on_pick(ev, evaluations)` after every
-/// pick, with the `arr` evaluations spent so far (initial marginals plus
-/// lazy re-evaluations). No iteration of the loop depends on `k`, so the
-/// state seen after the `j`-th pick is exactly the state a grow to
-/// `ev.len()` would end in: one loop to the largest size harvests every
-/// smaller one, evaluation counts included.
-pub(crate) fn lazy_grow_each<S, F>(
-    ev: &mut SelectionEvaluator<'_, S>,
-    k: usize,
-    scratch: &mut RepairScratch,
-    mut on_pick: F,
-) -> u64
-where
-    S: ScoreSource + ?Sized,
-    F: FnMut(&SelectionEvaluator<'_, S>, u64),
-{
-    debug_assert!(ev.len() <= k && k <= ev.n_points());
-    let deficit = k - ev.len();
-    if deficit == 0 {
-        return 0;
-    }
-    let RepairScratch { cands, deltas, heap, .. } = scratch;
-    cands.clear();
-    cands.extend((0..ev.n_points() as u32).filter(|&p| !ev.contains(p as usize)));
-    let mut evaluations = cands.len() as u64;
-    let ev_ref = &*ev;
-    deltas.clear();
-    deltas.resize(cands.len(), 0.0);
-    fam_core::par::fill_adaptive(deltas, ev_ref.n_samples(), |i| {
-        ev_ref.addition_delta(cands[i] as usize)
-    });
-    let mut entries = std::mem::take(heap);
-    entries.clear();
-    entries.extend(cands.iter().zip(deltas.iter()).map(|(&point, &value)| Entry {
-        value,
-        point,
-        stamp: 0,
-    }));
-    let mut heap_live: BinaryHeap<Entry> = BinaryHeap::from(entries);
-    for iter in 1..=deficit as u32 {
-        loop {
-            let head = heap_live.pop().expect("heap holds all unselected points");
-            if ev.contains(head.point as usize) {
-                continue;
-            }
-            if head.stamp == iter {
-                ev.add(head.point as usize);
-                on_pick(ev, evaluations);
-                break;
-            }
-            let value = ev.addition_delta(head.point as usize);
-            evaluations += 1;
-            heap_live.push(Entry { value, point: head.point, stamp: iter });
-        }
-    }
-    *heap = heap_live.into_vec();
-    evaluations
-}
-
-/// Lazily shrinks the selection to exactly `k` points, removing the
-/// member whose removal increases `arr` the least each step. Returns the
-/// number of `arr` evaluations spent.
-///
-/// # Panics
-///
-/// Panics (debug) if the selection is already at or below `k`.
-pub(crate) fn lazy_shrink<S: ScoreSource + ?Sized>(
-    ev: &mut SelectionEvaluator<'_, S>,
-    k: usize,
-) -> u64 {
-    lazy_shrink_with(ev, k, &mut RepairScratch::default())
-}
-
-/// [`lazy_shrink`] with caller-held scratch buffers — the allocation-free
-/// form for sweeps that repair one evaluator repeatedly.
-pub(crate) fn lazy_shrink_with<S: ScoreSource + ?Sized>(
-    ev: &mut SelectionEvaluator<'_, S>,
-    k: usize,
-    scratch: &mut RepairScratch,
-) -> u64 {
-    debug_assert!(ev.len() >= k);
-    let surplus = ev.len() - k;
-    if surplus == 0 {
-        return 0;
-    }
-    let RepairScratch { members, heap, .. } = scratch;
-    ev.selection_into(members);
-    let mut evaluations = members.len() as u64;
-    let mut entries = std::mem::take(heap);
-    entries.clear();
-    for &p in members.iter() {
-        let value = ev.arr() + ev.removal_delta(p);
-        entries.push(Entry { value, point: p as u32, stamp: 0 });
-    }
-    let mut heap_live: BinaryHeap<Entry> = BinaryHeap::from(entries);
-    for iter in 1..=surplus as u32 {
-        loop {
-            let head = heap_live.pop().expect("heap tracks all remaining members");
-            if !ev.contains(head.point as usize) {
-                continue;
-            }
-            if head.stamp == iter {
-                ev.remove(head.point as usize);
-                break;
-            }
-            let value = ev.arr() + ev.removal_delta(head.point as usize);
-            evaluations += 1;
-            heap_live.push(Entry { value, point: head.point, stamp: iter });
-        }
-    }
-    *heap = heap_live.into_vec();
-    evaluations
-}
+use crate::lazy;
 
 /// The standard repair policy for [`fam_core::DynamicEngine::apply_with`]:
 /// offer every inserted point to the selection, then lazily shrink (when
@@ -257,10 +57,10 @@ pub fn warm_repair<S: ScoreSource + ?Sized>(
     let mut evaluations = 0u64;
     if ev.len() > ws.k {
         removed = ev.len() - ws.k;
-        evaluations = lazy_shrink(ev, ws.k);
+        evaluations = lazy::shrink(ev, ws.k, |_, _| {});
     } else if ev.len() < ws.k {
         added += ws.k - ev.len();
-        evaluations = lazy_grow(ev, ws.k);
+        evaluations = lazy::grow(ev, ws.k, |_, _| {});
     }
     Ok(RepairOutcome { added, removed, evaluations })
 }
@@ -271,11 +71,11 @@ pub fn warm_repair<S: ScoreSource + ?Sized>(
 /// universe stays fixed (for *point* churn, use [`warm_repair`]).
 ///
 /// Greedily grows the selection by up to `churn` extra candidates (the
-/// same lazy heap as [`crate::add_greedy_from`]), then lazily shrinks
-/// back to exactly `k` (the same heap as [`crate::greedy_shrink_warm`]):
-/// a candidate that looks better under the refined estimates can
-/// displace a weak incumbent, while a stable selection survives both
-/// passes untouched. `churn = 0` only re-validates the size.
+/// lazy grow of [`crate::add_greedy_from`]), then lazily shrinks back to
+/// exactly `k` (the lazy shrink of [`crate::greedy_shrink_warm`]): a
+/// candidate that looks better under the refined estimates can displace
+/// a weak incumbent, while a stable selection survives both passes
+/// untouched. `churn = 0` only re-validates the size.
 ///
 /// # Errors
 ///
@@ -290,23 +90,12 @@ pub fn reoptimize<S: ScoreSource + ?Sized>(
     if k == 0 || k > n {
         return Err(FamError::InvalidK { k, n });
     }
-    let before = ev.len();
-    let grow_to = k.max(before).saturating_add(churn).min(n);
-    let mut evaluations = 0u64;
-    let mut added = 0usize;
-    let mut scratch = RepairScratch::default();
-    if ev.len() < grow_to {
-        added = grow_to - ev.len();
-        evaluations += lazy_grow_with(ev, grow_to, &mut scratch);
-    }
-    let mut removed = 0usize;
-    if ev.len() > k {
-        removed = ev.len() - k;
-        evaluations += lazy_shrink_with(ev, k, &mut scratch);
-    } else if ev.len() < k {
-        added += k - ev.len();
-        evaluations += lazy_grow_with(ev, k, &mut scratch);
-    }
+    // `grow_to >= max(k, |S|)`: grow first, then only a shrink is left.
+    let grow_to = k.max(ev.len()).saturating_add(churn).min(n);
+    let added = grow_to - ev.len();
+    let mut evaluations = lazy::grow(ev, grow_to, |_, _| {});
+    let removed = ev.len() - k;
+    evaluations += lazy::shrink(ev, k, |_, _| {});
     Ok(RepairOutcome { added, removed, evaluations })
 }
 

@@ -11,31 +11,25 @@
 //!   the shrink from `n` to `k` passes through the exact states of every
 //!   intermediate `greedy_shrink(m, k')` with `k' > k`.
 //!
-//! Both properties are exact at the bit level, not just set-equal. For
-//! ADD-GREEDY the prefix property is structural: [`add_greedy_range`]
-//! runs `add_greedy`'s own lazy loop once, up to `ks.end()`, and
-//! snapshots the evaluator after each pick. No iteration of that loop
-//! depends on the target size, so a cold `add_greedy(m, k)` *is* its
-//! first `k` iterations — the same heap, the same re-evaluations, the
-//! same `arr` evaluation count. GREEDY-SHRINK's harvest reuses the lazy
-//! warm entry point ([`lazy_shrink`]) once per `k` on one continuously
-//! evolving [`SelectionEvaluator`], which is the same object state a cold
-//! run truncated at that size holds (the lazy heap always picks the
-//! unique (value, lowest-index) argmin — Lemmas 2/3 — so rebuilding it
-//! between snapshots changes nothing).
-//! `tests::*_range_matches_cold_solves` pins selections *and* objective
-//! bits against per-`k` cold runs; the serving layer's result cache leans
-//! on that contract to serve cached answers indistinguishable from fresh
-//! solves.
-//!
-//! [`lazy_shrink`]: crate::repair
+//! Both properties hold by construction, at the bit level. Each harvest
+//! runs its cold solver's own lazy loop once, to the far end of the
+//! range, and snapshots the evaluator after each pick: [`add_greedy_range`]
+//! grows from the empty set to `ks.end()`, and [`greedy_shrink_range`]
+//! shrinks from the full database to `ks.start()` (a cold GREEDY-SHRINK
+//! is the same shrink with the one-size range `k..=k`). No step of either
+//! loop depends on the target size, so each entry holds the same
+//! selection, objective bits and evaluation counts as a cold solve at its
+//! size. `tests::*_range_matches_cold_solves` pins selections and
+//! objective bits against per-`k` cold runs, and the registry's tests pin
+//! every note; the serving layer's result cache leans on that contract to
+//! serve cached answers indistinguishable from fresh solves.
 
 use fam_core::solve::QueryTimer;
 use std::ops::RangeInclusive;
 
 use fam_core::{FamError, Result, ScoreSource, Selection, SelectionEvaluator};
 
-use crate::repair::{lazy_grow_each, lazy_shrink_with, RepairScratch};
+use crate::greedy_shrink::{shrink_cached, GreedyShrinkOutput};
 
 fn validate_range<S: ScoreSource + ?Sized>(m: &S, ks: &RangeInclusive<usize>) -> Result<()> {
     let (lo, hi) = (*ks.start(), *ks.end());
@@ -80,7 +74,7 @@ pub(crate) fn add_greedy_range_counted<S: ScoreSource + ?Sized>(
     let mut ev = SelectionEvaluator::new_with(m, &[]);
     let mut out = Vec::with_capacity(ks.end() - ks.start() + 1);
     let lo = *ks.start();
-    lazy_grow_each(&mut ev, *ks.end(), &mut RepairScratch::default(), |ev, evaluations| {
+    crate::lazy::grow(&mut ev, *ks.end(), |ev, evaluations| {
         if ev.len() >= lo {
             let sel = Selection::new(ev.selection(), "add-greedy")
                 .with_objective(ev.arr())
@@ -104,21 +98,18 @@ pub fn greedy_shrink_range<S: ScoreSource + ?Sized>(
     m: &S,
     ks: RangeInclusive<usize>,
 ) -> Result<Vec<Selection>> {
+    Ok(greedy_shrink_range_counted(m, ks)?.into_iter().map(|out| out.selection).collect())
+}
+
+/// [`greedy_shrink_range`] with each entry's instrumentation: the
+/// iterations, `arr` evaluations and averages a cold
+/// `greedy_shrink(m, GreedyShrinkConfig::new(k))` reports.
+pub(crate) fn greedy_shrink_range_counted<S: ScoreSource + ?Sized>(
+    m: &S,
+    ks: RangeInclusive<usize>,
+) -> Result<Vec<GreedyShrinkOutput>> {
     validate_range(m, &ks)?;
-    let start = QueryTimer::start();
-    let mut ev = SelectionEvaluator::new_full(m);
-    let mut out = Vec::with_capacity(ks.end() - ks.start() + 1);
-    let mut scratch = RepairScratch::default();
-    for k in (*ks.start()..=*ks.end()).rev() {
-        lazy_shrink_with(&mut ev, k, &mut scratch);
-        out.push(
-            Selection::new(ev.selection(), "greedy-shrink")
-                .with_objective(ev.arr())
-                .with_query_time(start.elapsed()),
-        );
-    }
-    out.reverse();
-    Ok(out)
+    Ok(shrink_cached(m, None, ks, true, "greedy-shrink"))
 }
 
 #[cfg(test)]

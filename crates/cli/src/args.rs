@@ -11,7 +11,7 @@ pub struct ParsedArgs {
 }
 
 /// Flags that take no value.
-const SWITCHES: &[&str] = &["labelled", "compact", "verify"];
+const SWITCHES: &[&str] = &["labelled", "verify"];
 
 impl ParsedArgs {
     /// Parses a flag list.
@@ -138,7 +138,7 @@ mod tests {
         assert_eq!(a.required("n").unwrap(), "100");
         assert_eq!(a.optional("corr"), Some("anti"));
         assert!(a.switch("labelled"));
-        assert!(!a.switch("compact"));
+        assert!(!a.switch("verify"));
         assert_eq!(a.parsed_or("n", 0usize).unwrap(), 100);
         assert_eq!(a.parsed_or("missing", 7usize).unwrap(), 7);
     }

@@ -174,17 +174,9 @@ pub fn select(a: &ParsedArgs) -> Result<String, String> {
             .map_err(|e| e.to_string())
     };
 
-    // Sampled backing: compact linear or materialized, per --compact
-    // (the registry consumes any `ScoreSource`, so the compact substrate
-    // flows through the same dispatch). Coordinate-only solvers skip the
-    // solve-time scoring pass entirely: the fresh evaluation matrix
-    // doubles as the (unread) context matrix.
-    let (out, fresh) = if a.switch("compact") && algo == "greedy-shrink" {
-        let src = fam::LinearScores::sample_uniform(ds.clone(), n_samples, &mut rng)
-            .map_err(|e| e.to_string())?;
-        let out = registry.solve(&spec, &src, Some(&ds)).map_err(|e| e.to_string())?;
-        (out, make_matrix(&mut rng)?)
-    } else if needs_matrix {
+    // Coordinate-only solvers skip the solve-time scoring pass entirely:
+    // the fresh evaluation matrix doubles as the (unread) context matrix.
+    let (out, fresh) = if needs_matrix {
         let m = make_matrix(&mut rng)?;
         let out = registry.solve(&spec, &m, Some(&ds)).map_err(|e| e.to_string())?;
         // Evaluate on a fresh sample for honesty.
@@ -818,12 +810,30 @@ mod tests {
     }
 
     #[test]
-    fn compact_flag_runs_linear_backing() {
-        let path = tmp("compact.csv");
-        generate(&argv(&format!("--out {path} --n 200 --d 3 --seed 9"))).unwrap();
-        let msg = select(&argv(&format!("--data {path} --k 4 --samples 150 --seed 9 --compact")))
-            .unwrap();
-        assert!(msg.contains("greedy-shrink"));
+    fn select_samples_the_requested_dist_and_has_no_compact_flag() {
+        // `select` and `solve` draw the solve and the evaluation sample
+        // from the same seeded stream, so with `--dist` reaching the
+        // solver they print the same selection and the same arr.
+        let path = tmp("dist.csv");
+        generate(&argv(&format!("--out {path} --n 300 --d 3 --seed 5"))).unwrap();
+        let run = |line: String| {
+            crate::run(&line.split_whitespace().map(str::to_string).collect::<Vec<_>>())
+        };
+        let answer = |msg: &str| -> Vec<String> {
+            let lines = msg.lines().filter(|l| l.starts_with("selected") || l.starts_with("arr ="));
+            lines.map(str::to_string).collect()
+        };
+        let flags = format!("--data {path} --k 4 --samples 500 --seed 3");
+        let simplex = run(format!("select {flags} --dist simplex")).unwrap();
+        let solved = run(format!("solve {flags} --algo greedy-shrink --dist simplex")).unwrap();
+        assert_eq!(answer(&simplex).len(), 2, "{simplex}");
+        assert_eq!(answer(&simplex), answer(&solved));
+        let uniform = run(format!("select {flags}")).unwrap();
+        assert_ne!(answer(&uniform), answer(&simplex), "the simplex sample is not the uniform one");
+        // The flag that sampled uniform weights whatever `--dist` said is
+        // gone.
+        let err = run(format!("select {flags} --dist simplex --compact")).unwrap_err();
+        assert!(err.contains("unknown flag --compact for `fam select`"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

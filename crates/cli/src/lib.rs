@@ -46,7 +46,7 @@ const COMMANDS: &[(&str, Command, &str)] = &[
     ("skyline", commands::skyline_cmd, "data labelled"),
     ("algos", |_| Ok(commands::algos()), ""),
     ("solve", commands::solve, "data k algo param... samples epsilon sigma dist seed labelled"),
-    ("select", commands::select, "data k algo samples epsilon sigma dist seed compact labelled"),
+    ("select", commands::select, "data k algo samples epsilon sigma dist seed labelled"),
     ("evaluate", commands::evaluate, "data selection samples seed labelled"),
     ("refine", commands::refine_cmd, "data k epsilon sigma initial churn algo dist seed labelled"),
     (
@@ -106,14 +106,20 @@ fn parse(argv: &[String]) -> Result<Option<(Command, ParsedArgs)>, String> {
     if rest.iter().any(|a| a == "--help" || a == "-h") {
         return Ok(None);
     }
+    let accepted =
+        |flag: &str| flags.split_whitespace().find(|g| g.trim_end_matches("...") == flag);
+    // No value starts with `--`, so every such token names a flag: an
+    // unknown one is reported by name before the parser can read it as a
+    // dangling flag or take the next flag for its value.
+    if let Some(flag) =
+        rest.iter().filter_map(|a| a.strip_prefix("--")).find(|f| accepted(f).is_none())
+    {
+        return Err(format!("unknown flag --{flag} for `fam {command}` (see `fam --help`)"));
+    }
     let args = ParsedArgs::parse(rest)?;
     for flag in args.names() {
-        let accepted = flags.split_whitespace().find(|g| g.trim_end_matches("...") == flag);
-        let Some(accepted) = accepted else {
-            return Err(format!("unknown flag --{flag} for `fam {command}` (see `fam --help`)"));
-        };
         let given = args.all(flag).len();
-        if given > 1 && !accepted.ends_with("...") {
+        if given > 1 && accepted(flag).is_some_and(|g| !g.ends_with("...")) {
             return Err(format!(
                 "flag --{flag} given {given} times for `fam {command}`; it takes one value"
             ));
@@ -135,7 +141,7 @@ fn usage() -> String {
      reduce=skyline prunes candidates losslessly and scores only the skyline, so\n            \
      million-point datasets fit the matrix budget)\n  \
      select    --data FILE --k K [--algo greedy-shrink|add-greedy|mrr-greedy|sky-dom|k-hit|dp|brute-force]\n            \
-     [--samples N | --epsilon E --sigma G] [--dist uniform|simplex] [--seed S] [--compact] [--labelled]\n  \
+     [--samples N | --epsilon E --sigma G] [--dist uniform|simplex] [--seed S] [--labelled]\n  \
      evaluate  --data FILE --selection I,J,K [--samples N] [--seed S] [--labelled]\n  \
      refine    --data FILE --k K --epsilon E [--sigma G] [--initial N0] [--churn C] [--algo NAME]\n            \
      [--dist uniform|simplex] [--seed S] [--labelled]   (progressive precision: solve coarse,\n            \

@@ -34,6 +34,9 @@ pub enum Rule {
     /// Ad-hoc threading outside the deterministic pool and the serve
     /// acceptor.
     T001,
+    /// A `BinaryHeap` in `fam-algos` outside `lazy.rs`, its one lazy-greedy
+    /// loop.
+    H001,
     /// Waiver without a reason.
     W001,
     /// Stale waiver: suppresses nothing.
@@ -50,6 +53,7 @@ impl Rule {
             Rule::K001 => "K001",
             Rule::U001 => "U001",
             Rule::T001 => "T001",
+            Rule::H001 => "H001",
             Rule::W001 => "W001",
             Rule::W002 => "W002",
         }
@@ -64,6 +68,7 @@ impl Rule {
             "K001" => Some(Rule::K001),
             "U001" => Some(Rule::U001),
             "T001" => Some(Rule::T001),
+            "H001" => Some(Rule::H001),
             "W001" => Some(Rule::W001),
             "W002" => Some(Rule::W002),
             _ => None,
@@ -164,6 +169,13 @@ impl FileCtx {
         !(self.rel_path == "crates/core/src/par.rs"
             || self.rel_path.starts_with("crates/core/src/par/")
             || self.rel_path == "crates/serve/src/server.rs")
+    }
+
+    /// fam-algos writes its lazy-greedy loop (pop, stamp check,
+    /// re-evaluate, push) once, in `lazy.rs`; a heap anywhere else in the
+    /// crate is a second copy of that loop.
+    fn h001_applies(&self) -> bool {
+        self.member == "crates/algos" && self.rel_path != "crates/algos/src/lazy.rs"
     }
 }
 
@@ -308,6 +320,15 @@ pub fn lint_source(ctx: &FileCtx, source: &str) -> Vec<Finding> {
                     );
                 }
             }
+        }
+        if ctx.h001_applies() && has_word(code, "BinaryHeap") {
+            push(
+                Rule::H001,
+                "`BinaryHeap` in fam-algos outside `lazy.rs` — the lazy-greedy loop (stamp \
+                 check, re-evaluation, tie order, evaluation count) lives there once; \
+                 run `lazy::grow` / `lazy::shrink` / `LazyHeap::pick`, or waive with a reason"
+                    .to_string(),
+            );
         }
     }
 

@@ -107,6 +107,21 @@ fn t001_allows_the_pool_and_the_serve_acceptor() {
 }
 
 #[test]
+fn h001_bad_fixture_fails_and_good_passes() {
+    let bad = ids("crates/algos/src/sample.rs", "h001_bad.rs");
+    assert!(bad.contains(&"H001"), "expected H001 in {bad:?}");
+    // Both the import and the typed binding trip it.
+    assert!(bad.iter().filter(|id| **id == "H001").count() >= 2, "{bad:?}");
+    assert_eq!(ids("crates/algos/src/sample.rs", "h001_good.rs"), Vec::<&str>::new());
+}
+
+#[test]
+fn h001_allows_lazy_rs_and_other_crates() {
+    assert!(!ids("crates/algos/src/lazy.rs", "h001_bad.rs").contains(&"H001"));
+    assert!(!ids("crates/core/src/sample.rs", "h001_bad.rs").contains(&"H001"));
+}
+
+#[test]
 fn reasonless_waiver_is_w001_and_does_not_suppress() {
     let got = ids("crates/algos/src/sample.rs", "waiver_reasonless.rs");
     assert!(got.contains(&"W001"), "expected W001 in {got:?}");
@@ -131,7 +146,7 @@ fn cfg_test_scopes_are_exempt_from_every_rule() {
 
 #[test]
 fn rule_ids_round_trip() {
-    for id in ["D001", "D002", "D003", "P001", "K001", "U001", "T001", "W001", "W002"] {
+    for id in ["D001", "D002", "D003", "P001", "K001", "U001", "T001", "H001", "W001", "W002"] {
         assert_eq!(Rule::from_id(id).map(Rule::id), Some(id), "{id}");
     }
     assert_eq!(Rule::from_id("Z999"), None);
