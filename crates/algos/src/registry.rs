@@ -189,14 +189,17 @@ impl SolverSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`FamError::InvalidParameter`] for unknown keys or
-    /// malformed values.
+    /// Returns [`FamError::InvalidParameter`] for unknown keys, malformed
+    /// values, or an explicit `lazy=true` together with `cache=false`:
+    /// GREEDY-SHRINK's lazy pruning runs on its best-point cache, and
+    /// without the cache it runs the naive loop, which has no lazy path.
     pub fn parse<K: AsRef<str>, V: AsRef<str>>(
         name: &str,
         k: usize,
         pairs: &[(K, V)],
     ) -> Result<Self> {
         let mut params = SolverParams::new(k);
+        let mut lazy_given = None;
         for (key, value) in pairs {
             let (key, value) = (key.as_ref(), value.as_ref());
             match key {
@@ -226,7 +229,10 @@ impl SolverSpec {
                     })?;
                 }
                 "prune" => params.prune = parse_bool(key, value)?,
-                "lazy" => params.lazy = parse_bool(key, value)?,
+                "lazy" => {
+                    params.lazy = parse_bool(key, value)?;
+                    lazy_given = Some(params.lazy);
+                }
                 "cache" => params.best_point_cache = parse_bool(key, value)?,
                 "exact" => params.exact = parse_bool(key, value)?,
                 "epsilon" => {
@@ -275,6 +281,14 @@ impl SolverSpec {
                     });
                 }
             }
+        }
+        if lazy_given == Some(true) && !params.best_point_cache {
+            return Err(FamError::InvalidParameter {
+                name: "param",
+                message: "`lazy=true` needs `cache=true`: lazy pruning runs on the best-point \
+                          cache, and `cache=false` runs the naive loop, which has no lazy path"
+                    .into(),
+            });
         }
         Ok(SolverSpec { name: name.to_string(), params })
     }
@@ -1287,6 +1301,33 @@ mod tests {
         }
         // Canonical params emit no pairs at all.
         assert!(SolverSpec::new("add-greedy", 5).to_pairs().is_empty());
+    }
+
+    #[test]
+    fn spec_parsing_refuses_lazy_without_the_cache() {
+        // The naive loop has no lazy path, so the pair would run exactly
+        // what `lazy=false` runs: refused, naming both keys, in either
+        // order.
+        for pairs in [[("cache", "false"), ("lazy", "true")], [("lazy", "true"), ("cache", "no")]] {
+            match SolverSpec::parse("greedy-shrink", 3, &pairs) {
+                Err(FamError::InvalidParameter { name: "param", message }) => {
+                    assert!(message.contains("lazy=true"), "{message}");
+                    assert!(message.contains("cache=false"), "{message}");
+                }
+                other => panic!("{pairs:?}: expected a refusal, got {other:?}"),
+            }
+        }
+        // `cache=false` alone (lazy left at its default) and the explicit
+        // `lazy=false` ablation still parse, and both round-trip.
+        for pairs in [vec![("cache", "false")], vec![("cache", "false"), ("lazy", "false")]] {
+            let spec = SolverSpec::parse("greedy-shrink", 3, &pairs).unwrap();
+            assert!(!spec.params.best_point_cache);
+            let back = SolverSpec::parse(&spec.name, 3, &spec.to_pairs()).unwrap();
+            assert_eq!(back, spec, "{pairs:?}");
+        }
+        assert!(
+            SolverSpec::parse("greedy-shrink", 3, &[("cache", "true"), ("lazy", "true")]).is_ok()
+        );
     }
 
     #[test]

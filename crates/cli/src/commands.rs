@@ -4,7 +4,6 @@
 use std::path::Path;
 // Explicit import wins over the prelude's `Result<T> = Result<T, FamError>` alias.
 use std::result::Result;
-use std::sync::Arc;
 
 use fam::prelude::*;
 use fam::regret;
@@ -101,7 +100,7 @@ pub fn skyline_cmd(a: &ParsedArgs) -> Result<String, String> {
 fn solver_report(
     ds: &Dataset,
     out: &fam::SolveOutput,
-    fresh: &ScoreMatrix,
+    fresh: &dyn ScoreSource,
     eval_indices: &[usize],
     n_samples: usize,
     sigma: f64,
@@ -168,25 +167,24 @@ pub fn select(a: &ParsedArgs) -> Result<String, String> {
     let registry = fam::Registry::global();
     let needs_matrix =
         registry.require(&spec.name).map_err(|e| e.to_string())?.capabilities().needs_matrix;
-    let make_matrix = |rng: &mut StdRng| -> Result<ScoreMatrix, String> {
+    let make_scores = |rng: &mut StdRng| -> Result<ScoreBacking, String> {
         let dist = make_dist(a, ds.dim())?;
-        ScoreMatrix::from_distribution(&ds, dist.as_ref(), n_samples, rng)
-            .map_err(|e| e.to_string())
+        ScoreBacking::sample(&ds, dist.as_ref(), n_samples, rng).map_err(|e| e.to_string())
     };
 
     // Coordinate-only solvers skip the solve-time scoring pass entirely:
-    // the fresh evaluation matrix doubles as the (unread) context matrix.
+    // the fresh evaluation scores double as the (unread) context scores.
     let (out, fresh) = if needs_matrix {
-        let m = make_matrix(&mut rng)?;
-        let out = registry.solve(&spec, &m, Some(&ds)).map_err(|e| e.to_string())?;
+        let m = make_scores(&mut rng)?;
+        let out = registry.solve(&spec, m.source(), Some(&ds)).map_err(|e| e.to_string())?;
         // Evaluate on a fresh sample for honesty.
-        (out, make_matrix(&mut rng)?)
+        (out, make_scores(&mut rng)?)
     } else {
-        let fresh = make_matrix(&mut rng)?;
-        let out = registry.solve(&spec, &fresh, Some(&ds)).map_err(|e| e.to_string())?;
+        let fresh = make_scores(&mut rng)?;
+        let out = registry.solve(&spec, fresh.source(), Some(&ds)).map_err(|e| e.to_string())?;
         (out, fresh)
     };
-    solver_report(&ds, &out, &fresh, &out.selection.indices, n_samples, sigma_of(a)?)
+    solver_report(&ds, &out, fresh.source(), &out.selection.indices, n_samples, sigma_of(a)?)
 }
 
 /// `fam solve` — run any registered algorithm by name through the
@@ -212,31 +210,28 @@ pub fn solve(a: &ParsedArgs) -> Result<String, String> {
     let registry = fam::Registry::global();
     let needs_matrix =
         registry.require(&spec.name).map_err(|e| e.to_string())?.capabilities().needs_matrix;
-    let mut make_matrix = || {
-        ScoreMatrix::from_distribution(&ds, dist.as_ref(), n_samples, &mut rng)
-            .map_err(|e| e.to_string())
-    };
+    let mut make_scores =
+        || ScoreBacking::sample(&ds, dist.as_ref(), n_samples, &mut rng).map_err(|e| e.to_string());
     // Coordinate-only solvers skip the solve-time scoring pass: the
-    // fresh evaluation matrix doubles as the (unread) context matrix.
+    // fresh evaluation scores double as the (unread) context scores.
     let (out, fresh) = if needs_matrix {
-        let m = make_matrix()?;
-        let out = registry.solve(&spec, &m, Some(&ds)).map_err(|e| e.to_string())?;
+        let m = make_scores()?;
+        let out = registry.solve(&spec, m.source(), Some(&ds)).map_err(|e| e.to_string())?;
         // Evaluate on a fresh sample for honesty.
-        (out, make_matrix()?)
+        (out, make_scores()?)
     } else {
-        let fresh = make_matrix()?;
-        let out = registry.solve(&spec, &fresh, Some(&ds)).map_err(|e| e.to_string())?;
+        let fresh = make_scores()?;
+        let out = registry.solve(&spec, fresh.source(), Some(&ds)).map_err(|e| e.to_string())?;
         (out, fresh)
     };
-    solver_report(&ds, &out, &fresh, &out.selection.indices, n_samples, sigma_of(a)?)
+    solver_report(&ds, &out, fresh.source(), &out.selection.indices, n_samples, sigma_of(a)?)
 }
 
 /// The `--param reduce=skyline|coreset` path of `fam solve`: compute the
-/// candidate reduction on coordinates first, then build the score matrix
-/// *over the kept points only*, scored from the skyline
-/// ([`reduced_build`]) — no dominated point is scored, the dense `N × n`
-/// matrix is never resident, and the `FAM_MAX_MATRIX_BYTES` budget is
-/// applied to the `N × kept` footprint.
+/// candidate reduction on coordinates first, then score the population
+/// *over the kept points only*, from the skyline ([`reduced_build`]) —
+/// no dominated point is scored, no `N × n` scores are ever resident,
+/// and the `FAM_MAX_MATRIX_BYTES` budget is applied to `N × kept`.
 /// This is what lets `fam solve` answer on million-point datasets whose
 /// unreduced build would exceed the budget. The solver runs on the
 /// reduced universe with `reduce` cleared (and seeds remapped); the
@@ -274,14 +269,16 @@ fn solve_reduced(a: &ParsedArgs, ds: &Dataset, spec: &fam::SolverSpec) -> Result
     if !inner.params.seed.is_empty() {
         inner.params.seed = reduction.to_reduced(&inner.params.seed).map_err(|e| e.to_string())?;
     }
-    let mut out = registry.solve(&inner, &m, Some(&reduced_ds)).map_err(|e| e.to_string())?;
+    let mut out =
+        registry.solve(&inner, m.source(), Some(&reduced_ds)).map_err(|e| e.to_string())?;
     let reduced_indices = out.selection.indices.clone();
     reduction.remap_output(&mut out).map_err(|e| e.to_string())?;
     out.notes.push(("reduced_from", reduction.source_len() as f64));
     out.notes.push(("reduced_to", reduction.kept().len() as f64));
     // Evaluate on a fresh sample (same kept universe) for honesty.
     let (fresh, _) = reduced_build(&reduction, ds, dist.as_ref(), n_samples, &mut rng)?;
-    let mut report = solver_report(ds, &out, &fresh, &reduced_indices, n_samples, sigma_of(a)?)?;
+    let sigma = sigma_of(a)?;
+    let mut report = solver_report(ds, &out, fresh.source(), &reduced_indices, n_samples, sigma)?;
     report.push_str(&format!(
         "\nreduction: {} kept {} of {} points ({:.4}% of the database), \
          build max shortfall = {:.6}, mean = {:.6}",
@@ -295,27 +292,22 @@ fn solve_reduced(a: &ParsedArgs, ds: &Dataset, spec: &fam::SolverSpec) -> Result
     Ok(report)
 }
 
-/// One reduced build: `n_samples` functions drawn from `dist` (the
-/// stream `ScoreMatrix::from_distribution_tiled` draws), scored from the
-/// skyline by [`fam::Reduction::score_matrix`]. The budget is checked
-/// against the *reduced* footprint; `checked_sample_count` over the full
-/// `n` would reject exactly the datasets reduction exists to serve.
+/// One reduced build, as [`fam::Engine`] makes it: `n_samples`
+/// functions drawn from `dist` ([`fam::core::sample_functions`], the
+/// draws of `ScoreMatrix::from_distribution`), scored from the skyline
+/// in the backing [`fam::Reduction::backing`] picks. The budget is
+/// charged for the *reduced* universe; `checked_sample_count` over the
+/// full `n` would reject exactly the datasets reduction exists to serve.
 fn reduced_build(
     reduction: &fam::Reduction,
     ds: &Dataset,
     dist: &dyn UtilityDistribution,
     n_samples: usize,
     rng: &mut StdRng,
-) -> Result<(ScoreMatrix, fam::TiledBuildStats), String> {
-    if n_samples == 0 {
-        let e =
-            FamError::InvalidParameter { name: "n_samples", message: "must be at least 1".into() };
-        return Err(e.to_string());
-    }
-    fam::check_matrix_budget(n_samples, reduction.kept().len()).map_err(|e| e.to_string())?;
-    let functions: Vec<Arc<dyn UtilityFunction>> =
-        (0..n_samples).map(|_| dist.sample(rng)).collect();
-    reduction.score_matrix(ds, &functions).map_err(|e| e.to_string())
+) -> Result<(ScoreBacking, fam::TiledBuildStats), String> {
+    let functions = fam::core::sample_functions(dist, n_samples, reduction.kept().len(), rng)
+        .map_err(|e| e.to_string())?;
+    reduction.backing(ds, &functions).map_err(|e| e.to_string())
 }
 
 /// `fam algos` — list the solver registry with per-algorithm
@@ -355,11 +347,12 @@ pub fn evaluate(a: &ParsedArgs) -> Result<String, String> {
     let n_samples = checked_sample_count(a, ds.len())?;
     let mut rng = seeded(a)?;
     let dist = UniformLinear::new(ds.dim()).map_err(|e| e.to_string())?;
-    let m = ScoreMatrix::from_distribution(&ds, &dist, n_samples, &mut rng)
-        .map_err(|e| e.to_string())?;
-    let rep = regret::report(&m, &selection).map_err(|e| e.to_string())?;
+    let scores =
+        ScoreBacking::sample(&ds, &dist, n_samples, &mut rng).map_err(|e| e.to_string())?;
+    let m = scores.source();
+    let rep = regret::report(m, &selection).map_err(|e| e.to_string())?;
     let pct =
-        regret::rr_percentiles(&m, &selection, &[70.0, 90.0, 99.0]).map_err(|e| e.to_string())?;
+        regret::rr_percentiles(m, &selection, &[70.0, 90.0, 99.0]).map_err(|e| e.to_string())?;
     Ok(format!(
         "selection {:?}\narr = {:.6}\nvrr = {:.6}\nrr std-dev = {:.6}\nsampled mrr = {:.6}\n\
          rr @ p70/p90/p99 = {:.6}/{:.6}/{:.6}",
@@ -869,6 +862,20 @@ mod tests {
         )))
         .unwrap();
         assert!(msg.contains("iterations"), "{msg}");
+        // Lazy pruning runs on the best-point cache: asking for it with
+        // the cache off is a usage error naming both keys, while
+        // `cache=false` alone runs the naive loop.
+        let err = solve(&argv(&format!(
+            "--data {path} --k 3 --algo greedy-shrink --param cache=false --param lazy=true \
+             --samples 80"
+        )))
+        .unwrap_err();
+        assert!(err.contains("lazy=true") && err.contains("cache=false"), "{err}");
+        let msg = solve(&argv(&format!(
+            "--data {path} --k 3 --algo greedy-shrink --param cache=false --samples 80"
+        )))
+        .unwrap();
+        assert!(msg.contains("greedy-shrink-naive"), "{msg}");
         // An unknown algorithm enumerates the registry.
         let err = solve(&argv(&format!("--data {path} --k 2 --algo quantum"))).unwrap_err();
         assert!(err.contains("add-greedy") && err.contains("sky-dom"), "{err}");

@@ -13,8 +13,11 @@
 //! * [`UtilityFunction`] implementations ([`LinearUtility`],
 //!   [`CobbDouglasUtility`], [`TableUtility`]) and [`UtilityDistribution`]s
 //!   over them (uniform box, simplex, Dirichlet, discrete — Appendix A);
-//! * [`ScoreMatrix`] — the `N × n` sampled utility-score matrix every
-//!   algorithm consumes, with precomputed per-user best points;
+//! * [`ScoreMatrix`] — the `N × n` sampled utility-score matrix, with
+//!   precomputed per-user best points, and [`LinearScores`], the
+//!   `O(d(N + n))` store of a linear population; every algorithm reads
+//!   either through [`ScoreSource`], and [`ScoreBacking`] picks which one
+//!   holds a sampled population;
 //! * regret metrics ([`regret::arr`], [`regret::vrr`],
 //!   [`regret::rr_percentiles`], …);
 //! * [`SelectionEvaluator`] — incremental `arr` maintenance implementing the
@@ -46,6 +49,7 @@
 // still rejects unsafe at compile time.
 #![deny(unsafe_code)]
 
+pub mod backing;
 pub mod dataset;
 pub mod deadline;
 pub mod distribution;
@@ -67,6 +71,7 @@ pub mod stats;
 pub mod streaming;
 pub mod utility;
 
+pub use backing::{sample_functions, ScoreBacking};
 pub use dataset::Dataset;
 pub use deadline::Deadline;
 pub use distribution::{
@@ -89,6 +94,7 @@ pub use utility::{CobbDouglasUtility, LinearUtility, TableUtility, UtilityFuncti
 
 /// Commonly used items, for glob import in examples and tests.
 pub mod prelude {
+    pub use crate::backing::ScoreBacking;
     pub use crate::dataset::Dataset;
     pub use crate::deadline::Deadline;
     pub use crate::distribution::{

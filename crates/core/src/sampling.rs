@@ -61,21 +61,27 @@ pub fn chernoff_epsilon(n: u64, sigma: f64) -> Result<f64> {
 /// 90%`).
 pub const DEFAULT_SIGMA: f64 = 0.1;
 
-/// Environment variable naming a hard byte budget for a single sampled
-/// score-matrix layout (`N × n × 8` bytes). Unset, empty, or unparsable
-/// means **no budget** — only address-space overflow is rejected then.
+/// Environment variable naming a hard limit, in bytes, on the score work
+/// of one sampled population: `N × n × 8` (one dense layout of its
+/// scores). Unset, empty, or unparsable means **no budget** — only
+/// address-space overflow is rejected then.
 pub const MAX_MATRIX_BYTES_ENV: &str = "FAM_MAX_MATRIX_BYTES";
 
-/// Rejects sample counts whose `N × n × 8`-byte score-matrix footprint
+/// Rejects sample counts whose `N × n × 8`-byte score footprint
 /// overflows the address space or exceeds the configured budget
 /// ([`MAX_MATRIX_BYTES_ENV`], default off) — *before* the allocator gets
 /// a chance to abort the process. `chernoff_sample_size(0.001, 0.01)` is
 /// ~1.4e7 samples; against a large database that is a silent
 /// hundreds-of-gigabytes allocation without this guard.
 ///
-/// The bound covers one layout; the point-major mirror doubles the
-/// resident footprint, so budget roughly half the memory you are willing
-/// to spend on a mirrored matrix.
+/// The budget is a **work limit**: it is charged for `N × n` (the kept
+/// points of a reduced build) whichever backing then holds the scores
+/// ([`crate::ScoreBacking`]). A compact [`crate::LinearScores`] stores
+/// only `O(d(N + n))`, yet it is refused exactly where a dense matrix
+/// is, because every solve still touches `N × n` scores. On a dense
+/// matrix the bound covers one layout; the point-major mirror doubles
+/// the resident footprint, so budget roughly half the memory you are
+/// willing to spend on a mirrored matrix.
 ///
 /// # Errors
 ///

@@ -359,11 +359,14 @@ impl TiledBuildStats {
 
 impl ScoreMatrix {
     /// Builds the matrix by sampling `n_samples` utility functions from
-    /// `dist` and scoring every point of `dataset`.
+    /// `dist` and scoring every point of `dataset`. It always
+    /// materializes `N × n`; [`crate::ScoreBacking::sample`] makes the
+    /// same draws and holds a linear population compactly instead.
     ///
     /// # Errors
     ///
-    /// Returns an error if `n_samples == 0`, a sampled function produces a
+    /// Returns an error if `n_samples == 0`, the footprint is over
+    /// [`crate::check_matrix_budget`], a sampled function produces a
     /// non-finite or negative score, or some function scores every point 0
     /// (regret ratio undefined).
     pub fn from_distribution(
@@ -372,15 +375,7 @@ impl ScoreMatrix {
         n_samples: usize,
         rng: &mut dyn RngCore,
     ) -> Result<Self> {
-        if n_samples == 0 {
-            return Err(FamError::InvalidParameter {
-                name: "n_samples",
-                message: "must be at least 1".into(),
-            });
-        }
-        crate::sampling::check_matrix_budget(n_samples, dataset.len())?;
-        let functions: Vec<Arc<dyn UtilityFunction>> =
-            (0..n_samples).map(|_| dist.sample(rng)).collect();
+        let functions = crate::backing::sample_functions(dist, n_samples, dataset.len(), rng)?;
         Self::from_functions(dataset, &functions, None)
     }
 
@@ -454,15 +449,7 @@ impl ScoreMatrix {
         rng: &mut dyn RngCore,
         keep: &[usize],
     ) -> Result<(Self, TiledBuildStats)> {
-        if n_samples == 0 {
-            return Err(FamError::InvalidParameter {
-                name: "n_samples",
-                message: "must be at least 1".into(),
-            });
-        }
-        crate::sampling::check_matrix_budget(n_samples, keep.len())?;
-        let functions: Vec<Arc<dyn UtilityFunction>> =
-            (0..n_samples).map(|_| dist.sample(rng)).collect();
+        let functions = crate::backing::sample_functions(dist, n_samples, keep.len(), rng)?;
         Self::from_functions_tiled(dataset, &functions, None, keep)
     }
 

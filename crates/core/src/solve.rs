@@ -138,7 +138,9 @@ pub struct SolverParams {
     pub max_passes: usize,
     /// Branch-and-bound pruning for `brute-force`.
     pub prune: bool,
-    /// GREEDY-SHRINK Improvement 2 (lazy lower-bound pruning).
+    /// GREEDY-SHRINK Improvement 2 (lazy lower-bound pruning). It runs
+    /// on the best-point cache, so it is read only when
+    /// `best_point_cache` is set.
     pub lazy: bool,
     /// GREEDY-SHRINK Improvement 1 (incremental best-point caching).
     pub best_point_cache: bool,

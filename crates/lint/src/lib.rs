@@ -13,7 +13,7 @@
 //! cargo run -p fam-lint -- --workspace --json   # machine-readable
 //! ```
 //!
-//! The rule catalog (D001/D002/D003/P001/K001/U001/T001/H001 + waiver
+//! The rule catalog (D001/D002/D003/P001/K001/U001/T001/H001/S001 + waiver
 //! rules W001/W002) and the waiver syntax live in `docs/LINTS.md`. There are no
 //! dependencies by design: the container is offline (no `syn`/`dylint`),
 //! and the linter must stay buildable before anything else in the tree.

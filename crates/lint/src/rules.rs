@@ -37,6 +37,9 @@ pub enum Rule {
     /// A `BinaryHeap` in `fam-algos` outside `lazy.rs`, its one lazy-greedy
     /// loop.
     H001,
+    /// A direct score-store constructor in the facade or the CLI, which
+    /// score sampled populations through the one backing decision.
+    S001,
     /// Waiver without a reason.
     W001,
     /// Stale waiver: suppresses nothing.
@@ -54,6 +57,7 @@ impl Rule {
             Rule::U001 => "U001",
             Rule::T001 => "T001",
             Rule::H001 => "H001",
+            Rule::S001 => "S001",
             Rule::W001 => "W001",
             Rule::W002 => "W002",
         }
@@ -69,6 +73,7 @@ impl Rule {
             "U001" => Some(Rule::U001),
             "T001" => Some(Rule::T001),
             "H001" => Some(Rule::H001),
+            "S001" => Some(Rule::S001),
             "W001" => Some(Rule::W001),
             "W002" => Some(Rule::W002),
             _ => None,
@@ -176,6 +181,13 @@ impl FileCtx {
     /// crate is a second copy of that loop.
     fn h001_applies(&self) -> bool {
         self.member == "crates/algos" && self.rel_path != "crates/algos/src/lazy.rs"
+    }
+
+    /// The facade (`Engine`) and the CLI hold a sampled population in the
+    /// store `ScoreBacking` / `Reduction::backing` pick; a direct
+    /// constructor there would make the choice a second time.
+    fn s001_applies(&self) -> bool {
+        self.rel_path.starts_with("src/") || self.rel_path.starts_with("crates/cli/src/")
     }
 }
 
@@ -329,6 +341,25 @@ pub fn lint_source(ctx: &FileCtx, source: &str) -> Vec<Finding> {
                  run `lazy::grow` / `lazy::shrink` / `LazyHeap::pick`, or waive with a reason"
                     .to_string(),
             );
+        }
+        if ctx.s001_applies() {
+            let paths = ["ScoreMatrix::from_distribution", "LinearScores::from_functions"];
+            let methods = [".score_matrix(", ".linear_scores("];
+            let hits = paths
+                .iter()
+                .filter(|tok| has_word(code, tok))
+                .chain(methods.iter().filter(|tok| code.contains(*tok)));
+            for tok in hits {
+                push(
+                    Rule::S001,
+                    format!(
+                        "direct `{tok}` in the facade or the CLI — score a sampled population \
+                         through `ScoreBacking::sample` / `ScoreBacking::from_functions` (or \
+                         `Reduction::backing` when reduced), the one place that picks its store, \
+                         or waive with a reason"
+                    ),
+                );
+            }
         }
     }
 

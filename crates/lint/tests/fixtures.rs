@@ -122,6 +122,28 @@ fn h001_allows_lazy_rs_and_other_crates() {
 }
 
 #[test]
+fn s001_bad_fixture_fails_and_good_passes() {
+    let bad = ids("src/engine.rs", "s001_bad.rs");
+    // The two path calls and the two `Reduction` method calls.
+    assert_eq!(bad.iter().filter(|id| **id == "S001").count(), 4, "{bad:?}");
+    assert_eq!(ids("crates/cli/src/commands.rs", "s001_bad.rs"), bad);
+    assert_eq!(ids("src/engine.rs", "s001_good.rs"), Vec::<&str>::new());
+}
+
+#[test]
+fn s001_applies_to_the_facade_and_the_cli_only() {
+    // fam-core and fam-reduce own the constructors; tests, benches and
+    // the rest of the workspace build references freely.
+    for path in [
+        "crates/core/src/backing.rs",
+        "crates/reduce/src/reduction.rs",
+        "crates/serve/src/service.rs",
+    ] {
+        assert!(!ids(path, "s001_bad.rs").contains(&"S001"), "{path}");
+    }
+}
+
+#[test]
 fn reasonless_waiver_is_w001_and_does_not_suppress() {
     let got = ids("crates/algos/src/sample.rs", "waiver_reasonless.rs");
     assert!(got.contains(&"W001"), "expected W001 in {got:?}");
@@ -146,7 +168,9 @@ fn cfg_test_scopes_are_exempt_from_every_rule() {
 
 #[test]
 fn rule_ids_round_trip() {
-    for id in ["D001", "D002", "D003", "P001", "K001", "U001", "T001", "H001", "W001", "W002"] {
+    for id in
+        ["D001", "D002", "D003", "P001", "K001", "U001", "T001", "H001", "S001", "W001", "W002"]
+    {
         assert_eq!(Rule::from_id(id).map(Rule::id), Some(id), "{id}");
     }
     assert_eq!(Rule::from_id("Z999"), None);

@@ -23,9 +23,11 @@
 //! [`Reduction`]: the ascending kept original ids plus the remap that
 //! the registry (`fam-algos`), the engine facade, the CLI, and
 //! `fam-serve` apply to every [`fam_core::SolveOutput`] — callers always
-//! see original point ids. [`Reduction::score_matrix`] builds the
-//! kept universe's score matrix from the skyline alone, bit-identical
-//! to scoring every point; it refuses utilities that are not
+//! see original point ids. [`Reduction::backing`] scores the kept
+//! universe from the skyline alone, bit-identical to scoring every
+//! point: compactly for a linear population
+//! ([`Reduction::linear_scores`]), as a matrix otherwise
+//! ([`Reduction::score_matrix`]). It refuses utilities that are not
 //! [`fam_core::UtilityFunction::is_monotone`], the capability the
 //! skyline argument rests on. Everything here is deterministic and
 //! single-pass (no RNG, no ambient state), so reductions are

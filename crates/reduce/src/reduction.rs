@@ -7,8 +7,8 @@ use std::sync::Arc;
 
 use fam_core::solve::{ReduceKind, SolveOutput};
 use fam_core::{
-    kernels, Dataset, FamError, LinearScores, Result, ScoreMatrix, ScoreSource, TiledBuildStats,
-    UtilityFunction,
+    kernels, Dataset, FamError, LinearScores, Result, ScoreBacking, ScoreMatrix, ScoreSource,
+    TiledBuildStats, UtilityFunction,
 };
 use fam_geometry::dominance::{dom_compare, DomOrdering};
 
@@ -78,9 +78,9 @@ impl Reduction {
         Ok(Reduction { spec, source_len: n, skyline, kept })
     }
 
-    /// Scores the kept universe under `functions` and reports the
-    /// shortfall stats — the build every reduced caller (the engine
-    /// builder, `fam-serve`, `fam solve --param reduce=…`) runs.
+    /// Scores the kept universe under `functions` into a dense matrix
+    /// and reports the shortfall stats: the build
+    /// [`Reduction::backing`] runs for a population that is not linear.
     ///
     /// Only the skyline is scored: it is the source of
     /// [`ScoreMatrix::from_functions_tiled`], with the kept ids'
@@ -151,6 +151,31 @@ impl Reduction {
             ScoreSource::best_values(&scores),
         );
         Ok((scores, stats))
+    }
+
+    /// Scores the kept universe under `functions` in the store
+    /// [`ScoreBacking::from_functions`] would pick, with the same test
+    /// ([`ScoreBacking::fits_linear`]): [`Reduction::linear_scores`] for
+    /// a linear population, [`Reduction::score_matrix`] otherwise. Both
+    /// report the same stats bits and the same errors, so the choice
+    /// changes only time and memory. This is the build every reduced
+    /// caller runs (the engine builder, `fam solve --param reduce=…`).
+    ///
+    /// # Errors
+    ///
+    /// As [`Reduction::score_matrix`].
+    pub fn backing(
+        &self,
+        full: &Dataset,
+        functions: &[Arc<dyn UtilityFunction>],
+    ) -> Result<(ScoreBacking, TiledBuildStats)> {
+        if ScoreBacking::fits_linear(functions, full.dim()) {
+            let (scores, stats) = self.linear_scores(full, functions)?;
+            Ok((ScoreBacking::Linear(scores), stats))
+        } else {
+            let (matrix, stats) = self.score_matrix(full, functions)?;
+            Ok((ScoreBacking::Dense(matrix), stats))
+        }
     }
 
     /// The checks both builds run before scoring anything: `full` is the
@@ -455,7 +480,14 @@ mod tests {
             other => panic!("expected a `reduce` refusal, got {other:?}"),
         }
         assert!(matches!(
-            r.linear_scores(&data, &[fns[0].clone(), table]),
+            r.linear_scores(&data, &[fns[0].clone(), table.clone()]),
+            Err(FamError::InvalidParameter { name: "reduce", .. })
+        ));
+        // `backing` holds the linear population compactly and sends the
+        // mixed one to the dense build, which refuses the table.
+        assert!(matches!(r.backing(&data, &fns).unwrap().0, ScoreBacking::Linear(_)));
+        assert!(matches!(
+            r.backing(&data, &[fns[0].clone(), table]),
             Err(FamError::InvalidParameter { name: "reduce", .. })
         ));
     }

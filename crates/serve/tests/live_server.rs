@@ -154,6 +154,12 @@ fn concurrent_clients_and_updates_stay_bit_identical() {
     assert!(body.contains("\"cached\":false"), "non-canonical params must bypass the cache");
     let (status, body) = get(addr, "/solve?dataset=gamma&k=2&algo=dp-2d&measure=warp");
     assert_eq!(status, 400, "{body}");
+    // Lazy pruning needs the best-point cache: the pair is refused with
+    // both keys named, not run as the naive loop.
+    let (status, body) =
+        get(addr, "/solve?dataset=gamma&k=2&algo=greedy-shrink&cache=false&lazy=true");
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("lazy=true") && body.contains("cache=false"), "{body}");
 
     // An unknown algorithm enumerates the registry in the 400 body.
     let (status, body) = get(addr, "/solve?dataset=alpha&k=2&algo=quantum");

@@ -53,7 +53,7 @@ fn main() -> fam::Result<()> {
     println!("{:<12}{:>12}{:>12}{:>14}{:>12}", "set", "arr", "rr std", "sampled mrr", "hit prob");
     for (label, sel) in [("S_arr", &s_arr), ("S_mrr", &s_mrr), ("S_k-hit", &s_hit)] {
         let rep = engine.evaluate(&sel.indices)?;
-        let hit = hit_probability(engine.matrix(), &sel.indices);
+        let hit = hit_probability(engine.scores(), &sel.indices);
         println!("{label:<12}{:>12.4}{:>12.4}{:>14.4}{:>12.4}", rep.arr, rep.std_dev, rep.mrr, hit);
     }
 
@@ -68,7 +68,7 @@ fn main() -> fam::Result<()> {
 }
 
 /// Fraction of sampled users whose database-wide favourite is in `sel`.
-fn hit_probability(m: &ScoreMatrix, sel: &[usize]) -> f64 {
+fn hit_probability(m: &dyn ScoreSource, sel: &[usize]) -> f64 {
     let hits = (0..m.n_samples()).filter(|&u| sel.contains(&m.best_index(u))).count();
     hits as f64 / m.n_samples() as f64
 }

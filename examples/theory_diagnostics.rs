@@ -17,10 +17,10 @@ fn main() -> fam::Result<()> {
 
     // A small instance so the exhaustive property checks are feasible.
     // The engine samples the population; the property checks read its
-    // resident matrix.
+    // resident scores.
     let ds = synthetic(10, 3, Correlation::AntiCorrelated, &mut seed_rng)?;
     let engine = Engine::builder().dataset(ds).samples(500).seed(99).build()?;
-    let m = engine.matrix();
+    let m = engine.scores();
 
     println!("== Structural properties of arr(\u{b7}) on a random instance ==");
     match properties::check_supermodularity(m, 1e-9) {

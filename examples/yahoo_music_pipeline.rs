@@ -50,8 +50,8 @@ fn main() -> fam::Result<()> {
     let engine = Engine::builder().matrix(m).solver("greedy-shrink").build()?;
     println!(
         "\nSampled {} users over {} songs.",
-        engine.matrix().n_samples(),
-        engine.matrix().n_points()
+        engine.scores().n_samples(),
+        engine.scores().n_points()
     );
 
     // Compare the algorithms on the learned, non-uniform, non-linear Θ.
@@ -63,7 +63,7 @@ fn main() -> fam::Result<()> {
     for algo in ["greedy-shrink", "mrr-greedy", "k-hit"] {
         let sel = engine.solve_as(algo, k)?.selection;
         let rep = engine.evaluate(&sel.indices)?;
-        let p95 = regret::rr_percentiles(engine.matrix(), &sel.indices, &[95.0])?[0];
+        let p95 = regret::rr_percentiles(engine.scores(), &sel.indices, &[95.0])?[0];
         println!(
             "{:<16}{:>10.4}{:>10.4}{:>12.4}{:>14?}",
             sel.algorithm, rep.arr, rep.std_dev, p95, sel.query_time

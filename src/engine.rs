@@ -22,12 +22,13 @@
 //! assert_eq!(out.selection.len(), 2);
 //! ```
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use fam_algos::{Registry, SolverSpec};
 use fam_core::{
-    chernoff_epsilon, regret, Dataset, FamError, PrecisionSpec, ReduceKind, RegretReport, Result,
-    ScoreMatrix, SolveOutput, TiledBuildStats, UniformLinear, UtilityDistribution, UtilityFunction,
+    chernoff_epsilon, kernels, regret, sample_functions, Dataset, FamError, LinearScores,
+    PrecisionSpec, ReduceKind, RegretReport, Result, ScoreBacking, ScoreMatrix, ScoreSource,
+    SolveOutput, TiledBuildStats, UniformLinear, UtilityDistribution, UtilityFunction,
 };
 use fam_reduce::{ReduceSpec, Reduction};
 use rand::rngs::StdRng;
@@ -40,17 +41,35 @@ pub const DEFAULT_SEED: u64 = 42;
 /// Default solver name.
 pub const DEFAULT_SOLVER: &str = "greedy-shrink";
 
-/// A built engine: the sampled score matrix, the raw dataset (when one
-/// was supplied — coordinate-based solvers need it), and a default
-/// solver name. All solving dispatches through [`Registry::global`].
+/// A built engine: the sampled population's scores, the raw dataset
+/// (when one was supplied — coordinate-based solvers need it), and a
+/// default solver name. All solving dispatches through
+/// [`Registry::global`].
 ///
-/// When built with [`EngineBuilder::reduce`], the resident matrix covers
-/// only the reduction's kept universe (scored from the skyline alone by
-/// [`Reduction::score_matrix`], so the full `N × n` matrix never exists),
+/// **Backing.** A sampled population of linear utilities (the default
+/// [`UniformLinear`], any `*Linear` distribution) is held as
+/// [`LinearScores`]: `N × d` weights plus the points, each score
+/// recomputed when read (the paper's §III-D-3). Any other population
+/// (Cobb-Douglas, tables) and every [`EngineBuilder::matrix`] engine is
+/// held as the dense [`ScoreMatrix`]. [`ScoreBacking`] makes that choice.
+/// Both give the same answer bit for bit, so the backing changes only
+/// time and memory.
+///
+/// **Reading the scores.** [`Engine::scores`] lends the backing as a
+/// [`ScoreSource`], and every solve and evaluation reads it.
+/// [`Engine::matrix`] lends a dense matrix. On a linear engine it builds
+/// one on first call (`N × n × 16` bytes with its mirror). Use it only
+/// where a `&ScoreMatrix` is required.
+///
+/// When built with [`EngineBuilder::reduce`], the scores cover only the
+/// reduction's kept universe (scored from the skyline alone by
+/// [`Reduction::backing`], so the full `N × n` scores never exist),
 /// and every answer is remapped back to original point ids.
 pub struct Engine {
     dataset: Option<Dataset>,
-    matrix: ScoreMatrix,
+    scores: ScoreBacking,
+    /// The dense view [`Engine::matrix`] builds for a linear engine.
+    dense: OnceLock<ScoreMatrix>,
     solver: String,
     reduced: Option<ReducedState>,
 }
@@ -70,9 +89,26 @@ impl Engine {
         EngineBuilder::default()
     }
 
-    /// The resident score matrix.
+    /// The resident scores, in their backing: [`LinearScores`] for a
+    /// sampled linear population, the dense [`ScoreMatrix`] otherwise.
+    /// Every solve and evaluation of this engine reads them.
+    pub fn scores(&self) -> &dyn ScoreSource {
+        self.scores.source()
+    }
+
+    /// The resident scores as a dense [`ScoreMatrix`], for callers that
+    /// need that type; everything else reads [`Engine::scores`].
+    ///
+    /// A dense engine lends its own matrix. A linear engine builds the
+    /// matrix from its weights on the first call and keeps it: that costs
+    /// the `N × n × 16` bytes the compact backing saves. The result
+    /// equals [`ScoreMatrix::from_distribution`]'s build of the same
+    /// population bit for bit (rows, mirror, weights and bests).
     pub fn matrix(&self) -> &ScoreMatrix {
-        &self.matrix
+        match &self.scores {
+            ScoreBacking::Dense(m) => m,
+            ScoreBacking::Linear(s) => self.dense.get_or_init(|| densify(s)),
+        }
     }
 
     /// The raw dataset, when the engine was built from one.
@@ -120,10 +156,10 @@ impl Engine {
     /// fails up front.
     pub fn solve_with(&self, spec: &SolverSpec) -> Result<SolveOutput> {
         let Some(r) = &self.reduced else {
-            return Registry::global().solve(spec, &self.matrix, self.dataset.as_ref());
+            return Registry::global().solve(spec, self.scores(), self.dataset.as_ref());
         };
         let inner = r.prepare(spec)?;
-        let mut out = Registry::global().solve(&inner, &self.matrix, Some(&r.dataset))?;
+        let mut out = Registry::global().solve(&inner, self.scores(), Some(&r.dataset))?;
         r.finish(&mut out)?;
         Ok(out)
     }
@@ -139,11 +175,11 @@ impl Engine {
     pub fn solve_range(&self, ks: std::ops::RangeInclusive<usize>) -> Result<Vec<SolveOutput>> {
         let spec = SolverSpec::new(&self.solver, *ks.end());
         let Some(r) = &self.reduced else {
-            return Registry::global().solve_range(&spec, &self.matrix, self.dataset.as_ref(), ks);
+            return Registry::global().solve_range(&spec, self.scores(), self.dataset.as_ref(), ks);
         };
         let inner = r.prepare(&spec)?;
         let mut outs =
-            Registry::global().solve_range(&inner, &self.matrix, Some(&r.dataset), ks)?;
+            Registry::global().solve_range(&inner, self.scores(), Some(&r.dataset), ks)?;
         for out in &mut outs {
             r.finish(out)?;
         }
@@ -151,7 +187,7 @@ impl Engine {
     }
 
     /// Evaluates an explicit selection (original point ids) against the
-    /// resident matrix. On a reduced-resident engine the regret is
+    /// resident scores. On a reduced-resident engine the regret is
     /// measured against the kept universe's per-sample bests — exact for
     /// a skyline reduction, and short of the full database by at most
     /// [`Engine::reduce_stats`]'s `max_shortfall` for a coreset.
@@ -162,8 +198,8 @@ impl Engine {
     /// ids the reduction pruned.
     pub fn evaluate(&self, selection: &[usize]) -> Result<RegretReport> {
         match &self.reduced {
-            None => regret::report(&self.matrix, selection),
-            Some(r) => regret::report(&self.matrix, &r.reduction.to_reduced(selection)?),
+            None => regret::report(self.scores(), selection),
+            Some(r) => regret::report(self.scores(), &r.reduction.to_reduced(selection)?),
         }
     }
 
@@ -188,7 +224,7 @@ impl Engine {
     ///
     /// Returns an error for a `sigma` outside `(0, 1)`.
     pub fn achieved_epsilon(&self, sigma: f64) -> Result<f64> {
-        chernoff_epsilon(self.matrix.n_samples() as u64, sigma)
+        chernoff_epsilon(self.scores().n_samples() as u64, sigma)
     }
 }
 
@@ -238,11 +274,40 @@ impl ReducedState {
     }
 }
 
+/// A linear engine's scores as a dense matrix, built as
+/// [`ScoreMatrix::from_distribution`] builds the same population: each
+/// weight row goes through [`ScoreMatrix::from_functions`]' fused linear
+/// kernel.
+fn densify(scores: &LinearScores) -> ScoreMatrix {
+    let functions: Vec<Arc<dyn UtilityFunction>> = (0..scores.n_samples())
+        .map(|u| Arc::new(WeightRow(scores.weight_vector(u).to_vec())) as Arc<dyn UtilityFunction>)
+        .collect();
+    ScoreMatrix::from_functions(scores.dataset(), &functions, None)
+        .expect("the same scores passed the same checks when the engine was built")
+}
+
+/// One sample of a linear engine, exactly as it was scored: unlike
+/// [`fam_core::LinearUtility::new`] it takes the weights without
+/// re-checking them, so a weight row that scored validly always
+/// rebuilds.
+struct WeightRow(Vec<f64>);
+
+impl UtilityFunction for WeightRow {
+    fn utility(&self, _index: usize, point: &[f64]) -> f64 {
+        kernels::dot(&self.0, point)
+    }
+
+    fn linear_weights(&self) -> Option<&[f64]> {
+        Some(&self.0)
+    }
+}
+
 impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
-            .field("n_points", &self.matrix.n_points())
-            .field("n_samples", &self.matrix.n_samples())
+            .field("linear", &matches!(self.scores, ScoreBacking::Linear(_)))
+            .field("n_points", &self.scores().n_points())
+            .field("n_samples", &self.scores().n_samples())
             .field("dataset", &self.dataset.as_ref().map(|d| (d.len(), d.dim())))
             .field("solver", &self.solver)
             .field("reduce", &self.reduced.as_ref().map(|r| r.reduction.fingerprint()))
@@ -291,7 +356,8 @@ impl EngineBuilder {
     }
 
     /// A pre-built score matrix (e.g. from a learned utility model or
-    /// the exact discrete construction). Skips sampling entirely.
+    /// the exact discrete construction). Skips sampling entirely; the
+    /// engine is dense-backed.
     #[must_use]
     pub fn matrix(mut self, matrix: ScoreMatrix) -> Self {
         self.matrix = Some(matrix);
@@ -345,9 +411,9 @@ impl EngineBuilder {
     /// `ReduceKind::Skyline` keeps the exact Pareto frontier,
     /// `ReduceKind::Coreset` additionally thins it under the configured
     /// [`EngineBuilder::reduce_eps`] regret target. The sampled functions
-    /// are then scored by [`Reduction::score_matrix`] over the skyline
-    /// only — no dominated point is scored and the dense `N × n` matrix
-    /// never exists, which is what lets million-point datasets through
+    /// are then scored by [`Reduction::backing`] over the skyline
+    /// only — no dominated point is scored and no `N × n` scores
+    /// ever exist, which is what lets million-point datasets through
     /// the `FAM_MAX_MATRIX_BYTES` budget — and the answer is bit-identical
     /// to scoring the full dataset. Requires a dataset (reduction is a
     /// coordinate-stage operation) and a monotone utility distribution:
@@ -373,6 +439,15 @@ impl EngineBuilder {
 
     /// Builds the engine: validates the solver name, then scores the
     /// dataset unless a matrix was supplied.
+    ///
+    /// The sampled population is drawn once from the seeded stream
+    /// [`ScoreMatrix::from_distribution`] draws, and is held as
+    /// [`LinearScores`] when every function is linear
+    /// ([`ScoreBacking::from_functions`], or [`Reduction::backing`] on a
+    /// reduced build), as a dense [`ScoreMatrix`] otherwise. The
+    /// `FAM_MAX_MATRIX_BYTES` budget is charged for `N × n` (`N × kept`
+    /// when reduced) either way: it limits the work a build may ask for,
+    /// so a linear engine is refused exactly where a dense one is.
     ///
     /// # Errors
     ///
@@ -413,7 +488,7 @@ impl EngineBuilder {
                 });
             }
         }
-        let (matrix, stats) = match (self.matrix, &self.dataset) {
+        let (scores, stats) = match (self.matrix, &self.dataset) {
             (Some(m), Some(ds)) => {
                 // Coordinate-based solvers index the dataset with matrix
                 // point indices: the two must describe the same universe.
@@ -429,7 +504,7 @@ impl EngineBuilder {
                     });
                 }
                 match &reduction {
-                    None => (m, None),
+                    None => (ScoreBacking::Dense(m), None),
                     Some(r) => {
                         // A pre-built matrix already paid the dense cost;
                         // restrict it and derive the shortfall stats from
@@ -445,11 +520,11 @@ impl EngineBuilder {
                             &bests(&m),
                             &bests(&reduced),
                         );
-                        (reduced, Some(stats))
+                        (ScoreBacking::Dense(reduced), Some(stats))
                     }
                 }
             }
-            (Some(m), None) => (m, None),
+            (Some(m), None) => (ScoreBacking::Dense(m), None),
             (None, Some(ds)) => {
                 // The budget (and a Chernoff-sized population's budget
                 // check) is charged for the universe actually scored: the
@@ -466,26 +541,20 @@ impl EngineBuilder {
                         message: "at least one utility sample is required".into(),
                     });
                 }
-                // from_distribution re-checks, but failing before the
-                // distribution is built gives the caller the precise
-                // parameter name.
-                fam_core::check_matrix_budget(samples, budget_points)?;
                 let dist: Box<dyn UtilityDistribution> = match self.distribution {
                     Some(d) => d,
                     None => Box::new(UniformLinear::new(ds.dim())?),
                 };
+                // The draws `ScoreMatrix::from_distribution` makes, with the
+                // budget charged as a dense matrix of them would be, whatever
+                // backing then holds the scores.
                 let mut rng = StdRng::seed_from_u64(self.seed);
+                let functions = sample_functions(dist.as_ref(), samples, budget_points, &mut rng)?;
                 match &reduction {
-                    None => (
-                        ScoreMatrix::from_distribution(ds, dist.as_ref(), samples, &mut rng)?,
-                        None,
-                    ),
+                    None => (ScoreBacking::from_functions(ds, &functions)?, None),
                     Some(r) => {
-                        // The sample stream `from_distribution_tiled` draws.
-                        let functions: Vec<Arc<dyn UtilityFunction>> =
-                            (0..samples).map(|_| dist.sample(&mut rng)).collect();
-                        let (m, stats) = r.score_matrix(ds, &functions)?;
-                        (m, Some(stats))
+                        let (scores, stats) = r.backing(ds, &functions)?;
+                        (scores, Some(stats))
                     }
                 }
             }
@@ -505,7 +574,13 @@ impl EngineBuilder {
                 Some(ReducedState { reduction: r, dataset, stats })
             }
         };
-        Ok(Engine { dataset: self.dataset, matrix, solver: self.solver, reduced })
+        Ok(Engine {
+            dataset: self.dataset,
+            scores,
+            dense: OnceLock::new(),
+            solver: self.solver,
+            reduced,
+        })
     }
 }
 
@@ -523,7 +598,8 @@ mod tests {
     fn builder_scores_the_dataset_and_solves() {
         let engine = Engine::builder().dataset(hotels()).samples(300).seed(7).build().unwrap();
         assert_eq!(engine.solver(), DEFAULT_SOLVER);
-        assert_eq!(engine.matrix().n_samples(), 300);
+        assert_eq!(engine.scores().n_samples(), 300);
+        assert!(engine.scores().linear_columns().is_some(), "uniform linear goes compact");
         assert_eq!(engine.dataset().unwrap().len(), 4);
         let out = engine.solve(2).unwrap();
         assert_eq!(out.selection.len(), 2);
@@ -545,7 +621,7 @@ mod tests {
         // The builder is a thin veneer: same matrix ⇒ same answer as the
         // free function.
         let direct =
-            fam_algos::greedy_shrink(a.matrix(), fam_algos::GreedyShrinkConfig::new(2)).unwrap();
+            fam_algos::greedy_shrink(a.scores(), fam_algos::GreedyShrinkConfig::new(2)).unwrap();
         assert_eq!(sa.selection.indices, direct.selection.indices);
     }
 
@@ -594,14 +670,14 @@ mod tests {
         let engine =
             Engine::builder().dataset(hotels()).precision(0.15, 0.1).seed(2).build().unwrap();
         let expected = fam_core::chernoff_sample_size(0.15, 0.1).unwrap() as usize;
-        assert_eq!(engine.matrix().n_samples(), expected);
+        assert_eq!(engine.scores().n_samples(), expected);
         assert!(engine.achieved_epsilon(0.1).unwrap() <= 0.15);
         assert!(engine.achieved_epsilon(2.0).is_err());
         // Precision wins over an explicit sample count.
         let engine =
             Engine::builder().dataset(hotels()).samples(17).precision(0.2, 0.1).build().unwrap();
         assert_eq!(
-            engine.matrix().n_samples(),
+            engine.scores().n_samples(),
             fam_core::chernoff_sample_size(0.2, 0.1).unwrap() as usize
         );
         // Invalid targets fail at build time.
@@ -638,7 +714,7 @@ mod tests {
             .reduce(ReduceKind::Skyline)
             .build()
             .unwrap();
-        assert_eq!(reduced.matrix().n_points(), 4, "skyline drops the dominated point");
+        assert_eq!(reduced.scores().n_points(), 4, "skyline drops the dominated point");
         assert_eq!(reduced.reduction().unwrap().kept(), &[0, 1, 3, 4]);
         let stats = reduced.reduce_stats().unwrap();
         assert_eq!(stats.max_shortfall, 0.0, "a skyline loses no best point");
@@ -679,7 +755,7 @@ mod tests {
             .reduce(ReduceKind::Skyline)
             .build()
             .unwrap();
-        assert_eq!(prebuilt.matrix().n_points(), 4);
+        assert_eq!(prebuilt.scores().n_points(), 4);
         let c = prebuilt.solve(2).unwrap();
         assert_eq!(c.selection.indices, a.selection.indices);
         assert_eq!(prebuilt.reduce_stats().unwrap().max_shortfall, 0.0);
