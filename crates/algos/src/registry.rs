@@ -26,12 +26,19 @@
 //! cold-only solver, a range harvest on a trajectory-less algorithm, or a
 //! missing dataset all answer [`FamError::Unsupported`] naming the solver
 //! — the serving layer maps these to HTTP 400, never 500.
+//!
+//! Every request on a reduced candidate universe (`fam-reduce`) is gated
+//! and remapped by one entry point, [`Registry::solve_reduced`] /
+//! [`Registry::solve_range_reduced`] over a [`KeptUniverse`]: a
+//! per-request `reduce=` (which [`Registry::solve`] computes first), a
+//! build-time reduced `Engine`, `fam solve --param reduce=`, and a
+//! reduced served dataset. fam-lint rule R001 keeps the remap there.
 
 use std::ops::RangeInclusive;
 use std::sync::OnceLock;
 
 use fam_core::solve::{MeasureKind, ReduceKind, SolveCtx, SolveOutput, SolverParams};
-use fam_core::{Dataset, FamError, Result, ScoreMatrix, ScoreSource};
+use fam_core::{Dataset, FamError, Result, ScoreSource};
 use fam_reduce::{ReduceSpec, Reduction};
 
 use crate::measure::{AngularMeasure, UniformAngleMeasure, UniformBoxMeasure};
@@ -496,84 +503,17 @@ impl Registry {
         Ok(())
     }
 
-    /// Gates a requested reduction against the solver's declaration,
-    /// runs the `fam-reduce` pipeline, and restricts the context to the
-    /// kept universe. Returns the reduction (for output remapping), the
-    /// restricted matrix and dataset, and the inner parameters (reduce
-    /// fields cleared, seed mapped into reduced ids).
-    fn prepare_reduction(
-        solver: &dyn Solver,
-        params: &SolverParams,
-        matrix: &dyn ScoreSource,
-        dataset: Option<&Dataset>,
-    ) -> Result<(Reduction, ScoreMatrix, Dataset, SolverParams)> {
-        let spec = ReduceSpec::from_params(params);
-        spec.validate()?;
-        if !solver.capabilities().reducible.allows(params.reduce) {
-            return Err(FamError::unsupported(
-                solver.name(),
-                format!(
-                    "does not accept the lossy `reduce={}` stage \
-                     (declared reducible: {})",
-                    params.reduce.name(),
-                    solver.capabilities().reducible.name()
-                ),
-            ));
-        }
-        let ds = dataset.ok_or_else(|| {
-            FamError::unsupported(
-                solver.name(),
-                "candidate reduction needs the raw dataset coordinates in the solve context",
-            )
-        })?;
-        if ds.len() != matrix.n_points() {
-            return Err(FamError::DimensionMismatch { expected: ds.len(), got: matrix.n_points() });
-        }
-        let reduction = Reduction::compute(ds, spec)?;
-        if reduction.kept().len() < params.k {
-            return Err(FamError::InvalidParameter {
-                name: "reduce",
-                message: format!(
-                    "`{}` kept {} of {} candidates but k = {}; lower k, relax \
-                     reduce_eps, or solve with reduce=none",
-                    reduction.fingerprint(),
-                    reduction.kept().len(),
-                    reduction.source_len(),
-                    params.k
-                ),
-            });
-        }
-        let reduced_matrix = matrix.restricted(reduction.kept())?;
-        let reduced_ds = reduction.restrict_dataset(ds)?;
-        let mut inner = params.clone();
-        inner.reduce = ReduceKind::None;
-        inner.reduce_eps = fam_core::solve::DEFAULT_REDUCE_EPS;
-        if !inner.seed.is_empty() {
-            inner.seed = reduction.to_reduced(&inner.seed)?;
-        }
-        Ok((reduction, reduced_matrix, reduced_ds, inner))
-    }
-
-    /// Remaps a reduced-universe output back to original point ids and
-    /// stamps the reduction's footprint into the notes.
-    fn finish_reduced(reduction: &Reduction, out: &mut SolveOutput) -> Result<()> {
-        reduction.remap_output(out)?;
-        out.notes.push(("reduced_from", reduction.source_len() as f64));
-        out.notes.push(("reduced_to", reduction.kept().len() as f64));
-        Ok(())
-    }
-
     /// Resolves a spec and solves: capability validation, then dispatch.
-    /// When the spec requests a reduction (`reduce=skyline|coreset`), the
-    /// kept universe is computed first, the solver runs on the restricted
-    /// context, and the answer is remapped to original point ids (with
-    /// `reduced_from` / `reduced_to` notes attached).
+    /// A per-request reduction (`reduce=skyline|coreset`) computes the
+    /// kept universe over `dataset` first, and the request runs in it as
+    /// [`Registry::solve_reduced`] runs it.
     ///
     /// # Errors
     ///
     /// Returns [`FamError::Unsupported`] for unknown names or capability
-    /// violations (including a reduction outside [`Caps::reducible`]),
-    /// or the solver's own error.
+    /// violations (including a reduction outside [`Caps::reducible`], or
+    /// one without the dataset to compute it on), or the solver's own
+    /// error.
     pub fn solve(
         &self,
         spec: &SolverSpec,
@@ -582,12 +522,9 @@ impl Registry {
     ) -> Result<SolveOutput> {
         let solver = self.require(&spec.name)?;
         if spec.params.reduce != ReduceKind::None {
-            let (reduction, rm, rds, inner) =
-                Registry::prepare_reduction(solver, &spec.params, matrix, dataset)?;
-            let ctx = SolveCtx { matrix: &rm, dataset: Some(&rds), params: inner };
-            Registry::check_caps(solver, &ctx, false)?;
-            let mut out = solver.solve(&ctx)?;
-            Registry::finish_reduced(&reduction, &mut out)?;
+            let [out] = self.per_request(spec, matrix, dataset, |inner, scores, kept| {
+                Ok([self.solve(inner, scores, Some(kept))?])
+            })?;
             return Ok(out);
         }
         let ctx = SolveCtx { matrix, dataset, params: spec.params.clone() };
@@ -614,19 +551,216 @@ impl Registry {
         let mut params = spec.params.clone();
         params.k = *ks.end();
         if params.reduce != ReduceKind::None {
-            let (reduction, rm, rds, inner) =
-                Registry::prepare_reduction(solver, &params, matrix, dataset)?;
-            let ctx = SolveCtx { matrix: &rm, dataset: Some(&rds), params: inner };
-            Registry::check_caps(solver, &ctx, true)?;
-            let mut outs = solver.solve_range(&ctx, ks)?;
-            for out in &mut outs {
-                Registry::finish_reduced(&reduction, out)?;
-            }
-            return Ok(outs);
+            let spec = SolverSpec { name: spec.name.clone(), params };
+            return self.per_request(&spec, matrix, dataset, |inner, scores, kept| {
+                self.solve_range(inner, scores, Some(kept), ks)
+            });
         }
         let ctx = SolveCtx { matrix, dataset, params };
         Registry::check_caps(solver, &ctx, true)?;
         solver.solve_range(&ctx, ks)
+    }
+
+    /// Solves a request in a kept-candidate universe: `scores` and
+    /// `dataset` cover the kept points in `universe`'s column order, and
+    /// the request speaks original point ids. Before any solver work it
+    /// refuses a per-request `reduce=` (the scores are reduced already),
+    /// checks the solver's [`Caps::reducible`] against the reduction's
+    /// kind and `k` against the kept count, and maps the seed to
+    /// columns; afterwards it maps the answer back to original ids
+    /// (ascending) and notes `reduced_from` / `reduced_to`.
+    ///
+    /// # Errors
+    ///
+    /// [`FamError::InvalidParameter`] (`reduce`) for a per-request
+    /// `reduce=` or a `k` above the kept count,
+    /// [`FamError::Unsupported`] for a solver the reduction's kind is
+    /// not [`Caps::reducible`] for, a seed [`KeptUniverse::columns`]
+    /// refuses, then everything [`Registry::solve`] returns.
+    pub fn solve_reduced(
+        &self,
+        spec: &SolverSpec,
+        scores: &dyn ScoreSource,
+        dataset: Option<&Dataset>,
+        universe: KeptUniverse<'_>,
+    ) -> Result<SolveOutput> {
+        let [out] =
+            self.in_universe(spec, universe, |inner| Ok([self.solve(inner, scores, dataset)?]))?;
+        Ok(out)
+    }
+
+    /// [`Registry::solve_range`] in a kept-candidate universe, gated and
+    /// remapped as [`Registry::solve_reduced`] (`k` is `ks`'s end).
+    ///
+    /// # Errors
+    ///
+    /// As [`Registry::solve_reduced`] and [`Registry::solve_range`].
+    pub fn solve_range_reduced(
+        &self,
+        spec: &SolverSpec,
+        scores: &dyn ScoreSource,
+        dataset: Option<&Dataset>,
+        universe: KeptUniverse<'_>,
+        ks: RangeInclusive<usize>,
+    ) -> Result<Vec<SolveOutput>> {
+        let mut params = spec.params.clone();
+        params.k = *ks.end();
+        let spec = SolverSpec { name: spec.name.clone(), params };
+        self.in_universe(&spec, universe, |inner| self.solve_range(inner, scores, dataset, ks))
+    }
+
+    /// A per-request `reduce=`: computes the reduction over `dataset` and
+    /// runs the request in its kept universe, restricting the scores and
+    /// coordinates for `run` once the request has passed the gate.
+    fn per_request<T: AsMut<[SolveOutput]>>(
+        &self,
+        spec: &SolverSpec,
+        matrix: &dyn ScoreSource,
+        dataset: Option<&Dataset>,
+        run: impl FnOnce(&SolverSpec, &dyn ScoreSource, &Dataset) -> Result<T>,
+    ) -> Result<T> {
+        let ds = dataset.ok_or_else(|| {
+            FamError::unsupported(
+                &spec.name,
+                "candidate reduction needs the raw dataset coordinates in the solve context",
+            )
+        })?;
+        if ds.len() != matrix.n_points() {
+            return Err(FamError::DimensionMismatch { expected: ds.len(), got: matrix.n_points() });
+        }
+        let reduction = Reduction::compute(ds, ReduceSpec::from_params(&spec.params))?;
+        let mut inner = spec.clone();
+        inner.params.reduce = ReduceKind::None;
+        inner.params.reduce_eps = fam_core::solve::DEFAULT_REDUCE_EPS;
+        self.in_universe(&inner, KeptUniverse::of(&reduction), |inner| {
+            let scores = matrix.restricted(reduction.kept())?;
+            run(inner, scores.source(), &reduction.restrict_dataset(ds)?)
+        })
+    }
+
+    /// The gate and remap of [`Registry::solve_reduced`], around `run`,
+    /// for every reduced request: a per-request `reduce=`, a build-time
+    /// reduced engine, `fam solve`, a served dataset.
+    fn in_universe<T: AsMut<[SolveOutput]>>(
+        &self,
+        spec: &SolverSpec,
+        universe: KeptUniverse<'_>,
+        run: impl FnOnce(&SolverSpec) -> Result<T>,
+    ) -> Result<T> {
+        let solver = self.require(&spec.name)?;
+        let reduction = universe.reduction;
+        if spec.params.reduce != ReduceKind::None {
+            return Err(FamError::InvalidParameter {
+                name: "reduce",
+                message: format!(
+                    "the candidates were already reduced at build time (`{}`); per-request \
+                     reduction needs unreduced scores — drop the reduce parameter",
+                    reduction.fingerprint()
+                ),
+            });
+        }
+        let (kind, reducible) = (reduction.spec().kind, solver.capabilities().reducible);
+        if !reducible.allows(kind) {
+            return Err(FamError::unsupported(
+                solver.name(),
+                format!(
+                    "does not accept a `reduce={}` candidate universe (declared reducible: {})",
+                    kind.name(),
+                    reducible.name()
+                ),
+            ));
+        }
+        let kept = universe.ids.len();
+        if kept < spec.params.k {
+            return Err(FamError::InvalidParameter {
+                name: "reduce",
+                message: format!(
+                    "`{}` kept {kept} of {} candidates but k = {}; lower k, relax \
+                     reduce_eps, or solve with reduce=none",
+                    reduction.fingerprint(),
+                    reduction.source_len(),
+                    spec.params.k
+                ),
+            });
+        }
+        let mut outs = if spec.params.seed.is_empty() {
+            run(spec)?
+        } else {
+            let mut inner = spec.clone();
+            inner.params.seed = universe.columns(&spec.params.seed, "seed")?;
+            run(&inner)?
+        };
+        for out in outs.as_mut() {
+            let ids = &mut out.selection.indices;
+            for id in ids.iter_mut() {
+                *id = *universe
+                    .ids
+                    .get(*id)
+                    .ok_or(FamError::IndexOutOfBounds { index: *id, len: kept })?;
+            }
+            ids.sort_unstable();
+            out.notes.push(("reduced_from", reduction.source_len() as f64));
+            out.notes.push(("reduced_to", kept as f64));
+        }
+        Ok(outs)
+    }
+}
+
+/// A kept-candidate universe: the [`Reduction`] that chose the points,
+/// and the original id of each score column — `reduction.kept()` for a
+/// fresh reduction ([`KeptUniverse::of`]), a permutation of it that
+/// updates reorder for a served dataset ([`KeptUniverse::with_columns`]).
+#[derive(Debug, Clone, Copy)]
+pub struct KeptUniverse<'a> {
+    reduction: &'a Reduction,
+    /// `ids[column]` is the column's original point id.
+    ids: &'a [usize],
+}
+
+impl<'a> KeptUniverse<'a> {
+    /// The universe a fresh reduction keeps, in `reduction.kept()` order.
+    pub fn of(reduction: &'a Reduction) -> Self {
+        KeptUniverse { reduction, ids: reduction.kept() }
+    }
+
+    /// A universe whose columns hold `ids`, a permutation of
+    /// `reduction.kept()`.
+    pub fn with_columns(reduction: &'a Reduction, ids: &'a [usize]) -> Self {
+        KeptUniverse { reduction, ids }
+    }
+
+    /// The reduction that chose the kept points.
+    pub fn reduction(&self) -> &'a Reduction {
+        self.reduction
+    }
+
+    /// Maps original point ids to their columns; `param` names the ids
+    /// in errors (`seed`, `selection`).
+    ///
+    /// # Errors
+    ///
+    /// [`FamError::IndexOutOfBounds`] for an id outside the source
+    /// database, [`FamError::InvalidParameter`] for one the reduction
+    /// did not keep.
+    pub fn columns(&self, ids: &[usize], param: &'static str) -> Result<Vec<usize>> {
+        let r = self.reduction;
+        ids.iter()
+            .map(|&id| {
+                if id >= r.source_len() {
+                    return Err(FamError::IndexOutOfBounds { index: id, len: r.source_len() });
+                }
+                self.ids.iter().position(|&c| c == id).ok_or_else(|| FamError::InvalidParameter {
+                    name: param,
+                    message: format!(
+                        "point {id} is not in the candidate set the `{}` reduction kept \
+                         ({} of {} points)",
+                        r.fingerprint(),
+                        self.ids.len(),
+                        r.source_len()
+                    ),
+                })
+            })
+            .collect()
     }
 }
 
@@ -1252,6 +1386,84 @@ mod tests {
                 .unwrap();
             assert_eq!(out.selection.indices, per_k.selection.indices);
         }
+    }
+
+    #[test]
+    fn kept_universes_answer_in_original_ids_whatever_the_column_order() {
+        // A served dataset's columns are a permutation of the kept ids;
+        // the same request must answer the same original ids, notes and
+        // objective bits as in `kept()` order, and every gate must hold.
+        let mut rng = StdRng::seed_from_u64(47);
+        let (ds, m) = instance(&mut rng, 40);
+        let reduction = Reduction::compute(&ds, ReduceSpec::skyline()).unwrap();
+        let kept = reduction.kept().to_vec();
+        assert!(kept.len() >= 4 && kept.len() < 40, "{kept:?}");
+        let mut permuted = kept.clone();
+        permuted.rotate_left(1);
+        permuted.swap(0, kept.len() / 2);
+        let sorted_m = m.restrict_columns(&kept).unwrap();
+        let permuted_m = m.restrict_columns(&permuted).unwrap();
+        let (sorted_ds, permuted_ds) = (ds.subset(&kept).unwrap(), ds.subset(&permuted).unwrap());
+        let r = Registry::standard();
+        let sorted = KeptUniverse::of(&reduction);
+        let shuffled = KeptUniverse::with_columns(&reduction, &permuted);
+        let bits = |out: &SolveOutput| {
+            let notes: Vec<(&str, u64)> =
+                out.notes.iter().map(|&(n, v)| (n, v.to_bits())).collect();
+            (out.selection.indices.clone(), out.selection.objective.map(f64::to_bits), notes)
+        };
+        let seed = kept[kept.len() - 1];
+        for spec in [
+            SolverSpec::new("greedy-shrink", 3),
+            SolverSpec::new("dp-2d", 2),
+            SolverSpec::parse("add-greedy", 3, &[("seed", seed.to_string())]).unwrap(),
+        ] {
+            let a = r.solve_reduced(&spec, &sorted_m, Some(&sorted_ds), sorted).unwrap();
+            let b = r.solve_reduced(&spec, &permuted_m, Some(&permuted_ds), shuffled).unwrap();
+            assert_eq!(bits(&a), bits(&b), "{}", spec.name);
+            assert!(a.selection.indices.windows(2).all(|w| w[0] < w[1]), "{:?}", a.selection);
+            assert_eq!(a.note("reduced_from"), Some(40.0));
+            assert_eq!(a.note("reduced_to"), Some(kept.len() as f64));
+        }
+        let range = SolverSpec::new("add-greedy", 3);
+        let a = r.solve_range_reduced(&range, &sorted_m, None, sorted, 1..=3).unwrap();
+        let b = r.solve_range_reduced(&range, &permuted_m, None, shuffled, 1..=3).unwrap();
+        assert_eq!(a.iter().map(bits).collect::<Vec<_>>(), b.iter().map(bits).collect::<Vec<_>>());
+        // Evaluation ids map to each universe's own columns.
+        assert_eq!(sorted.columns(&[seed], "selection").unwrap(), [kept.len() - 1]);
+        let column = permuted.iter().position(|&c| c == seed).unwrap();
+        assert_eq!(shuffled.columns(&[seed], "selection").unwrap(), [column]);
+        let pruned = (0..40).find(|i| kept.binary_search(i).is_err()).unwrap();
+        match shuffled.columns(&[pruned], "selection") {
+            Err(FamError::InvalidParameter { name: "selection", message }) => {
+                assert!(message.contains("candidate set"), "{message}")
+            }
+            other => panic!("a pruned id must be refused, got {other:?}"),
+        }
+        assert!(matches!(
+            shuffled.columns(&[40], "selection"),
+            Err(FamError::IndexOutOfBounds { index: 40, len: 40 })
+        ));
+        // The gates: a second reduction, k above the kept count, and a
+        // solver whose declaration refuses the universe.
+        let twice = SolverSpec::parse("greedy-shrink", 2, &[("reduce", "skyline")]).unwrap();
+        let err = r.solve_reduced(&twice, &sorted_m, None, sorted).unwrap_err();
+        assert!(err.to_string().contains("reduced at build time"), "{err}");
+        let big = SolverSpec::new("greedy-shrink", kept.len() + 1);
+        let err = r.solve_reduced(&big, &sorted_m, None, sorted).unwrap_err();
+        assert!(err.to_string().contains("reduce=none"), "{err}");
+        let coreset = Reduction::compute(&ds, ReduceSpec::coreset(0.2)).unwrap();
+        let core_m = m.restrict_columns(coreset.kept()).unwrap();
+        let err = r
+            .solve_reduced(
+                &SolverSpec::new("brute-force", 2),
+                &core_m,
+                None,
+                KeptUniverse::of(&coreset),
+            )
+            .unwrap_err();
+        assert!(matches!(err, FamError::Unsupported { .. }), "{err}");
+        assert!(err.to_string().contains("reducible"), "{err}");
     }
 
     #[test]

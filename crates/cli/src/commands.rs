@@ -233,52 +233,29 @@ pub fn solve(a: &ParsedArgs) -> Result<String, String> {
 /// no dominated point is scored, no `N × n` scores are ever resident,
 /// and the `FAM_MAX_MATRIX_BYTES` budget is applied to `N × kept`.
 /// This is what lets `fam solve` answer on million-point datasets whose
-/// unreduced build would exceed the budget. The solver runs on the
-/// reduced universe with `reduce` cleared (and seeds remapped); the
-/// selection is remapped back to original point ids before reporting.
+/// unreduced build would exceed the budget. The request then runs in the
+/// kept universe through [`fam::Registry::solve_reduced`], which gates
+/// it and answers in original point ids.
 fn solve_reduced(a: &ParsedArgs, ds: &Dataset, spec: &fam::SolverSpec) -> Result<String, String> {
-    let registry = fam::Registry::global();
-    let solver = registry.require(&spec.name).map_err(|e| e.to_string())?;
-    if !solver.capabilities().reducible.allows(spec.params.reduce) {
-        return Err(format!(
-            "{} does not accept the lossy `reduce={}` stage (declared reducible: {})",
-            spec.name,
-            spec.params.reduce.name(),
-            solver.capabilities().reducible.name()
-        ));
-    }
     let reduce_spec = fam::ReduceSpec::from_params(&spec.params);
     let reduction = fam::Reduction::compute(ds, reduce_spec).map_err(|e| e.to_string())?;
-    if reduction.kept().len() < spec.params.k {
-        return Err(format!(
-            "`{}` kept {} of {} candidates but k = {}; lower k, relax reduce_eps, \
-             or solve with reduce=none",
-            reduction.fingerprint(),
-            reduction.kept().len(),
-            reduction.source_len(),
-            spec.params.k
-        ));
-    }
     let n_samples = sample_count(a)?;
     let mut rng = seeded(a)?;
     let dist = make_dist(a, ds.dim())?;
     let (m, stats) = reduced_build(&reduction, ds, dist.as_ref(), n_samples, &mut rng)?;
-    let reduced_ds = reduction.restrict_dataset(ds).map_err(|e| e.to_string())?;
+    let kept_ds = reduction.restrict_dataset(ds).map_err(|e| e.to_string())?;
+    let universe = fam::KeptUniverse::of(&reduction);
     let mut inner = spec.clone();
     inner.params.reduce = ReduceKind::None;
-    if !inner.params.seed.is_empty() {
-        inner.params.seed = reduction.to_reduced(&inner.params.seed).map_err(|e| e.to_string())?;
-    }
-    let mut out =
-        registry.solve(&inner, m.source(), Some(&reduced_ds)).map_err(|e| e.to_string())?;
-    let reduced_indices = out.selection.indices.clone();
-    reduction.remap_output(&mut out).map_err(|e| e.to_string())?;
-    out.notes.push(("reduced_from", reduction.source_len() as f64));
-    out.notes.push(("reduced_to", reduction.kept().len() as f64));
+    let out = fam::Registry::global()
+        .solve_reduced(&inner, m.source(), Some(&kept_ds), universe)
+        .map_err(|e| e.to_string())?;
     // Evaluate on a fresh sample (same kept universe) for honesty.
     let (fresh, _) = reduced_build(&reduction, ds, dist.as_ref(), n_samples, &mut rng)?;
+    let columns =
+        universe.columns(&out.selection.indices, "selection").map_err(|e| e.to_string())?;
     let sigma = sigma_of(a)?;
-    let mut report = solver_report(ds, &out, fresh.source(), &reduced_indices, n_samples, sigma)?;
+    let mut report = solver_report(ds, &out, fresh.source(), &columns, n_samples, sigma)?;
     report.push_str(&format!(
         "\nreduction: {} kept {} of {} points ({:.4}% of the database), \
          build max shortfall = {:.6}, mean = {:.6}",

@@ -20,12 +20,10 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use rand::{Rng, RngCore};
-
+use crate::backing::ScoreBacking;
 use crate::dataset::Dataset;
 use crate::error::{FamError, Result};
 use crate::kernels;
-use crate::randext;
 use crate::scores::{swap_remove_remap, MemberScores, ScoreSource};
 use crate::utility::UtilityFunction;
 
@@ -147,64 +145,6 @@ impl LinearScores {
         Self::finish(dataset, weights)
     }
 
-    /// Samples `n_samples` weight vectors i.i.d. uniform on `[0,1]^d` (the
-    /// paper's standard linear Θ).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `n_samples == 0`.
-    pub fn sample_uniform(
-        dataset: Dataset,
-        n_samples: usize,
-        rng: &mut dyn RngCore,
-    ) -> Result<Self> {
-        if n_samples == 0 {
-            return Err(FamError::InvalidParameter {
-                name: "n_samples",
-                message: "must be at least 1".into(),
-            });
-        }
-        let d = dataset.dim();
-        let mut weights = Vec::with_capacity(n_samples * d);
-        for _ in 0..n_samples {
-            loop {
-                let start = weights.len();
-                for _ in 0..d {
-                    weights.push(rng.gen_range(0.0..=1.0));
-                }
-                if weights[start..].iter().any(|w| *w > 0.0) {
-                    break;
-                }
-                weights.truncate(start);
-            }
-        }
-        Self::finish(dataset, weights)
-    }
-
-    /// Samples weight vectors uniform on the probability simplex.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `n_samples == 0`.
-    pub fn sample_simplex(
-        dataset: Dataset,
-        n_samples: usize,
-        rng: &mut dyn RngCore,
-    ) -> Result<Self> {
-        if n_samples == 0 {
-            return Err(FamError::InvalidParameter {
-                name: "n_samples",
-                message: "must be at least 1".into(),
-            });
-        }
-        let d = dataset.dim();
-        let mut weights = vec![0.0; n_samples * d];
-        for u in 0..n_samples {
-            randext::uniform_simplex_into(rng, &mut weights[u * d..(u + 1) * d]);
-        }
-        Self::finish(dataset, weights)
-    }
-
     fn finish(dataset: Dataset, weights: Vec<f64>) -> Result<Self> {
         let d = dataset.dim();
         let n_samples = weights.len() / d;
@@ -222,42 +162,6 @@ impl LinearScores {
             best_index,
             best_value,
         })
-    }
-
-    /// Appends new linear utility samples **in place** from explicit
-    /// weight vectors — the sample-append path that keeps progressive
-    /// precision available on the compact substrate (the
-    /// [`crate::ScoreMatrix`] twin is
-    /// [`crate::ScoreMatrix::append_functions`]). The weight buffer
-    /// extends at the end, the best-point pass runs over the new samples
-    /// only, and per-sample probabilities re-spread to `1/N` — so every
-    /// observable value is **bit-identical** to
-    /// [`LinearScores::from_weight_rows`] over the concatenated rows.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error (leaving the substrate untouched) for ragged,
-    /// non-finite, negative, or degenerate (all-zero-scoring) rows; the
-    /// reported row index is absolute, matching the from-scratch build.
-    pub fn append_weight_rows(&mut self, rows: &[Vec<f64>]) -> Result<()> {
-        let d = self.dim;
-        let n_old = self.n_samples();
-        let mut staged = Vec::with_capacity(rows.len() * d);
-        for (i, r) in rows.iter().enumerate() {
-            if r.len() != d {
-                return Err(FamError::DimensionMismatch { expected: d, got: r.len() });
-            }
-            for (j, v) in r.iter().enumerate() {
-                if !v.is_finite() {
-                    return Err(FamError::NonFinite { row: n_old + i, col: j });
-                }
-                if *v < 0.0 {
-                    return Err(FamError::NegativeValue { row: n_old + i, col: j });
-                }
-                staged.push(*v);
-            }
-        }
-        self.append_staged(staged)
     }
 
     /// Commits validated weight rows: the best pass over the new samples
@@ -279,65 +183,30 @@ impl LinearScores {
         Ok(())
     }
 
-    /// Appends sampled utility functions, which must all be linear
-    /// (expose [`crate::UtilityFunction::linear_weights`]) of the
-    /// substrate's dimensionality. See
-    /// [`LinearScores::append_weight_rows`] for the in-place/bit-identity
-    /// contract; like [`LinearScores::from_functions`] it validates the
-    /// scores, not the weights, so its errors match
-    /// [`crate::ScoreMatrix::append_functions`].
+    /// Appends sampled utility functions **in place**; they must all be
+    /// linear (expose [`crate::UtilityFunction::linear_weights`]) of the
+    /// substrate's dimensionality. This is the sample-append path that
+    /// keeps progressive precision available on the compact substrate
+    /// (the [`crate::ScoreMatrix`] twin is
+    /// [`crate::ScoreMatrix::append_functions`]). The weight buffer
+    /// extends at the end, the best-point pass runs over the new samples
+    /// only, and per-sample probabilities re-spread to `1/N`, so every
+    /// observable value is **bit-identical** to
+    /// [`LinearScores::from_functions`] over the concatenated functions.
+    /// Like that build it validates the scores, not the weights, so its
+    /// errors match [`crate::ScoreMatrix::append_functions`].
     ///
     /// # Errors
     ///
-    /// As [`LinearScores::append_weight_rows`]; a non-linear function
-    /// reports [`FamError::InvalidParameter`] (materialize a
-    /// [`crate::ScoreMatrix`] for those instead).
+    /// Returns an error, leaving the substrate untouched, for a
+    /// non-linear function ([`FamError::InvalidParameter`]; materialize a
+    /// [`crate::ScoreMatrix`] for those instead), a wrong-dimension one,
+    /// a non-finite or negative score, or a sample that scores every
+    /// point 0; the reported sample index is absolute, matching the
+    /// from-scratch build.
     pub fn append_functions(&mut self, functions: &[Arc<dyn UtilityFunction>]) -> Result<()> {
         let staged = linear_weight_rows(functions, self.dim)?;
         self.append_staged(staged)
-    }
-
-    /// Samples `count` fresh weight vectors i.i.d. uniform on `[0,1]^d`
-    /// and appends them — the incremental twin of
-    /// [`LinearScores::sample_uniform`]: continuing the **same** RNG that
-    /// built the substrate reproduces the from-scratch sample stream
-    /// bit-for-bit.
-    ///
-    /// # Errors
-    ///
-    /// As [`LinearScores::append_weight_rows`].
-    pub fn append_uniform(&mut self, count: usize, rng: &mut dyn RngCore) -> Result<()> {
-        let d = self.dim;
-        let mut rows = Vec::with_capacity(count);
-        for _ in 0..count {
-            // Identical rejection loop to `sample_uniform`, so the RNG
-            // consumption (and thus the stream continuation) matches.
-            loop {
-                let r: Vec<f64> = (0..d).map(|_| rng.gen_range(0.0..=1.0)).collect();
-                if r.iter().any(|w| *w > 0.0) {
-                    rows.push(r);
-                    break;
-                }
-            }
-        }
-        self.append_weight_rows(&rows)
-    }
-
-    /// Samples `count` fresh weight vectors uniform on the probability
-    /// simplex and appends them — the incremental twin of
-    /// [`LinearScores::sample_simplex`], with the same
-    /// stream-continuation contract as [`LinearScores::append_uniform`].
-    ///
-    /// # Errors
-    ///
-    /// As [`LinearScores::append_weight_rows`].
-    pub fn append_simplex(&mut self, count: usize, rng: &mut dyn RngCore) -> Result<()> {
-        let d = self.dim;
-        let mut rows = vec![vec![0.0; d]; count];
-        for r in &mut rows {
-            randext::uniform_simplex_into(rng, r);
-        }
-        self.append_weight_rows(&rows)
     }
 
     /// A copy with one point batch applied — the compact twin of
@@ -695,6 +564,24 @@ impl ScoreSource for LinearScores {
         out
     }
 
+    /// Shares the weights and keeps the columns' coordinates; each
+    /// sample's best is rescanned over them with the build's own kernel.
+    fn restricted(&self, columns: &[usize]) -> Result<ScoreBacking> {
+        let dataset = self.dataset.subset(columns)?;
+        let (best_index, best_value) =
+            checked_bests(&self.vectors, dataset.as_flat(), self.dim, 0)?;
+        Ok(ScoreBacking::Linear(LinearScores {
+            vectors: Arc::clone(&self.vectors),
+            vectors_t: Arc::clone(&self.vectors_t),
+            dim: self.dim,
+            coords_t: transposed(dataset.as_flat(), self.dim),
+            dataset,
+            sample_weights: Arc::clone(&self.sample_weights),
+            best_index,
+            best_value,
+        }))
+    }
+
     fn linear_columns(&self) -> Option<LinearColumns<'_>> {
         Some(LinearColumns {
             weights_t: &self.vectors_t,
@@ -725,6 +612,7 @@ impl ScoreSource for LinearScores {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distribution::{SimplexLinear, UniformLinear, UtilityDistribution};
     use crate::scores::ScoreMatrix;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -766,18 +654,25 @@ mod tests {
             LinearScores::from_weight_rows(ds.clone(), vec![vec![0.0, 0.0, 0.0]]).is_err(),
             "all-zero weights score every point 0"
         );
-        let mut rng = StdRng::seed_from_u64(1);
-        assert!(LinearScores::sample_uniform(ds.clone(), 0, &mut rng).is_err());
-        assert!(LinearScores::sample_simplex(ds, 0, &mut rng).is_err());
+        assert!(LinearScores::from_functions(ds, &[]).is_err());
+    }
+
+    /// `count` functions drawn from `dist`, as every sampled build draws
+    /// them.
+    fn draws(
+        dist: &dyn UtilityDistribution,
+        count: usize,
+        rng: &mut StdRng,
+    ) -> Vec<Arc<dyn UtilityFunction>> {
+        crate::sample_functions(dist, count, 3, rng).unwrap()
     }
 
     #[test]
     fn sampling_constructors_produce_valid_sources() {
         let mut rng = StdRng::seed_from_u64(2);
-        for src in [
-            LinearScores::sample_uniform(dataset(), 200, &mut rng).unwrap(),
-            LinearScores::sample_simplex(dataset(), 200, &mut rng).unwrap(),
-        ] {
+        let (uniform, simplex) = (UniformLinear::new(3).unwrap(), SimplexLinear::new(3).unwrap());
+        for dist in [&uniform as &dyn UtilityDistribution, &simplex] {
+            let src = LinearScores::from_functions(dataset(), &draws(dist, 200, &mut rng)).unwrap();
             assert_eq!(src.n_samples(), 200);
             assert_eq!(src.n_points(), 3);
             for u in 0..200 {
@@ -793,35 +688,30 @@ mod tests {
     #[test]
     fn append_matches_from_scratch_bitwise() {
         let ds = dataset();
-        // Build 30, append 50 continuing the same RNG; compare against a
-        // one-shot build of 80 from a fresh RNG with the same seed.
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut grown = LinearScores::sample_uniform(ds.clone(), 30, &mut rng).unwrap();
-        grown.append_uniform(50, &mut rng).unwrap();
-        let fresh =
-            LinearScores::sample_uniform(ds.clone(), 80, &mut StdRng::seed_from_u64(7)).unwrap();
-        assert_eq!(grown.n_samples(), 80);
-        for u in 0..80 {
-            assert_eq!(grown.weight_vector(u), fresh.weight_vector(u), "sample {u}");
-            assert_eq!(grown.best_index(u), fresh.best_index(u));
-            assert_eq!(grown.best_value(u).to_bits(), fresh.best_value(u).to_bits());
-            assert_eq!(grown.weight(u).to_bits(), fresh.weight(u).to_bits());
-        }
-        // Same for the simplex sampler.
-        let mut rng = StdRng::seed_from_u64(8);
-        let mut grown = LinearScores::sample_simplex(ds.clone(), 20, &mut rng).unwrap();
-        grown.append_simplex(25, &mut rng).unwrap();
-        let fresh = LinearScores::sample_simplex(ds, 45, &mut StdRng::seed_from_u64(8)).unwrap();
-        for u in 0..45 {
-            assert_eq!(grown.weight_vector(u), fresh.weight_vector(u), "sample {u}");
-            assert_eq!(grown.best_value(u).to_bits(), fresh.best_value(u).to_bits());
+        // Build from 30 draws, append 50 more off the same RNG; compare
+        // against one build from 80 draws off a fresh RNG with the same
+        // seed, for both linear samplers.
+        let (uniform, simplex) = (UniformLinear::new(3).unwrap(), SimplexLinear::new(3).unwrap());
+        for (seed, dist) in [(7, &uniform as &dyn UtilityDistribution), (8, &simplex)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut grown =
+                LinearScores::from_functions(ds.clone(), &draws(dist, 30, &mut rng)).unwrap();
+            grown.append_functions(&draws(dist, 50, &mut rng)).unwrap();
+            let all = draws(dist, 80, &mut StdRng::seed_from_u64(seed));
+            let fresh = LinearScores::from_functions(ds.clone(), &all).unwrap();
+            assert_eq!(grown.n_samples(), 80);
+            for u in 0..80 {
+                assert_eq!(grown.weight_vector(u), fresh.weight_vector(u), "sample {u}");
+                assert_eq!(grown.best_index(u), fresh.best_index(u));
+                assert_eq!(grown.best_value(u).to_bits(), fresh.best_value(u).to_bits());
+                assert_eq!(grown.weight(u).to_bits(), fresh.weight(u).to_bits());
+            }
         }
     }
 
     #[test]
     fn append_functions_takes_linear_utilities_only() {
         use crate::utility::{LinearUtility, TableUtility};
-        use std::sync::Arc;
         let ds = dataset();
         let mut src =
             LinearScores::from_weight_rows(ds.clone(), vec![vec![1.0, 0.0, 0.0]]).unwrap();
@@ -850,6 +740,25 @@ mod tests {
         assert_eq!(src.n_samples(), 2, "failed appends leave the substrate untouched");
     }
 
+    /// A linear utility with any weights, checked by nothing: the
+    /// scores are what [`LinearScores::append_functions`] validates.
+    #[derive(Debug)]
+    struct RawLinear(Vec<f64>);
+
+    impl UtilityFunction for RawLinear {
+        fn utility(&self, _index: usize, point: &[f64]) -> f64 {
+            kernels::dot(&self.0, point)
+        }
+
+        fn linear_weights(&self) -> Option<&[f64]> {
+            Some(&self.0)
+        }
+    }
+
+    fn raw(rows: &[&[f64]]) -> Vec<Arc<dyn UtilityFunction>> {
+        rows.iter().map(|w| Arc::new(RawLinear(w.to_vec())) as Arc<dyn UtilityFunction>).collect()
+    }
+
     #[test]
     fn append_rejections_are_atomic() {
         let ds = dataset();
@@ -857,19 +766,61 @@ mod tests {
             LinearScores::from_weight_rows(ds, vec![vec![1.0, 0.0, 0.0], vec![0.0, 1.0, 0.0]])
                 .unwrap();
         let before = src.clone();
-        assert!(src.append_weight_rows(&[vec![1.0, 1.0]]).is_err(), "ragged");
-        assert!(src.append_weight_rows(&[vec![-1.0, 0.0, 0.0]]).is_err(), "negative");
-        assert!(src.append_weight_rows(&[vec![f64::NAN, 0.0, 0.0]]).is_err(), "non-finite");
+        assert!(src.append_functions(&raw(&[&[1.0, 1.0]])).is_err(), "ragged");
+        assert!(src.append_functions(&raw(&[&[-1.0, 0.0, 0.0]])).is_err(), "negative");
+        assert!(src.append_functions(&raw(&[&[f64::NAN, 0.0, 0.0]])).is_err(), "non-finite");
         assert!(
-            src.append_weight_rows(&[vec![1.0, 1.0, 1.0], vec![0.0, 0.0, 0.0]]).is_err(),
+            src.append_functions(&raw(&[&[1.0, 1.0, 1.0], &[0.0, 0.0, 0.0]])).is_err(),
             "degenerate row anywhere in the batch rejects the whole batch"
         );
-        src.append_weight_rows(&[]).unwrap();
+        src.append_functions(&[]).unwrap();
         assert_eq!(src.n_samples(), before.n_samples());
         for u in 0..2 {
             assert_eq!(src.weight_vector(u), before.weight_vector(u));
             assert_eq!(src.best_value(u).to_bits(), before.best_value(u).to_bits());
             assert_eq!(src.weight(u).to_bits(), before.weight(u).to_bits());
+        }
+    }
+
+    #[test]
+    fn restriction_shares_the_weights_and_equals_the_matrix_restriction() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let ds = Dataset::from_rows(
+            (0..12).map(|i| vec![(i % 5) as f64 / 5.0 + 0.05, (i % 3) as f64 / 3.0, 0.4]).collect(),
+        )
+        .unwrap();
+        let functions =
+            crate::sample_functions(&UniformLinear::new(3).unwrap(), 40, 12, &mut rng).unwrap();
+        let compact = LinearScores::from_functions(ds.clone(), &functions).unwrap();
+        let dense = ScoreMatrix::from_functions(&ds, &functions, None).unwrap();
+        let columns = [9, 2, 4, 11];
+        let ScoreBacking::Linear(kept) = compact.restricted(&columns).unwrap() else {
+            panic!("a compact source restricts to a compact source");
+        };
+        let want = dense.restrict_columns(&columns).unwrap();
+        assert!(Arc::ptr_eq(&kept.vectors, &compact.vectors), "the weights are shared");
+        assert_eq!(kept.n_points(), 4);
+        for u in 0..40 {
+            assert_eq!(ScoreSource::best_index(&kept, u), want.best_index(u), "best of {u}");
+            assert_eq!(kept.best_value(u).to_bits(), want.best_value(u).to_bits());
+            assert_eq!(kept.weight(u).to_bits(), ScoreSource::weight(&want, u).to_bits());
+            for p in 0..4 {
+                assert_eq!(kept.score(u, p).to_bits(), want.score(u, p).to_bits());
+            }
+        }
+        // Both backings refuse the same restrictions with the same error.
+        let flat = LinearScores::from_weight_rows(
+            Dataset::from_rows(vec![vec![1.0, 0.0], vec![0.0, 1.0]]).unwrap(),
+            vec![vec![1.0, 0.0]],
+        )
+        .unwrap();
+        let flat_dense = ScoreMatrix::from_flat(vec![1.0, 0.0], 1, 2, None).unwrap();
+        for columns in [&[][..], &[2], &[1]] {
+            assert_eq!(
+                flat.restricted(columns).unwrap_err(),
+                flat_dense.restricted(columns).unwrap_err(),
+                "{columns:?}"
+            );
         }
     }
 
@@ -881,7 +832,11 @@ mod tests {
             (0..n_points).map(|i| vec![(i % 97) as f64 / 97.0 + 0.01, 0.5, 0.5]).collect(),
         )
         .unwrap();
-        let src = LinearScores::sample_uniform(big, 1_000, &mut rng).unwrap();
+        let src = LinearScores::from_functions(
+            big,
+            &draws(&UniformLinear::new(3).unwrap(), 1_000, &mut rng),
+        )
+        .unwrap();
         // d(N + n) * 8 bytes plus bookkeeping, far below N*n*8 = 4 MB.
         assert!(src.approx_bytes() < 200_000, "footprint {}", src.approx_bytes());
     }

@@ -47,6 +47,7 @@ use std::sync::Arc;
 
 use rand::RngCore;
 
+use crate::backing::ScoreBacking;
 use crate::dataset::Dataset;
 use crate::distribution::{DiscreteDistribution, UtilityDistribution};
 use crate::error::{FamError, Result};
@@ -147,50 +148,20 @@ pub trait ScoreSource: Send + Sync {
         MemberScores::Row(self.row_scores(u, buf))
     }
 
-    /// Materializes a dense matrix restricted to the given point columns
-    /// (in order), recomputing per-row bests over the restricted
-    /// universe — the substrate-generic entry point behind candidate
-    /// reduction (`fam-reduce`). [`ScoreMatrix`] overrides this with its
-    /// row-streaming [`ScoreMatrix::restrict_columns`]; the default reads
-    /// each sample's [`ScoreSource::member_scores`] of the columns.
+    /// The same scores restricted to the given point columns (in order),
+    /// in this source's own backing, with per-sample bests recomputed
+    /// over the restricted universe: the step behind a per-request
+    /// candidate reduction (`fam-reduce`). A [`ScoreMatrix`] copies the
+    /// kept columns ([`ScoreMatrix::restrict_columns`]); a
+    /// [`crate::LinearScores`] shares its weights and keeps only the
+    /// columns' coordinates. The sample weights pass through bit for
+    /// bit: re-normalizing them would move reduced objectives by an ULP.
     ///
     /// # Errors
     ///
     /// Returns an error if `columns` is empty, out of bounds, or the
     /// restriction makes some row degenerate (no positive score).
-    fn restricted(&self, columns: &[usize]) -> Result<ScoreMatrix> {
-        if columns.is_empty() {
-            return Err(FamError::EmptyDataset);
-        }
-        let n = self.n_points();
-        for &c in columns {
-            if c >= n {
-                return Err(FamError::IndexOutOfBounds { index: c, len: n });
-            }
-        }
-        let n_samples = self.n_samples();
-        let members: Vec<u32> = columns.iter().map(|&c| c as u32).collect();
-        let mut buf = Vec::new();
-        let mut scores = Vec::with_capacity(n_samples * columns.len());
-        let mut weights = Vec::with_capacity(n_samples);
-        let mut best_index = Vec::with_capacity(n_samples);
-        let mut best_value = Vec::with_capacity(n_samples);
-        for u in 0..n_samples {
-            let start = scores.len();
-            match self.member_scores(u, &members, &mut buf) {
-                MemberScores::Row(row) => scores.extend(columns.iter().map(|&c| row[c])),
-                MemberScores::Listed(listed) => scores.extend_from_slice(listed),
-            }
-            // Weights pass through bit-for-bit (the trait contract already
-            // has them summing to 1) — re-normalizing would perturb them
-            // by an ULP and break reduced-objective bit-identity.
-            weights.push(self.weight(u));
-            let (bi, bv) = row_best_checked(&scores[start..], u)?;
-            best_index.push(bi);
-            best_value.push(bv);
-        }
-        Ok(ScoreMatrix::assemble(scores, n_samples, columns.len(), weights, best_index, best_value))
-    }
+    fn restricted(&self, columns: &[usize]) -> Result<ScoreBacking>;
 }
 
 impl ScoreSource for ScoreMatrix {
@@ -239,8 +210,8 @@ impl ScoreSource for ScoreMatrix {
         &ScoreMatrix::column(self, p)[samples]
     }
 
-    fn restricted(&self, columns: &[usize]) -> Result<ScoreMatrix> {
-        ScoreMatrix::restrict_columns(self, columns)
+    fn restricted(&self, columns: &[usize]) -> Result<ScoreBacking> {
+        ScoreMatrix::restrict_columns(self, columns).map(ScoreBacking::Dense)
     }
 }
 

@@ -8,7 +8,9 @@
 //!   and char literals are **blanked out** of the code stream — a
 //!   `partial_cmp` inside a doc comment or an error message must never
 //!   fire a rule;
-//! * comment text is collected per line so waiver comments can be parsed;
+//! * comment text is collected per line so waiver comments can be parsed,
+//!   and string-literal text so a rule can name a literal (a note key)
+//!   without firing on prose;
 //! * `#[cfg(test)]` / `#[test]` attributes and `mod tests` items open a
 //!   brace-tracked *test scope*, and every line inside one is exempt from
 //!   the rules (test code may panic and may be as nondeterministic as it
@@ -28,6 +30,10 @@ pub struct Line {
     /// this. Doc comments (`///`, `//!`, `/**`, `/*!`) are excluded so
     /// documentation may show waiver syntax without registering one.
     pub comment: String,
+    /// The text of each string literal on this line, raw (escapes kept
+    /// as written, delimiters dropped); a literal spanning lines gives
+    /// each line its part.
+    pub strings: Vec<String>,
     /// True when the line sits inside a `#[cfg(test)]` / `#[test]` /
     /// `mod tests` brace scope (or opens/closes one).
     pub in_test: bool,
@@ -53,15 +59,22 @@ pub fn lex(source: &str) -> Vec<Line> {
     let mut lines = Vec::new();
     let mut code = String::new();
     let mut comment = String::new();
+    let mut strings: Vec<String> = Vec::new();
+    // The open string literal's text on the current line.
+    let mut literal: Option<String> = None;
     let mut mode = Mode::Code;
     let mut i = 0;
     let n = chars.len();
 
     macro_rules! flush_line {
         () => {
+            if let Some(open) = literal.as_mut() {
+                strings.push(std::mem::take(open));
+            }
             lines.push(Line {
                 code: std::mem::take(&mut code),
                 comment: std::mem::take(&mut comment),
+                strings: std::mem::take(&mut strings),
                 in_test: false,
             });
         };
@@ -93,6 +106,7 @@ pub fn lex(source: &str) -> Vec<Line> {
                     i += 2;
                 } else if c == '"' {
                     mode = Mode::Str;
+                    literal = Some(String::new());
                     code.push(' ');
                     i += 1;
                 } else if (c == 'r' || c == 'b')
@@ -117,6 +131,7 @@ pub fn lex(source: &str) -> Vec<Line> {
                             }
                             i = j + 1;
                             mode = if is_raw { Mode::RawStr(hashes) } else { Mode::Str };
+                            literal = Some(String::new());
                             continue;
                         }
                     }
@@ -181,21 +196,26 @@ pub fn lex(source: &str) -> Vec<Line> {
                 }
             }
             Mode::Str => {
+                let text = literal.get_or_insert_with(String::new);
                 if c == '\\' {
                     // Consume the escaped char too — unless it is a line
                     // continuation, whose newline must still flush the line.
+                    text.push(c);
                     if chars.get(i + 1) == Some(&'\n') {
                         code.push(' ');
                         i += 1;
                     } else {
+                        text.extend(chars.get(i + 1));
                         code.push_str("  ");
                         i += 2;
                     }
                 } else if c == '"' {
+                    strings.extend(literal.take());
                     mode = Mode::Code;
                     code.push(' ');
                     i += 1;
                 } else {
+                    text.push(c);
                     code.push(' ');
                     i += 1;
                 }
@@ -214,16 +234,18 @@ pub fn lex(source: &str) -> Vec<Line> {
                             code.push(' ');
                         }
                         i += 1 + hashes as usize;
+                        strings.extend(literal.take());
                         mode = Mode::Code;
                         continue;
                     }
                 }
+                literal.get_or_insert_with(String::new).push(c);
                 code.push(' ');
                 i += 1;
             }
         }
     }
-    if !code.is_empty() || !comment.is_empty() {
+    if !code.is_empty() || !comment.is_empty() || literal.is_some() {
         flush_line!();
     }
 
@@ -353,6 +375,15 @@ mod tests {
         assert!(!lines[0].code.contains("partial_cmp"));
         assert!(!lines[0].code.contains("f64::max"));
         assert!(lines[0].code.contains("done();"));
+    }
+
+    #[test]
+    fn string_literal_text_is_collected_per_line() {
+        let lines = lex("f(\"a\\\"b\", r#\"c\"#, 'd'); // \"e\"\nlet s = \"one\ntwo\";\n");
+        assert_eq!(lines[0].strings, ["a\\\"b", "c"]);
+        assert_eq!(lines[1].strings, ["one"]);
+        assert_eq!(lines[2].strings, ["two"]);
+        assert!(lex("/// \"doc\"\nfn f() {}\n").iter().all(|l| l.strings.is_empty()));
     }
 
     #[test]

@@ -40,6 +40,9 @@ pub enum Rule {
     /// A direct score-store constructor in the facade or the CLI, which
     /// score sampled populations through the one backing decision.
     S001,
+    /// A reduced-universe remap outside the registry's one entry point
+    /// and `fam-reduce`.
+    R001,
     /// Waiver without a reason.
     W001,
     /// Stale waiver: suppresses nothing.
@@ -58,6 +61,7 @@ impl Rule {
             Rule::T001 => "T001",
             Rule::H001 => "H001",
             Rule::S001 => "S001",
+            Rule::R001 => "R001",
             Rule::W001 => "W001",
             Rule::W002 => "W002",
         }
@@ -74,6 +78,7 @@ impl Rule {
             "T001" => Some(Rule::T001),
             "H001" => Some(Rule::H001),
             "S001" => Some(Rule::S001),
+            "R001" => Some(Rule::R001),
             "W001" => Some(Rule::W001),
             "W002" => Some(Rule::W002),
             _ => None,
@@ -189,7 +194,19 @@ impl FileCtx {
     fn s001_applies(&self) -> bool {
         self.rel_path.starts_with("src/") || self.rel_path.starts_with("crates/cli/src/")
     }
+
+    /// `Registry::solve_reduced` (in the registry file) gates and remaps
+    /// every reduced request, and `fam-reduce` owns the id bookkeeping;
+    /// a remap anywhere else is a second copy of that contract.
+    fn r001_applies(&self) -> bool {
+        self.rel_path != "crates/algos/src/registry.rs"
+            && !self.rel_path.starts_with("crates/reduce/src/")
+    }
 }
+
+/// The note key R001 confines: only the registry's remap writes it.
+// fam-lint: allow(R001) -- the rule's own needle
+const R001_NOTE: &str = "reduced_from";
 
 /// A parsed waiver comment.
 #[derive(Debug)]
@@ -357,6 +374,21 @@ pub fn lint_source(ctx: &FileCtx, source: &str) -> Vec<Finding> {
                          through `ScoreBacking::sample` / `ScoreBacking::from_functions` (or \
                          `Reduction::backing` when reduced), the one place that picks its store, \
                          or waive with a reason"
+                    ),
+                );
+            }
+        }
+        if ctx.r001_applies() {
+            let calls = [".remap_output(", ".to_reduced("].into_iter().filter(|t| code.contains(t));
+            let notes = line.strings.iter().filter(|s| *s == R001_NOTE).map(|_| "\"reduced_from\"");
+            for tok in calls.chain(notes) {
+                push(
+                    Rule::R001,
+                    format!(
+                        "`{tok}` outside the registry and fam-reduce — a reduced request is gated \
+                         and remapped once, by `Registry::solve_reduced` / \
+                         `solve_range_reduced` over a `KeptUniverse`; map evaluation ids with \
+                         `KeptUniverse::columns`, or waive with a reason"
                     ),
                 );
             }

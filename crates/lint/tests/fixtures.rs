@@ -144,6 +144,23 @@ fn s001_applies_to_the_facade_and_the_cli_only() {
 }
 
 #[test]
+fn r001_bad_fixture_fails_and_good_passes() {
+    let bad = ids("crates/serve/src/service.rs", "r001_bad.rs");
+    // The seed map, the answer remap and the note key.
+    assert_eq!(bad, vec!["R001"; 3], "{bad:?}");
+    assert_eq!(ids("src/engine.rs", "r001_bad.rs"), bad);
+    assert_eq!(ids("crates/cli/src/commands.rs", "r001_bad.rs"), bad);
+    assert_eq!(ids("crates/serve/src/service.rs", "r001_good.rs"), Vec::<&str>::new());
+}
+
+#[test]
+fn r001_allows_the_registry_and_fam_reduce() {
+    for path in ["crates/algos/src/registry.rs", "crates/reduce/src/reduction.rs"] {
+        assert_eq!(ids(path, "r001_bad.rs"), Vec::<&str>::new(), "{path}");
+    }
+}
+
+#[test]
 fn reasonless_waiver_is_w001_and_does_not_suppress() {
     let got = ids("crates/algos/src/sample.rs", "waiver_reasonless.rs");
     assert!(got.contains(&"W001"), "expected W001 in {got:?}");
@@ -168,9 +185,10 @@ fn cfg_test_scopes_are_exempt_from_every_rule() {
 
 #[test]
 fn rule_ids_round_trip() {
-    for id in
-        ["D001", "D002", "D003", "P001", "K001", "U001", "T001", "H001", "S001", "W001", "W002"]
-    {
+    for id in [
+        "D001", "D002", "D003", "P001", "K001", "U001", "T001", "H001", "S001", "R001", "W001",
+        "W002",
+    ] {
         assert_eq!(Rule::from_id(id).map(Rule::id), Some(id), "{id}");
     }
     assert_eq!(Rule::from_id("Z999"), None);

@@ -26,17 +26,27 @@
 //! swap-remove (so coordinate-based solvers like `dp-2d` answer against
 //! the *current* point universe), and rescans only the samples whose
 //! best point was deleted; the cache is then re-harvested on the result.
+//!
+//! A dataset reduced at build time ([`ServeOptions::reduce`]) holds the
+//! kept candidates only, in a column order updates permute. Its cold
+//! solves and harvests run through `Registry::solve_reduced` /
+//! `solve_range_reduced` over a `KeptUniverse` of those columns, the
+//! entry point the reduced `Engine` and `fam solve --param reduce=` use:
+//! it refuses a per-request `reduce=`, gates `Caps::reducible`, reads
+//! seeds as original ids and answers in original ids. `evaluate` maps
+//! its ids through the same universe. The unreduced paths, cache hits
+//! included, never build an id map.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::RangeInclusive;
 use std::sync::Arc;
 
-use fam_algos::{Registry, Solver, SolverSpec};
+use fam_algos::{KeptUniverse, Registry, Solver, SolverSpec};
 use fam_core::{
-    check_matrix_budget, chernoff_epsilon, failpoints, regret, swap_remove_remap, Dataset,
-    Deadline, FamError, LinearScores, PrecisionSpec, ReduceKind, RegretReport, Result,
-    SimplexLinear, SolverParams, TiledBuildStats, UniformLinear, UtilityDistribution,
-    UtilityFunction, DEFAULT_SIGMA,
+    check_matrix_budget, chernoff_epsilon, failpoints, regret, sample_functions, swap_remove_remap,
+    Dataset, Deadline, FamError, LinearScores, PrecisionSpec, RegretReport, Result, SimplexLinear,
+    SolverParams, TiledBuildStats, UniformLinear, UtilityDistribution, UtilityFunction,
+    DEFAULT_SIGMA,
 };
 use fam_data::UpdateOp;
 use fam_reduce::{ReduceSpec, Reduction, ReductionRepair};
@@ -99,10 +109,12 @@ pub struct ServeOptions {
     /// the kept candidates and the `FAM_MAX_MATRIX_BYTES` work budget
     /// counts only them — million-point datasets can be served. The
     /// utility distribution must be monotone (both `DistKind`s are
-    /// linear). Every
-    /// answer is remapped to original point ids; updates repair the
-    /// reduction incrementally ([`fam_reduce::Reduction::repair`]) and
-    /// recompute it only when a kept member is deleted.
+    /// linear). Requests speak original point ids: seeds, answers and
+    /// evaluated selections map through the kept universe, and a solver
+    /// whose `Caps::reducible` refuses the reduction is refused. Updates
+    /// repair the reduction incrementally
+    /// ([`fam_reduce::Reduction::repair`]) and recompute it only when a
+    /// kept member is deleted.
     pub reduce: ReduceSpec,
 }
 
@@ -231,15 +243,16 @@ pub struct DatasetService {
     refines: u64,
     /// Present when the service was built with a non-none
     /// [`ServeOptions::reduce`]: the resident scores then cover the
-    /// *reduced* universe and every served answer is remapped through
-    /// [`ReducedResident::cols`] back to original point ids.
+    /// *reduced* universe, and every request runs in
+    /// [`ReducedResident::universe`].
     reduced: Option<ReducedResident>,
 }
 
 /// The reduced-resident state: the live full-universe coordinates, the
 /// reduction over them, and the score-column → full-id mapping (the
 /// scores permute their columns by swap-remove on updates, so the sorted
-/// `reduction.kept()` list alone cannot address live columns).
+/// `reduction.kept()` list alone cannot address live columns; together
+/// the two are the [`KeptUniverse`] requests run in).
 #[derive(Clone)]
 struct ReducedResident {
     spec: ReduceSpec,
@@ -254,40 +267,41 @@ struct ReducedResident {
     stats: TiledBuildStats,
 }
 
-/// Maps score-column indices to full-universe ids (ascending).
-fn to_original(indices: &[usize], cols: &[usize]) -> Vec<usize> {
-    // fam-lint: allow(P001) -- selection indices are < n_points == cols.len() by the resident-universe invariant
-    let mut v: Vec<usize> = indices.iter().map(|&i| cols[i]).collect();
-    v.sort_unstable();
-    v
+impl ReducedResident {
+    /// The kept universe the scores' columns hold.
+    fn universe(&self) -> KeptUniverse<'_> {
+        KeptUniverse::with_columns(&self.reduction, &self.cols)
+    }
 }
 
+/// Harvests every range-capable solver over `ks` on `m`: in the kept
+/// universe on a reduced service, so the entries hold original ids.
 fn build_cache(
     m: &LinearScores,
     ks: &RangeInclusive<usize>,
     deadline: &Deadline,
-    fingerprint: &str,
-    cols: Option<&[usize]>,
+    universe: Option<KeptUniverse<'_>>,
 ) -> Result<BTreeMap<(String, usize, String), SolveResult>> {
     // Chaos hook: the cache re-harvest is the expensive tail of every
     // update/refine; tests arm it to prove a failed harvest never
     // publishes a stale-cache generation.
     failpoints::fail_point("service.reharvest")?;
+    let registry = Registry::global();
+    let fingerprint = universe.map_or_else(|| "none".to_string(), |u| u.reduction().fingerprint());
     let mut cache = BTreeMap::new();
-    for solver in Registry::global().iter().filter(|s| s.capabilities().range_harvest) {
+    for solver in registry.iter().filter(|s| s.capabilities().range_harvest) {
         // One trajectory per solver is the unit of interruptible work.
         deadline.check()?;
         let spec = SolverSpec::new(solver.name(), *ks.end());
-        let outs = Registry::global().solve_range(&spec, m, None, ks.clone())?;
+        let outs = match universe {
+            None => registry.solve_range(&spec, m, None, ks.clone())?,
+            Some(u) => registry.solve_range_reduced(&spec, m, None, u, ks.clone())?,
+        };
         for (i, out) in outs.into_iter().enumerate() {
             let arr = out.selection.objective.unwrap_or(f64::NAN);
-            let indices = match cols {
-                Some(cols) => to_original(&out.selection.indices, cols),
-                None => out.selection.indices,
-            };
             cache.insert(
-                (solver.name().to_string(), ks.start() + i, fingerprint.to_string()),
-                SolveResult { indices, arr },
+                (solver.name().to_string(), ks.start() + i, fingerprint.clone()),
+                SolveResult { indices: out.selection.indices, arr },
             );
         }
     }
@@ -348,11 +362,9 @@ impl DatasetService {
         // solvers see): on a reduced build that is the kept universe
         // only. Nothing `N × n` is resident either way.
         let budget_points = reduction.as_ref().map_or(dataset.len(), |r| r.kept().len());
-        check_matrix_budget(opts.samples, budget_points)?;
         let dist = opts.dist.build(dataset.dim())?;
         let mut rng = StdRng::seed_from_u64(opts.seed);
-        let functions: Vec<Arc<dyn UtilityFunction>> =
-            (0..opts.samples).map(|_| dist.sample(&mut rng)).collect();
+        let functions = sample_functions(dist.as_ref(), opts.samples, budget_points, &mut rng)?;
         let (scores, reduced) = match reduction {
             None => (LinearScores::from_functions(dataset.clone(), &functions)?, None),
             Some(reduction) => {
@@ -368,14 +380,11 @@ impl DatasetService {
                 (scores, Some(state))
             }
         };
-        let fingerprint =
-            reduced.as_ref().map_or_else(|| "none".to_string(), |r| r.reduction.fingerprint());
         let cache = build_cache(
             &scores,
             &opts.cache_k,
             &Deadline::none(),
-            &fingerprint,
-            reduced.as_ref().map(|r| r.cols.as_slice()),
+            reduced.as_ref().map(ReducedResident::universe),
         )?;
         Ok(DatasetService {
             name: name.to_string(),
@@ -555,24 +564,6 @@ impl DatasetService {
     ) -> Result<(SolveResult, bool)> {
         let registry = Registry::global();
         let solver = registry.require(&spec.name)?;
-        // A per-request `reduce=` on an already-reduced service would
-        // stack reductions with undeclared semantics; on an unreduced
-        // service it flows straight through the registry's own
-        // reduction stage below.
-        if spec.params.reduce != ReduceKind::None {
-            if let Some(r) = &self.reduced {
-                return Err(FamError::InvalidParameter {
-                    name: "reduce",
-                    message: format!(
-                        "dataset `{}` was reduced at build time (`{}`); per-request \
-                         reduction is unavailable — drop the reduce parameter or serve \
-                         the dataset unreduced",
-                        self.name,
-                        r.reduction.fingerprint()
-                    ),
-                });
-            }
-        }
         let spec = if spec.params.epsilon.is_some() || spec.params.sigma != DEFAULT_SIGMA {
             // `sigma` without `epsilon` is inert — normalize it away too,
             // or it would silently force every such request past the
@@ -615,40 +606,21 @@ impl DatasetService {
             }
         }
         let m = &*self.scores;
-        let out = registry.solve(spec, m, Some(m.dataset()))?;
+        let out = match &self.reduced {
+            None => registry.solve(spec, m, Some(m.dataset()))?,
+            Some(r) => registry.solve_reduced(spec, m, Some(m.dataset()), r.universe())?,
+        };
+        let indices = out.selection.indices;
         let arr = match out.selection.objective {
             Some(v) if solver.capabilities().reports_arr => v,
             // Oblivious baselines (and the continuous-measure DP) do not
             // estimate the sampled arr; evaluate their selection fresh.
-            _ => regret::arr(m, &out.selection.indices)?,
-        };
-        let indices = match &self.reduced {
-            Some(r) => to_original(&out.selection.indices, &r.cols),
-            None => out.selection.indices,
+            _ => match &self.reduced {
+                None => regret::arr(m, &indices)?,
+                Some(r) => regret::arr(m, &r.universe().columns(&indices, "selection")?)?,
+            },
         };
         Ok((SolveResult { indices, arr }, false))
-    }
-
-    /// Translates an original-universe selection to the scores' column
-    /// space on a reduced service (identity on an unreduced one).
-    fn to_columns(&self, selection: &[usize]) -> Result<Vec<usize>> {
-        let Some(r) = &self.reduced else { return Ok(selection.to_vec()) };
-        selection
-            .iter()
-            .map(|&id| {
-                r.cols.iter().position(|&c| c == id).ok_or_else(|| FamError::InvalidParameter {
-                    name: "selection",
-                    message: format!(
-                        "point {id} is not in the candidate set the `{}` reduction kept \
-                         of dataset `{}` ({} of {} points)",
-                        r.reduction.fingerprint(),
-                        self.name,
-                        r.cols.len(),
-                        r.full.len()
-                    ),
-                })
-            })
-            .collect()
     }
 
     /// Evaluates an explicit selection (original point ids) against the
@@ -659,8 +631,12 @@ impl DatasetService {
     /// Returns an error for out-of-bounds or duplicate indices, or (on a
     /// reduced service) ids outside the kept candidate set.
     pub fn evaluate(&self, selection: &[usize]) -> Result<RegretReport> {
-        let columns = self.to_columns(selection)?;
-        regret::report(&*self.scores, &columns)
+        match &self.reduced {
+            None => regret::report(&*self.scores, selection),
+            Some(r) => {
+                regret::report(&*self.scores, &r.universe().columns(selection, "selection")?)
+            }
+        }
     }
 
     /// Applies a parsed op stream as one atomic batch — deletes index the
@@ -841,9 +817,8 @@ impl DatasetService {
 
     /// Re-harvests the result cache on the resident scores.
     fn reharvest(&mut self, deadline: &Deadline) -> Result<()> {
-        let fingerprint = self.reduction_fingerprint();
-        let cols = self.reduced.as_ref().map(|r| r.cols.as_slice());
-        self.cache = build_cache(&self.scores, &self.cache_k, deadline, &fingerprint, cols)?;
+        let universe = self.reduced.as_ref().map(ReducedResident::universe);
+        self.cache = build_cache(&self.scores, &self.cache_k, deadline, universe)?;
         Ok(())
     }
 
@@ -1531,6 +1506,16 @@ mod tests {
         check(&red, &plain);
         // The insert landed at full-universe id 38 and is resident.
         assert!(red.evaluate(&[38]).is_ok());
+        // In the columns the update permuted, a seed is still an original
+        // id: the answer is a per-request skyline solve's on `plain`.
+        let seeded = SolverSpec::parse("add-greedy", 2, &[("seed", "38")]).unwrap();
+        let (a, _) = red.solve(&seeded).unwrap();
+        let per_request =
+            SolverSpec::parse("add-greedy", 2, &[("seed", "38"), ("reduce", "skyline")]).unwrap();
+        let (b, _) = plain.solve(&per_request).unwrap();
+        assert!(a.indices.contains(&38), "{:?}", a.indices);
+        assert_eq!(a.indices, b.indices);
+        assert_eq!(a.arr.to_bits(), b.arr.to_bits());
         // A second batch that only touches pruned points leaves the
         // resident candidate set alone (the matrix sees an empty batch).
         // Replicate the full-universe swap-remove to find one.

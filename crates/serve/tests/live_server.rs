@@ -10,7 +10,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use fam_algos::{add_greedy, greedy_shrink, GreedyShrinkConfig};
+use fam_algos::{add_greedy, greedy_shrink, GreedyShrinkConfig, Registry, SolverSpec};
 use fam_core::Dataset;
 use fam_data::{synthetic, Correlation};
 use fam_serve::{DatasetService, ServeOptions, Server};
@@ -378,7 +378,27 @@ fn reduced_dataset_serves_original_ids_over_http() {
     let red = DatasetService::build("red", &data, &red_opts).expect("red");
     let source_points = red.source_points();
     let plain = DatasetService::build("plain", &data, &opts).expect("plain");
-    let server = Server::bind(("127.0.0.1", 0), vec![red, plain], 2).expect("bind");
+    // The highest kept id: its score column is a lower index, so a seed
+    // read as a column would name another point (or none).
+    let kept = fam_reduce::Reduction::compute(&data, fam_reduce::ReduceSpec::skyline())
+        .expect("skyline")
+        .kept()
+        .to_vec();
+    let seed = *kept.last().expect("a non-empty skyline");
+    assert!(seed >= kept.len(), "the fixture's skyline must prune below its last point");
+    let seeded = SolverSpec::parse(
+        "add-greedy",
+        3,
+        &[("seed", seed.to_string()), ("reduce", "skyline".to_string())],
+    )
+    .expect("spec");
+    let want = Registry::global()
+        .solve(&seeded, plain.matrix(), Some(plain.dataset()))
+        .expect("per-request skyline solve");
+    let core_data = base_dataset_2d(5, 600);
+    let core_opts = ServeOptions { reduce: fam_serve::ReduceSpec::coreset(0.2), ..opts.clone() };
+    let core = DatasetService::build("core", &core_data, &core_opts).expect("core");
+    let server = Server::bind(("127.0.0.1", 0), vec![red, plain, core], 2).expect("bind");
     let addr = server.local_addr();
     let handle = server.handle();
     let server_thread = std::thread::spawn(move || server.run());
@@ -412,6 +432,18 @@ fn reduced_dataset_serves_original_ids_over_http() {
     let (status, body) = get(addr, "/solve?dataset=plain&k=2&reduce=skyline");
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"cached\":false"), "{body}");
+
+    // A seed on the reduced dataset is an original id, as on a
+    // per-request reduction of the unreduced one.
+    let (status, body) = get(addr, &format!("/solve?dataset=red&k=3&algo=add-greedy&seed={seed}"));
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(field_indices(&body, "selection"), want.selection.indices, "{body}");
+    assert!(want.selection.indices.contains(&seed));
+
+    // An exact solver is refused on a coreset-reduced dataset.
+    let (status, body) = get(addr, "/solve?dataset=core&k=2&algo=brute-force");
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("reducible"), "{body}");
 
     // Updates address the full universe; answers stay in original ids.
     let (status, body) = post(addr, "/update?dataset=red", "delete,0\ninsert,0.5,0.5\n");

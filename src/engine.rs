@@ -2,6 +2,12 @@
 //! [`Engine`] once (dataset + sampled user population + default solver),
 //! then solve by registry name.
 //!
+//! An engine built with [`EngineBuilder::reduce`] holds only the kept
+//! candidates' scores. Its solves run through
+//! [`Registry::solve_reduced`], the entry point every reduced request
+//! shares (the CLI's `reduce=` and fam-serve's reduced datasets too), and
+//! its evaluations map ids through the same [`KeptUniverse`].
+//!
 //! ```
 //! use fam::Engine;
 //! use fam::Dataset;
@@ -24,7 +30,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use fam_algos::{Registry, SolverSpec};
+use fam_algos::{KeptUniverse, Registry, SolverSpec};
 use fam_core::{
     chernoff_epsilon, kernels, regret, sample_functions, Dataset, FamError, LinearScores,
     PrecisionSpec, ReduceKind, RegretReport, Result, ScoreBacking, ScoreMatrix, ScoreSource,
@@ -63,8 +69,9 @@ pub const DEFAULT_SOLVER: &str = "greedy-shrink";
 ///
 /// When built with [`EngineBuilder::reduce`], the scores cover only the
 /// reduction's kept universe (scored from the skyline alone by
-/// [`Reduction::backing`], so the full `N × n` scores never exist),
-/// and every answer is remapped back to original point ids.
+/// [`Reduction::backing`], so the full `N × n` scores never exist).
+/// Requests still speak original point ids: [`Registry::solve_reduced`]
+/// gates them and maps seeds in and answers out.
 pub struct Engine {
     dataset: Option<Dataset>,
     scores: ScoreBacking,
@@ -142,26 +149,27 @@ impl Engine {
     }
 
     /// Solves a fully specified request (name + typed parameters). On a
-    /// reduced-resident engine the request runs against the kept
-    /// universe (its `reduce` params must stay canonical — the reduction
-    /// already happened at build time), seeds are remapped in, and the
-    /// answer carries original point ids plus `reduced_from` /
+    /// reduced-resident engine the request runs in the kept universe
+    /// through [`Registry::solve_reduced`]: seeds and answers are
+    /// original point ids, and the answer carries `reduced_from` /
     /// `reduced_to` notes.
     ///
     /// # Errors
     ///
     /// As [`Engine::solve_as`]; additionally, on a reduced-resident
-    /// engine, a per-request `reduce=` parameter or a solver whose
-    /// [`fam_algos::Caps::reducible`] rejects the build-time reduction
-    /// fails up front.
+    /// engine, a per-request `reduce=` parameter, a solver whose
+    /// [`fam_algos::Caps::reducible`] rejects the build-time reduction,
+    /// or a `k` above the kept count fails up front.
     pub fn solve_with(&self, spec: &SolverSpec) -> Result<SolveOutput> {
-        let Some(r) = &self.reduced else {
-            return Registry::global().solve(spec, self.scores(), self.dataset.as_ref());
-        };
-        let inner = r.prepare(spec)?;
-        let mut out = Registry::global().solve(&inner, self.scores(), Some(&r.dataset))?;
-        r.finish(&mut out)?;
-        Ok(out)
+        match &self.reduced {
+            None => Registry::global().solve(spec, self.scores(), self.dataset.as_ref()),
+            Some(r) => Registry::global().solve_reduced(
+                spec,
+                self.scores(),
+                Some(&r.dataset),
+                KeptUniverse::of(&r.reduction),
+            ),
+        }
     }
 
     /// Harvests the default solver's whole `k`-range from one trajectory
@@ -174,16 +182,16 @@ impl Engine {
     /// default solver cannot harvest ranges.
     pub fn solve_range(&self, ks: std::ops::RangeInclusive<usize>) -> Result<Vec<SolveOutput>> {
         let spec = SolverSpec::new(&self.solver, *ks.end());
-        let Some(r) = &self.reduced else {
-            return Registry::global().solve_range(&spec, self.scores(), self.dataset.as_ref(), ks);
-        };
-        let inner = r.prepare(&spec)?;
-        let mut outs =
-            Registry::global().solve_range(&inner, self.scores(), Some(&r.dataset), ks)?;
-        for out in &mut outs {
-            r.finish(out)?;
+        match &self.reduced {
+            None => Registry::global().solve_range(&spec, self.scores(), self.dataset.as_ref(), ks),
+            Some(r) => Registry::global().solve_range_reduced(
+                &spec,
+                self.scores(),
+                Some(&r.dataset),
+                KeptUniverse::of(&r.reduction),
+                ks,
+            ),
         }
-        Ok(outs)
     }
 
     /// Evaluates an explicit selection (original point ids) against the
@@ -199,7 +207,10 @@ impl Engine {
     pub fn evaluate(&self, selection: &[usize]) -> Result<RegretReport> {
         match &self.reduced {
             None => regret::report(self.scores(), selection),
-            Some(r) => regret::report(self.scores(), &r.reduction.to_reduced(selection)?),
+            Some(r) => {
+                let columns = KeptUniverse::of(&r.reduction).columns(selection, "selection")?;
+                regret::report(self.scores(), &columns)
+            }
         }
     }
 
@@ -225,52 +236,6 @@ impl Engine {
     /// Returns an error for a `sigma` outside `(0, 1)`.
     pub fn achieved_epsilon(&self, sigma: f64) -> Result<f64> {
         chernoff_epsilon(self.scores().n_samples() as u64, sigma)
-    }
-}
-
-impl ReducedState {
-    /// Validates a request against the build-time reduction and rewrites
-    /// it for the kept universe: per-request `reduce=` is rejected (the
-    /// engine is already reduced), the solver's declaration must admit
-    /// the resident reduction, and seeds are remapped to reduced ids.
-    fn prepare(&self, spec: &SolverSpec) -> Result<SolverSpec> {
-        if spec.params.reduce != ReduceKind::None {
-            return Err(FamError::InvalidParameter {
-                name: "reduce",
-                message: format!(
-                    "this engine was already reduced at build time (`{}`); \
-                     per-request reduction needs an unreduced engine",
-                    self.reduction.fingerprint()
-                ),
-            });
-        }
-        let solver = Registry::global().require(&spec.name)?;
-        let kind = self.reduction.spec().kind;
-        if !solver.capabilities().reducible.allows(kind) {
-            return Err(FamError::unsupported(
-                solver.name(),
-                format!(
-                    "does not accept the engine's build-time `reduce={}` universe \
-                     (declared reducible: {})",
-                    kind.name(),
-                    solver.capabilities().reducible.name()
-                ),
-            ));
-        }
-        let mut inner = spec.clone();
-        if !inner.params.seed.is_empty() {
-            inner.params.seed = self.reduction.to_reduced(&inner.params.seed)?;
-        }
-        Ok(inner)
-    }
-
-    /// Remaps a kept-universe answer back to original ids and stamps the
-    /// reduction footprint notes.
-    fn finish(&self, out: &mut SolveOutput) -> Result<()> {
-        self.reduction.remap_output(out)?;
-        out.notes.push(("reduced_from", self.reduction.source_len() as f64));
-        out.notes.push(("reduced_to", self.reduction.kept().len() as f64));
-        Ok(())
     }
 }
 

@@ -102,7 +102,9 @@ fn compact_backing_scales_to_large_n_with_small_memory() {
     // would be a 200 MB matrix; compact is ~2.5 MB.
     let mut rng = StdRng::seed_from_u64(4);
     let ds = synthetic(50_000, 4, Correlation::Independent, &mut rng).unwrap();
-    let src = LinearScores::sample_uniform(ds, 500, &mut rng).unwrap();
+    let dist = UniformLinear::new(4).unwrap();
+    let functions = fam::core::sample_functions(&dist, 500, ds.len(), &mut rng).unwrap();
+    let src = LinearScores::from_functions(ds, &functions).unwrap();
     assert!(src.approx_bytes() < 4_000_000, "footprint {}", src.approx_bytes());
     let out = greedy_shrink(&src, GreedyShrinkConfig::new(10)).unwrap();
     assert_eq!(out.selection.len(), 10);
