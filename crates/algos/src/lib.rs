@@ -74,7 +74,7 @@ pub use reduction::{
     reduce_set_cover, set_cover_has_cover_of_size, ReducedInstance, SetCoverInstance,
 };
 pub use refine::{refine, RefineConfig, RefineOutput, RefineRound, DEFAULT_INITIAL_SAMPLES};
-pub use registry::{Caps, KeptUniverse, Reducible, Registry, Solver, SolverSpec};
+pub use registry::{Caps, Reducible, Registry, Solver, SolverSpec};
 pub use repair::{reoptimize, warm_repair};
 pub use sky_dom::sky_dom;
 pub use trajectory::{add_greedy_range, greedy_shrink_range};

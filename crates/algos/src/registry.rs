@@ -29,10 +29,12 @@
 //!
 //! Every request on a reduced candidate universe (`fam-reduce`) is gated
 //! and remapped by one entry point, [`Registry::solve_reduced`] /
-//! [`Registry::solve_range_reduced`] over a [`KeptUniverse`]: a
-//! per-request `reduce=` (which [`Registry::solve`] computes first), a
-//! build-time reduced `Engine`, `fam solve --param reduce=`, and a
-//! reduced served dataset. fam-lint rule R001 keeps the remap there.
+//! [`Registry::solve_range_reduced`] over a [`Reduction`] whose kept
+//! points the scores hold in ascending id order: a per-request `reduce=`
+//! (which [`Registry::solve`] gates with [`Registry::check_reducible`],
+//! then computes), a build-time reduced `Engine`, `fam solve --param
+//! reduce=`, and a reduced served dataset. fam-lint rule R001 keeps the
+//! remap there.
 
 use std::ops::RangeInclusive;
 use std::sync::OnceLock;
@@ -504,8 +506,9 @@ impl Registry {
     }
 
     /// Resolves a spec and solves: capability validation, then dispatch.
-    /// A per-request reduction (`reduce=skyline|coreset`) computes the
-    /// kept universe over `dataset` first, and the request runs in it as
+    /// A per-request reduction (`reduce=skyline|coreset`) is gated by
+    /// [`Registry::check_reducible`] before anything else, then computes
+    /// the kept universe over `dataset`, and the request runs in it as
     /// [`Registry::solve_reduced`] runs it.
     ///
     /// # Errors
@@ -561,36 +564,40 @@ impl Registry {
         solver.solve_range(&ctx, ks)
     }
 
-    /// Solves a request in a kept-candidate universe: `scores` and
-    /// `dataset` cover the kept points in `universe`'s column order, and
-    /// the request speaks original point ids. Before any solver work it
-    /// refuses a per-request `reduce=` (the scores are reduced already),
-    /// checks the solver's [`Caps::reducible`] against the reduction's
-    /// kind and `k` against the kept count, and maps the seed to
-    /// columns; afterwards it maps the answer back to original ids
-    /// (ascending) and notes `reduced_from` / `reduced_to`.
+    /// Solves a request in a reduction's kept universe: `scores` and
+    /// `dataset` cover `reduction.kept()` in ascending id order, the
+    /// order every reduced build scores them in, and the request speaks
+    /// original point ids. Before any solver work it refuses a
+    /// per-request `reduce=` (the scores are reduced already), checks
+    /// [`Registry::check_reducible`] against the reduction's kind and `k`
+    /// against the kept count, and maps the seed to columns
+    /// ([`Reduction::columns`]); afterwards it maps the answer back to
+    /// original ids ([`Reduction::remap_output`]) and notes
+    /// `reduced_from` / `reduced_to`.
     ///
     /// # Errors
     ///
-    /// [`FamError::InvalidParameter`] (`reduce`) for a per-request
-    /// `reduce=` or a `k` above the kept count,
+    /// [`FamError::DimensionMismatch`] for scores that do not cover
+    /// exactly the kept points, [`FamError::InvalidParameter`] (`reduce`)
+    /// for a per-request `reduce=` or a `k` above the kept count,
     /// [`FamError::Unsupported`] for a solver the reduction's kind is
-    /// not [`Caps::reducible`] for, a seed [`KeptUniverse::columns`]
+    /// not [`Caps::reducible`] for, a seed [`Reduction::columns`]
     /// refuses, then everything [`Registry::solve`] returns.
     pub fn solve_reduced(
         &self,
         spec: &SolverSpec,
         scores: &dyn ScoreSource,
         dataset: Option<&Dataset>,
-        universe: KeptUniverse<'_>,
+        reduction: &Reduction,
     ) -> Result<SolveOutput> {
+        check_kept(scores, reduction)?;
         let [out] =
-            self.in_universe(spec, universe, |inner| Ok([self.solve(inner, scores, dataset)?]))?;
+            self.in_universe(spec, reduction, |inner| Ok([self.solve(inner, scores, dataset)?]))?;
         Ok(out)
     }
 
-    /// [`Registry::solve_range`] in a kept-candidate universe, gated and
-    /// remapped as [`Registry::solve_reduced`] (`k` is `ks`'s end).
+    /// [`Registry::solve_range`] in a reduction's kept universe, gated
+    /// and remapped as [`Registry::solve_reduced`] (`k` is `ks`'s end).
     ///
     /// # Errors
     ///
@@ -600,18 +607,46 @@ impl Registry {
         spec: &SolverSpec,
         scores: &dyn ScoreSource,
         dataset: Option<&Dataset>,
-        universe: KeptUniverse<'_>,
+        reduction: &Reduction,
         ks: RangeInclusive<usize>,
     ) -> Result<Vec<SolveOutput>> {
+        check_kept(scores, reduction)?;
         let mut params = spec.params.clone();
         params.k = *ks.end();
         let spec = SolverSpec { name: spec.name.clone(), params };
-        self.in_universe(&spec, universe, |inner| self.solve_range(inner, scores, dataset, ks))
+        self.in_universe(&spec, reduction, |inner| self.solve_range(inner, scores, dataset, ks))
     }
 
-    /// A per-request `reduce=`: computes the reduction over `dataset` and
-    /// runs the request in its kept universe, restricting the scores and
-    /// coordinates for `run` once the request has passed the gate.
+    /// The one reducibility gate: refuses a solver whose
+    /// [`Caps::reducible`] does not accept a `kind` candidate universe.
+    /// Every reduced request passes it before any work on the reduction:
+    /// a per-request `reduce=` before the reduction is computed,
+    /// [`Registry::solve_reduced`] before the solve, and `fam solve
+    /// --param reduce=` before it scores anything.
+    ///
+    /// # Errors
+    ///
+    /// [`FamError::Unsupported`] for an unknown name or a refused kind.
+    pub fn check_reducible(&self, name: &str, kind: ReduceKind) -> Result<()> {
+        let solver = self.require(name)?;
+        let reducible = solver.capabilities().reducible;
+        if reducible.allows(kind) {
+            return Ok(());
+        }
+        Err(FamError::unsupported(
+            solver.name(),
+            format!(
+                "does not accept a `reduce={}` candidate universe (declared reducible: {})",
+                kind.name(),
+                reducible.name()
+            ),
+        ))
+    }
+
+    /// A per-request `reduce=`: gates the solver, computes the reduction
+    /// over `dataset` and runs the request in its kept universe,
+    /// restricting the scores and coordinates for `run` once the request
+    /// has passed the remaining gates.
     fn per_request<T: AsMut<[SolveOutput]>>(
         &self,
         spec: &SolverSpec,
@@ -619,6 +654,7 @@ impl Registry {
         dataset: Option<&Dataset>,
         run: impl FnOnce(&SolverSpec, &dyn ScoreSource, &Dataset) -> Result<T>,
     ) -> Result<T> {
+        self.check_reducible(&spec.name, spec.params.reduce)?;
         let ds = dataset.ok_or_else(|| {
             FamError::unsupported(
                 &spec.name,
@@ -632,7 +668,7 @@ impl Registry {
         let mut inner = spec.clone();
         inner.params.reduce = ReduceKind::None;
         inner.params.reduce_eps = fam_core::solve::DEFAULT_REDUCE_EPS;
-        self.in_universe(&inner, KeptUniverse::of(&reduction), |inner| {
+        self.in_universe(&inner, &reduction, |inner| {
             let scores = matrix.restricted(reduction.kept())?;
             run(inner, scores.source(), &reduction.restrict_dataset(ds)?)
         })
@@ -644,11 +680,10 @@ impl Registry {
     fn in_universe<T: AsMut<[SolveOutput]>>(
         &self,
         spec: &SolverSpec,
-        universe: KeptUniverse<'_>,
+        reduction: &Reduction,
         run: impl FnOnce(&SolverSpec) -> Result<T>,
     ) -> Result<T> {
-        let solver = self.require(&spec.name)?;
-        let reduction = universe.reduction;
+        self.require(&spec.name)?;
         if spec.params.reduce != ReduceKind::None {
             return Err(FamError::InvalidParameter {
                 name: "reduce",
@@ -659,18 +694,8 @@ impl Registry {
                 ),
             });
         }
-        let (kind, reducible) = (reduction.spec().kind, solver.capabilities().reducible);
-        if !reducible.allows(kind) {
-            return Err(FamError::unsupported(
-                solver.name(),
-                format!(
-                    "does not accept a `reduce={}` candidate universe (declared reducible: {})",
-                    kind.name(),
-                    reducible.name()
-                ),
-            ));
-        }
-        let kept = universe.ids.len();
+        self.check_reducible(&spec.name, reduction.spec().kind)?;
+        let kept = reduction.kept().len();
         if kept < spec.params.k {
             return Err(FamError::InvalidParameter {
                 name: "reduce",
@@ -687,18 +712,11 @@ impl Registry {
             run(spec)?
         } else {
             let mut inner = spec.clone();
-            inner.params.seed = universe.columns(&spec.params.seed, "seed")?;
+            inner.params.seed = reduction.columns(&spec.params.seed, "seed")?;
             run(&inner)?
         };
         for out in outs.as_mut() {
-            let ids = &mut out.selection.indices;
-            for id in ids.iter_mut() {
-                *id = *universe
-                    .ids
-                    .get(*id)
-                    .ok_or(FamError::IndexOutOfBounds { index: *id, len: kept })?;
-            }
-            ids.sort_unstable();
+            reduction.remap_output(out)?;
             out.notes.push(("reduced_from", reduction.source_len() as f64));
             out.notes.push(("reduced_to", kept as f64));
         }
@@ -706,62 +724,13 @@ impl Registry {
     }
 }
 
-/// A kept-candidate universe: the [`Reduction`] that chose the points,
-/// and the original id of each score column — `reduction.kept()` for a
-/// fresh reduction ([`KeptUniverse::of`]), a permutation of it that
-/// updates reorder for a served dataset ([`KeptUniverse::with_columns`]).
-#[derive(Debug, Clone, Copy)]
-pub struct KeptUniverse<'a> {
-    reduction: &'a Reduction,
-    /// `ids[column]` is the column's original point id.
-    ids: &'a [usize],
-}
-
-impl<'a> KeptUniverse<'a> {
-    /// The universe a fresh reduction keeps, in `reduction.kept()` order.
-    pub fn of(reduction: &'a Reduction) -> Self {
-        KeptUniverse { reduction, ids: reduction.kept() }
+/// Refuses scores that do not cover exactly the reduction's kept points.
+fn check_kept(scores: &dyn ScoreSource, reduction: &Reduction) -> Result<()> {
+    let kept = reduction.kept().len();
+    if scores.n_points() != kept {
+        return Err(FamError::DimensionMismatch { expected: kept, got: scores.n_points() });
     }
-
-    /// A universe whose columns hold `ids`, a permutation of
-    /// `reduction.kept()`.
-    pub fn with_columns(reduction: &'a Reduction, ids: &'a [usize]) -> Self {
-        KeptUniverse { reduction, ids }
-    }
-
-    /// The reduction that chose the kept points.
-    pub fn reduction(&self) -> &'a Reduction {
-        self.reduction
-    }
-
-    /// Maps original point ids to their columns; `param` names the ids
-    /// in errors (`seed`, `selection`).
-    ///
-    /// # Errors
-    ///
-    /// [`FamError::IndexOutOfBounds`] for an id outside the source
-    /// database, [`FamError::InvalidParameter`] for one the reduction
-    /// did not keep.
-    pub fn columns(&self, ids: &[usize], param: &'static str) -> Result<Vec<usize>> {
-        let r = self.reduction;
-        ids.iter()
-            .map(|&id| {
-                if id >= r.source_len() {
-                    return Err(FamError::IndexOutOfBounds { index: id, len: r.source_len() });
-                }
-                self.ids.iter().position(|&c| c == id).ok_or_else(|| FamError::InvalidParameter {
-                    name: param,
-                    message: format!(
-                        "point {id} is not in the candidate set the `{}` reduction kept \
-                         ({} of {} points)",
-                        r.fingerprint(),
-                        self.ids.len(),
-                        r.source_len()
-                    ),
-                })
-            })
-            .collect()
-    }
+    Ok(())
 }
 
 impl Default for Registry {
@@ -1389,81 +1358,115 @@ mod tests {
     }
 
     #[test]
-    fn kept_universes_answer_in_original_ids_whatever_the_column_order() {
-        // A served dataset's columns are a permutation of the kept ids;
-        // the same request must answer the same original ids, notes and
-        // objective bits as in `kept()` order, and every gate must hold.
+    fn reduced_solves_answer_in_original_ids_and_hold_every_gate() {
+        // Scores over the kept points in id order: the request speaks
+        // original ids, answers ascending with the notes, and every gate
+        // holds.
         let mut rng = StdRng::seed_from_u64(47);
         let (ds, m) = instance(&mut rng, 40);
         let reduction = Reduction::compute(&ds, ReduceSpec::skyline()).unwrap();
         let kept = reduction.kept().to_vec();
         assert!(kept.len() >= 4 && kept.len() < 40, "{kept:?}");
-        let mut permuted = kept.clone();
-        permuted.rotate_left(1);
-        permuted.swap(0, kept.len() / 2);
-        let sorted_m = m.restrict_columns(&kept).unwrap();
-        let permuted_m = m.restrict_columns(&permuted).unwrap();
-        let (sorted_ds, permuted_ds) = (ds.subset(&kept).unwrap(), ds.subset(&permuted).unwrap());
+        let kept_m = m.restrict_columns(&kept).unwrap();
+        let kept_ds = ds.subset(&kept).unwrap();
         let r = Registry::standard();
-        let sorted = KeptUniverse::of(&reduction);
-        let shuffled = KeptUniverse::with_columns(&reduction, &permuted);
-        let bits = |out: &SolveOutput| {
-            let notes: Vec<(&str, u64)> =
-                out.notes.iter().map(|&(n, v)| (n, v.to_bits())).collect();
-            (out.selection.indices.clone(), out.selection.objective.map(f64::to_bits), notes)
-        };
         let seed = kept[kept.len() - 1];
         for spec in [
             SolverSpec::new("greedy-shrink", 3),
             SolverSpec::new("dp-2d", 2),
             SolverSpec::parse("add-greedy", 3, &[("seed", seed.to_string())]).unwrap(),
         ] {
-            let a = r.solve_reduced(&spec, &sorted_m, Some(&sorted_ds), sorted).unwrap();
-            let b = r.solve_reduced(&spec, &permuted_m, Some(&permuted_ds), shuffled).unwrap();
-            assert_eq!(bits(&a), bits(&b), "{}", spec.name);
+            let a = r.solve_reduced(&spec, &kept_m, Some(&kept_ds), &reduction).unwrap();
+            let mut per_request = spec.clone();
+            per_request.params.reduce = ReduceKind::Skyline;
+            let b = r.solve(&per_request, &m, Some(&ds)).unwrap();
+            assert_eq!(a.selection.indices, b.selection.indices, "{}", spec.name);
+            assert_eq!(
+                a.selection.objective.map(f64::to_bits),
+                b.selection.objective.map(f64::to_bits),
+                "{}",
+                spec.name
+            );
             assert!(a.selection.indices.windows(2).all(|w| w[0] < w[1]), "{:?}", a.selection);
+            assert!(a.selection.indices.iter().all(|i| kept.binary_search(i).is_ok()));
             assert_eq!(a.note("reduced_from"), Some(40.0));
             assert_eq!(a.note("reduced_to"), Some(kept.len() as f64));
         }
         let range = SolverSpec::new("add-greedy", 3);
-        let a = r.solve_range_reduced(&range, &sorted_m, None, sorted, 1..=3).unwrap();
-        let b = r.solve_range_reduced(&range, &permuted_m, None, shuffled, 1..=3).unwrap();
-        assert_eq!(a.iter().map(bits).collect::<Vec<_>>(), b.iter().map(bits).collect::<Vec<_>>());
-        // Evaluation ids map to each universe's own columns.
-        assert_eq!(sorted.columns(&[seed], "selection").unwrap(), [kept.len() - 1]);
-        let column = permuted.iter().position(|&c| c == seed).unwrap();
-        assert_eq!(shuffled.columns(&[seed], "selection").unwrap(), [column]);
+        let outs = r.solve_range_reduced(&range, &kept_m, None, &reduction, 1..=3).unwrap();
+        for (i, out) in outs.iter().enumerate() {
+            let one =
+                r.solve_reduced(&SolverSpec::new("add-greedy", i + 1), &kept_m, None, &reduction);
+            assert_eq!(out.selection.indices, one.unwrap().selection.indices);
+        }
+        // Evaluation ids map to kept positions.
+        assert_eq!(reduction.columns(&[seed], "selection").unwrap(), [kept.len() - 1]);
         let pruned = (0..40).find(|i| kept.binary_search(i).is_err()).unwrap();
-        match shuffled.columns(&[pruned], "selection") {
+        match reduction.columns(&[pruned], "selection") {
             Err(FamError::InvalidParameter { name: "selection", message }) => {
                 assert!(message.contains("candidate set"), "{message}")
             }
             other => panic!("a pruned id must be refused, got {other:?}"),
         }
         assert!(matches!(
-            shuffled.columns(&[40], "selection"),
+            reduction.columns(&[40], "selection"),
             Err(FamError::IndexOutOfBounds { index: 40, len: 40 })
         ));
-        // The gates: a second reduction, k above the kept count, and a
-        // solver whose declaration refuses the universe.
+        // The gates: scores that are not the kept points, a second
+        // reduction, k above the kept count, and a solver whose
+        // declaration refuses the universe.
+        let err = r.solve_reduced(&range, &m, None, &reduction).unwrap_err();
+        assert_eq!(err, FamError::DimensionMismatch { expected: kept.len(), got: 40 });
+        let err = r.solve_range_reduced(&range, &m, None, &reduction, 1..=3).unwrap_err();
+        assert_eq!(err, FamError::DimensionMismatch { expected: kept.len(), got: 40 });
         let twice = SolverSpec::parse("greedy-shrink", 2, &[("reduce", "skyline")]).unwrap();
-        let err = r.solve_reduced(&twice, &sorted_m, None, sorted).unwrap_err();
+        let err = r.solve_reduced(&twice, &kept_m, None, &reduction).unwrap_err();
         assert!(err.to_string().contains("reduced at build time"), "{err}");
         let big = SolverSpec::new("greedy-shrink", kept.len() + 1);
-        let err = r.solve_reduced(&big, &sorted_m, None, sorted).unwrap_err();
+        let err = r.solve_reduced(&big, &kept_m, None, &reduction).unwrap_err();
         assert!(err.to_string().contains("reduce=none"), "{err}");
         let coreset = Reduction::compute(&ds, ReduceSpec::coreset(0.2)).unwrap();
         let core_m = m.restrict_columns(coreset.kept()).unwrap();
         let err = r
-            .solve_reduced(
-                &SolverSpec::new("brute-force", 2),
-                &core_m,
-                None,
-                KeptUniverse::of(&coreset),
-            )
+            .solve_reduced(&SolverSpec::new("brute-force", 2), &core_m, None, &coreset)
             .unwrap_err();
         assert!(matches!(err, FamError::Unsupported { .. }), "{err}");
         assert!(err.to_string().contains("reducible"), "{err}");
+    }
+
+    #[test]
+    fn a_refused_per_request_reduction_is_refused_before_any_work() {
+        // The reducibility gate runs before the reduction is computed, so
+        // it wins over a dataset that does not match the scores (or no
+        // dataset at all), and names the declaration either way.
+        let mut rng = StdRng::seed_from_u64(48);
+        let (ds, m) = instance(&mut rng, 30);
+        let short = ds.subset(&[0, 1, 2, 3, 4]).unwrap();
+        let r = Registry::standard();
+        let spec = SolverSpec::parse("brute-force", 2, &[("reduce", "coreset")]).unwrap();
+        for dataset in [Some(&short), None] {
+            let err = r.solve(&spec, &m, dataset).unwrap_err();
+            assert!(matches!(err, FamError::Unsupported { .. }), "{err}");
+            assert!(err.to_string().contains("reducible"), "{err}");
+            let err = r.solve_range(&spec, &m, dataset, 1..=2).unwrap_err();
+            assert!(err.to_string().contains("reducible"), "{err}");
+        }
+        assert_eq!(
+            r.check_reducible("brute-force", ReduceKind::Coreset).unwrap_err(),
+            r.solve(&spec, &m, Some(&ds)).unwrap_err()
+        );
+        assert!(r.check_reducible("brute-force", ReduceKind::Skyline).is_ok());
+        assert!(r.check_reducible("greedy-shrink", ReduceKind::Coreset).is_ok());
+        assert!(matches!(
+            r.check_reducible("no-such-solver", ReduceKind::Skyline),
+            Err(FamError::Unsupported { .. })
+        ));
+        // An accepted solver still meets the size check.
+        let ok = SolverSpec::parse("greedy-shrink", 2, &[("reduce", "coreset")]).unwrap();
+        assert!(matches!(
+            r.solve(&ok, &m, Some(&short)),
+            Err(FamError::DimensionMismatch { expected: 5, got: 30 })
+        ));
     }
 
     #[test]

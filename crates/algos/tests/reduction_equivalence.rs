@@ -150,15 +150,15 @@ fn remaps_round_trip_and_reject_pruned_ids() {
     let reduction = Reduction::compute(&ds, ReduceSpec::skyline()).unwrap();
     let kept = reduction.kept().to_vec();
     assert_eq!(kept, (0..15).collect::<Vec<_>>(), "the arc is exactly the skyline");
-    // original -> reduced -> original is the identity on kept ids.
-    let reduced = reduction.to_reduced(&kept).unwrap();
+    // original -> kept position -> original is the identity on kept ids.
+    let reduced = reduction.columns(&kept, "seed").unwrap();
     assert_eq!(reduced, (0..15).collect::<Vec<_>>());
     for (pos, &orig) in kept.iter().enumerate() {
-        assert_eq!(reduction.to_reduced(&[orig]).unwrap(), vec![pos]);
+        assert_eq!(reduction.columns(&[orig], "seed").unwrap(), vec![pos]);
     }
     // A pruned (interior) id is a clean error, not an index panic.
-    assert!(reduction.to_reduced(&[20]).is_err());
-    assert!(reduction.to_reduced(&[99]).is_err());
+    assert!(reduction.columns(&[20], "seed").is_err());
+    assert!(reduction.columns(&[99], "seed").is_err());
 }
 
 /// Asserts two builds agree bit for bit: rows, bests, weights, stats.

@@ -3,25 +3,28 @@
 //!
 //! For each scale (default `n = 10^5, d = 3` and `n = 10^6, d = 2`,
 //! anti-correlated — the paper's hard case for skylines), runs the
-//! reduction pipeline end to end: compute the reduction, build the
-//! `N × kept` matrix, and solve with ADD-GREEDY. Every leg builds the
-//! matrix two ways from one utility stream:
+//! reduction pipeline end to end: compute the reduction, score the kept
+//! universe, and solve with ADD-GREEDY. Every leg scores it two ways
+//! from one utility stream:
 //!
-//! * `build_ms` — the production `Reduction::score_matrix`, which
-//!   scores the skyline only (sampling included);
+//! * `build_ms` — `Reduction::backing`, the build every reduced caller
+//!   runs (the engine builder, `fam solve --param reduce=`), which
+//!   scores the skyline only (sampling included). The uniform-linear
+//!   stream makes it the compact `LinearScores` over the kept points;
 //! * `full_stream_build_ms` — the reference
 //!   `ScoreMatrix::from_distribution_tiled`, which streams all `n`
 //!   points to learn each sample's full-database best.
 //!
-//! The bench panics unless the two agree bit for bit in rows, bests,
-//! weights and all four shortfall stats, so every committed number is
-//! also an equivalence check. The lossless skyline leg is the
-//! reference; each coreset leg (`ε` sweep) reports its kept fraction,
-//! wall-time split, achieved shortfall, and the ARR delta measured
-//! against the skyline matrix (whose per-sample best equals the full
-//! database's best, so the delta is the real quality loss, not a
-//! reduced-universe artifact). 2-D coresets often lose exactly nothing,
-//! so a 3-D scale is what makes the stats check non-trivial.
+//! The bench panics unless the two read bit for bit the same through
+//! `ScoreSource` (rows, bests, weights) and report the same four
+//! shortfall stats, so every committed number is also an equivalence
+//! check. The lossless skyline leg is the reference; each coreset leg
+//! (`ε` sweep) reports its kept fraction, wall-time split, achieved
+//! shortfall, and the ARR delta measured against the skyline build
+//! (whose per-sample best equals the full database's best, so the delta
+//! is the real quality loss, not a reduced-universe artifact). 2-D
+//! coresets often lose exactly nothing, so a 3-D scale is what makes
+//! the stats check non-trivial.
 //!
 //! The dense unreduced build at these scales is exactly what the
 //! reduction exists to avoid (an `N × 10^6` matrix), so there is no
@@ -34,10 +37,10 @@
 //! the workspace root).
 
 use std::io::Write as _;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use fam::core::{sample_functions, ScoreBacking};
 use fam::prelude::*;
 use fam::{add_greedy, regret, ReduceSpec, Reduction, ScoreMatrix, TiledBuildStats};
 use rand::rngs::StdRng;
@@ -77,15 +80,19 @@ fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (Duration, T) {
     (best, out.expect("at least one rep"))
 }
 
-/// Panics unless the two builds agree bit for bit.
+/// Panics unless the build reads, through `ScoreSource`, bit for bit as
+/// the full-stream reference.
 fn assert_bit_equal(
     label: &str,
-    (a, sa): &(ScoreMatrix, TiledBuildStats),
+    (a, sa): &(ScoreBacking, TiledBuildStats),
     (b, sb): &(ScoreMatrix, TiledBuildStats),
 ) {
+    let a = a.source();
     assert_eq!((a.n_samples(), a.n_points()), (b.n_samples(), b.n_points()), "{label}: shape");
+    let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let mut buf = Vec::new();
     for u in 0..a.n_samples() {
-        assert_eq!(a.row(u), b.row(u), "{label}: row {u}");
+        assert_eq!(bits(a.row_scores(u, &mut buf)), bits(b.row(u)), "{label}: row {u}");
         assert_eq!(a.best_index(u), b.best_index(u), "{label}: best index {u}");
         assert_eq!(a.best_value(u).to_bits(), b.best_value(u).to_bits(), "{label}: best {u}");
         assert_eq!(a.weight(u).to_bits(), b.weight(u).to_bits(), "{label}: weight {u}");
@@ -102,8 +109,8 @@ fn run_leg(
     n_samples: usize,
     k: usize,
     reps: usize,
-    skyline_matrix: Option<(&Reduction, &ScoreMatrix)>,
-) -> (Leg, Reduction, ScoreMatrix) {
+    skyline: Option<(&Reduction, &dyn ScoreSource)>,
+) -> (Leg, Reduction, ScoreBacking) {
     let label = spec.fingerprint();
     let dist = UniformLinear::new(ds.dim()).expect("dist");
     let (reduce_t, reduction) = best_of(reps, || Reduction::compute(ds, spec).expect("reduction"));
@@ -111,9 +118,9 @@ fn run_leg(
     // stream, so arr values are comparable across kept universes.
     let (build_t, built) = best_of(reps, || {
         let mut rng = StdRng::seed_from_u64(42);
-        let functions: Vec<Arc<dyn UtilityFunction>> =
-            (0..n_samples).map(|_| dist.sample(&mut rng)).collect();
-        reduction.score_matrix(ds, &functions).expect("skyline-sourced build")
+        let functions =
+            sample_functions(&dist, n_samples, reduction.kept().len(), &mut rng).expect("draws");
+        reduction.backing(ds, &functions).expect("skyline-sourced build")
     });
     let (full_stream_t, full_stream) = best_of(reps, || {
         let mut rng = StdRng::seed_from_u64(42);
@@ -122,23 +129,20 @@ fn run_leg(
     });
     assert_bit_equal(&label, &built, &full_stream);
     drop(full_stream);
-    let (matrix, stats) = built;
+    let (scores, stats) = built;
     // An aggressive coreset can keep fewer than `k` candidates; solve
     // for what is there and report the effective k.
     let k = k.min(reduction.kept().len());
-    let (solve_t, selection) = best_of(reps, || add_greedy(&matrix, k).expect("solve"));
+    let (solve_t, selection) = best_of(reps, || add_greedy(scores.source(), k).expect("solve"));
     // Measure quality against the skyline universe's bests (= the full
     // database's bests) so lossy legs pay for what they pruned. The
-    // selection's original ids are a subset of the skyline, so they
-    // remap cleanly into the reference matrix's columns.
-    let arr = match skyline_matrix {
+    // selection's original ids are a subset of the skyline, so they map
+    // cleanly into the reference build's columns.
+    let arr = match skyline {
         Some((sky, m)) => {
-            let original: Vec<usize> = selection
-                .indices
-                .iter()
-                .map(|&i| reduction.to_original(i).expect("original id"))
-                .collect();
-            let cols = sky.to_reduced(&original).expect("coreset ⊆ skyline");
+            let original: Vec<usize> =
+                selection.indices.iter().map(|&i| reduction.kept()[i]).collect();
+            let cols = sky.columns(&original, "selection").expect("coreset ⊆ skyline");
             regret::report(m, &cols).expect("reference arr").arr
         }
         None => selection.objective.expect("add-greedy reports arr"),
@@ -154,7 +158,7 @@ fn run_leg(
         arr,
         stats,
     };
-    (leg, reduction, matrix)
+    (leg, reduction, scores)
 }
 
 fn bench_reduce(c: &mut Criterion) {
@@ -186,7 +190,7 @@ fn bench_reduce(c: &mut Criterion) {
         let ds = synthetic(n, dim, Correlation::AntiCorrelated, &mut rng).expect("dataset");
         let generate = t0.elapsed();
 
-        let (sky, sky_reduction, sky_matrix) =
+        let (sky, sky_reduction, sky_scores) =
             run_leg(&ds, ReduceSpec::skyline(), n_samples, k, reps, None);
         eprintln!(
             "n={n} d={dim}: skyline kept {} ({:.4}%), reduce {:?} + build {:?} \
@@ -208,7 +212,7 @@ fn bench_reduce(c: &mut Criterion) {
                 n_samples,
                 k,
                 reps,
-                Some((&sky_reduction, &sky_matrix)),
+                Some((&sky_reduction, sky_scores.source())),
             );
             eprintln!(
                 "n={n} d={dim}: {} kept {} ({:.4}%), build {:?} (full stream {:?}), \

@@ -227,8 +227,9 @@ pub fn solve(a: &ParsedArgs) -> Result<String, String> {
     solver_report(&ds, &out, fresh.source(), &out.selection.indices, n_samples, sigma_of(a)?)
 }
 
-/// The `--param reduce=skyline|coreset` path of `fam solve`: compute the
-/// candidate reduction on coordinates first, then score the population
+/// The `--param reduce=skyline|coreset` path of `fam solve`: gate the
+/// solver ([`fam::Registry::check_reducible`]) and compute the candidate
+/// reduction on coordinates first, then score the population
 /// *over the kept points only*, from the skyline ([`reduced_build`]) —
 /// no dominated point is scored, no `N × n` scores are ever resident,
 /// and the `FAM_MAX_MATRIX_BYTES` budget is applied to `N × kept`.
@@ -237,6 +238,8 @@ pub fn solve(a: &ParsedArgs) -> Result<String, String> {
 /// kept universe through [`fam::Registry::solve_reduced`], which gates
 /// it and answers in original point ids.
 fn solve_reduced(a: &ParsedArgs, ds: &Dataset, spec: &fam::SolverSpec) -> Result<String, String> {
+    let registry = fam::Registry::global();
+    registry.check_reducible(&spec.name, spec.params.reduce).map_err(|e| e.to_string())?;
     let reduce_spec = fam::ReduceSpec::from_params(&spec.params);
     let reduction = fam::Reduction::compute(ds, reduce_spec).map_err(|e| e.to_string())?;
     let n_samples = sample_count(a)?;
@@ -244,16 +247,15 @@ fn solve_reduced(a: &ParsedArgs, ds: &Dataset, spec: &fam::SolverSpec) -> Result
     let dist = make_dist(a, ds.dim())?;
     let (m, stats) = reduced_build(&reduction, ds, dist.as_ref(), n_samples, &mut rng)?;
     let kept_ds = reduction.restrict_dataset(ds).map_err(|e| e.to_string())?;
-    let universe = fam::KeptUniverse::of(&reduction);
     let mut inner = spec.clone();
     inner.params.reduce = ReduceKind::None;
-    let out = fam::Registry::global()
-        .solve_reduced(&inner, m.source(), Some(&kept_ds), universe)
+    let out = registry
+        .solve_reduced(&inner, m.source(), Some(&kept_ds), &reduction)
         .map_err(|e| e.to_string())?;
     // Evaluate on a fresh sample (same kept universe) for honesty.
     let (fresh, _) = reduced_build(&reduction, ds, dist.as_ref(), n_samples, &mut rng)?;
     let columns =
-        universe.columns(&out.selection.indices, "selection").map_err(|e| e.to_string())?;
+        reduction.columns(&out.selection.indices, "selection").map_err(|e| e.to_string())?;
     let sigma = sigma_of(a)?;
     let mut report = solver_report(ds, &out, fresh.source(), &columns, n_samples, sigma)?;
     report.push_str(&format!(

@@ -17,7 +17,16 @@ fn epsilon_over_budget_is_a_clean_usage_error() {
     let err =
         fam_cli::run(&argv(&format!("solve --data {path} --k 3 --epsilon 0.001 --sigma 0.01")))
             .unwrap_err();
+    // A solver the reduction refuses is refused before the reduction is
+    // computed or anything is scored: the registry's gate wins over a
+    // sample count past the same budget.
+    let refused = fam_cli::run(&argv(&format!(
+        "solve --data {path} --k 3 --algo brute-force --param reduce=coreset --samples 10000000"
+    )))
+    .unwrap_err();
     std::env::remove_var(fam::core::sampling::MAX_MATRIX_BYTES_ENV);
     assert!(err.contains("budget"), "{err}");
+    assert!(refused.contains("reducible"), "{refused}");
+    assert!(!refused.contains("budget"), "{refused}");
     std::fs::remove_file(&path).ok();
 }

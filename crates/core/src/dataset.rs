@@ -159,6 +159,55 @@ impl Dataset {
         Ok(Dataset { data, dim: self.dim, labels })
     }
 
+    /// A copy with one point batch applied: `delete` indexes the current
+    /// points (swap-remove: freed slots are refilled in descending order
+    /// by the then-last point), and `insert`'s coordinates append after
+    /// the survivors in batch order. When the points carry labels,
+    /// survivors keep theirs and inserted point `j` is labelled
+    /// `label(j)`. Returns the copy and the remap of the current points
+    /// (`None` for deleted ones; see [`crate::swap_remove_remap`]).
+    ///
+    /// # Errors
+    ///
+    /// Checking in this order: an inserted point of the wrong dimension
+    /// ([`FamError::DimensionMismatch`]); an out-of-bounds or duplicate
+    /// delete; a batch that deletes every point
+    /// ([`FamError::EmptyDataset`]); invalid inserted coordinates (see
+    /// [`Dataset::from_flat`]).
+    pub fn with_point_edits(
+        &self,
+        delete: &[usize],
+        insert: &[&[f64]],
+        label: impl Fn(usize) -> String,
+    ) -> Result<(Dataset, Vec<Option<u32>>)> {
+        if let Some(bad) = insert.iter().find(|coords| coords.len() != self.dim) {
+            return Err(FamError::DimensionMismatch { expected: self.dim, got: bad.len() });
+        }
+        let remap = crate::scores::swap_remove_remap(self.len(), delete)?;
+        if delete.len() == self.len() {
+            return Err(FamError::EmptyDataset);
+        }
+        // `order[slot]` is the current point that ends up in `slot`.
+        let mut order = vec![0usize; self.len() - delete.len()];
+        for (p, slot) in remap.iter().enumerate() {
+            if let Some(s) = slot {
+                order[*s as usize] = p;
+            }
+        }
+        let mut data = Vec::with_capacity((order.len() + insert.len()) * self.dim);
+        for &p in &order {
+            data.extend_from_slice(self.point(p));
+        }
+        for coords in insert {
+            data.extend_from_slice(coords);
+        }
+        let mut next = Dataset::from_flat(data, self.dim)?;
+        next.labels = self.labels.as_ref().map(|labels| {
+            order.iter().map(|&p| labels[p].clone()).chain((0..insert.len()).map(label)).collect()
+        });
+        Ok((next, remap))
+    }
+
     /// Scales every dimension so that its maximum becomes 1 (the paper
     /// normalizes utilities "by the largest utility value"). Dimensions whose
     /// maximum is 0 are left untouched.
@@ -311,6 +360,57 @@ mod tests {
     fn subset_rejects_bad_indices() {
         assert!(sample().subset(&[5]).is_err());
         assert!(sample().subset(&[]).is_err());
+    }
+
+    #[test]
+    fn point_edits_swap_remove_append_and_relabel() {
+        let d = Dataset::from_rows((0..5).map(|i| vec![i as f64, 1.0]).collect())
+            .unwrap()
+            .with_labels(["a", "b", "c", "d", "e"].map(String::from).to_vec())
+            .unwrap();
+        let label = |j: usize| format!("new-{j}");
+        // Deleting 1 and 3, in descending order: e refills slot 3, then,
+        // as the last point again, slot 1.
+        let (next, remap) = d.with_point_edits(&[1, 3], &[&[9.0, 9.0]], label).unwrap();
+        assert_eq!(remap, vec![Some(0), None, Some(2), None, Some(1)]);
+        let rows: Vec<(&str, &[f64])> =
+            (0..next.len()).map(|i| (next.label(i).unwrap(), next.point(i))).collect();
+        let want: Vec<(&str, &[f64])> = vec![
+            ("a", &[0.0, 1.0]),
+            ("e", &[4.0, 1.0]),
+            ("c", &[2.0, 1.0]),
+            ("new-0", &[9.0, 9.0]),
+        ];
+        assert_eq!(rows, want);
+        // An insert-only batch keeps every slot; unlabelled points stay
+        // unlabelled.
+        let plain = sample();
+        let (next, remap) = plain.with_point_edits(&[], &[&[0.5, 0.5]], label).unwrap();
+        assert_eq!(remap, vec![Some(0), Some(1), Some(2)]);
+        assert_eq!((next.len(), next.point(3), next.label(3)), (4, &[0.5, 0.5][..], None));
+        // The errors, in order: a wrong-dimension insert wins over a bad
+        // delete, which wins over emptying the dataset, which wins over
+        // invalid inserted coordinates.
+        assert!(matches!(
+            plain.with_point_edits(&[7], &[&[1.0]], label),
+            Err(FamError::DimensionMismatch { expected: 2, got: 1 })
+        ));
+        assert!(matches!(
+            plain.with_point_edits(&[0, 1, 2, 3], &[&[-1.0, 0.0]], label),
+            Err(FamError::IndexOutOfBounds { index: 3, len: 3 })
+        ));
+        assert!(matches!(
+            plain.with_point_edits(&[1, 1], &[], label),
+            Err(FamError::InvalidParameter { name: "delete", .. })
+        ));
+        assert!(matches!(
+            plain.with_point_edits(&[0, 1, 2], &[&[-1.0, 0.0]], label),
+            Err(FamError::EmptyDataset)
+        ));
+        assert!(matches!(
+            plain.with_point_edits(&[0], &[&[0.5, f64::NAN]], label),
+            Err(FamError::NonFinite { row: 2, col: 1 })
+        ));
     }
 
     #[test]

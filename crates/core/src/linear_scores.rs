@@ -15,7 +15,8 @@
 //! [`kernels::linear_fill`]. Every copy shares the weights through an
 //! `Arc`: [`LinearScores::with_point_edits`] derives the next point
 //! universe by scoring only the inserted points and rescanning only the
-//! samples whose best point was deleted.
+//! samples whose best point was deleted, and [`LinearScores::with_points`]
+//! scores another point set under the same weights.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -24,7 +25,7 @@ use crate::backing::ScoreBacking;
 use crate::dataset::Dataset;
 use crate::error::{FamError, Result};
 use crate::kernels;
-use crate::scores::{swap_remove_remap, MemberScores, ScoreSource};
+use crate::scores::{MemberScores, ScoreSource};
 use crate::utility::UtilityFunction;
 
 /// Linear utility samples stored as weight vectors; scores computed on
@@ -211,12 +212,11 @@ impl LinearScores {
 
     /// A copy with one point batch applied — the compact twin of
     /// `clone()` followed by [`crate::ScoreMatrix::delete_points`] and
-    /// [`crate::ScoreMatrix::insert_points`]: `delete` indexes the
-    /// current points (swap-remove: freed slots are refilled in
-    /// descending order by the then-last point), and `insert`'s
-    /// coordinates append after the survivors in batch order. Returns
-    /// the copy and the remap of the current points (`None` for deleted
-    /// ones).
+    /// [`crate::ScoreMatrix::insert_points`]. The coordinates take the
+    /// edit [`Dataset::with_point_edits`] makes (swap-remove, then
+    /// append in batch order; inserted point `j` is labelled `label(j)`
+    /// on labelled coordinates). Returns the copy and the remap of the
+    /// current points (`None` for deleted ones).
     ///
     /// The copy shares the weights; it scores only the inserted points
     /// (`N × d` each) and rescans only the samples whose best point was
@@ -226,9 +226,6 @@ impl LinearScores {
     /// post-swap order; a surviving best moves to an earlier swap-moved
     /// slot that ties it bit for bit; an inserted point takes over only
     /// by scoring strictly higher.
-    ///
-    /// When the coordinates carry labels, survivors keep theirs and
-    /// inserted point `j` is labelled `label(j)`.
     ///
     /// # Errors
     ///
@@ -275,51 +272,17 @@ impl LinearScores {
         if n_post.is_none_or(|m| m < min_points) {
             return Err(FamError::InvalidK { k: min_points, n: n_post.unwrap_or(0) });
         }
-        let remap = if delete.is_empty() {
-            (0..n).map(|p| Some(p as u32)).collect()
-        } else {
-            let remap = swap_remove_remap(n, delete)?;
-            if delete.len() == n {
-                return Err(FamError::EmptyDataset);
-            }
-            remap
-        };
+        let (dataset, remap) = self.dataset.with_point_edits(delete, insert, label)?;
         let survivors = n - delete.len();
-        // `order[slot]` is the current point that ends up in `slot`.
-        let mut order = vec![0u32; survivors];
-        for (p, slot) in remap.iter().enumerate() {
-            if let Some(s) = slot {
-                order[*s as usize] = p as u32;
-            }
-        }
-        let mut flat = Vec::with_capacity((survivors + insert.len()) * d);
-        for &p in &order {
-            flat.extend_from_slice(self.dataset.point(p as usize));
-        }
-        for coords in insert {
-            flat.extend_from_slice(coords);
-        }
-        let mut dataset = Dataset::from_flat(flat, d)?;
-        if self.dataset.label(0).is_some() {
-            let labels = order
-                .iter()
-                .map(|&p| self.dataset.label(p as usize).unwrap_or("").to_string())
-                .chain((0..insert.len()).map(label))
-                .collect();
-            dataset = dataset.with_labels(labels)?;
-        }
         let coords_t = transposed(dataset.as_flat(), d);
         let n_next = dataset.len();
-        // Slots whose occupant changed (freed slots refilled by tail
-        // points), ascending: the only places a bit-equal duplicate of a
-        // surviving best can move in front of it.
-        let mut dels = delete.to_vec();
-        dels.sort_unstable();
-        let moved: Vec<u32> = dels
-            .iter()
-            .filter(|&&s| s < survivors && order[s] as usize != s)
-            .map(|&s| s as u32)
-            .collect();
+        // Slots whose occupant changed, ascending: every deleted slot
+        // below the survivor count, refilled by a tail point. Only there
+        // can a bit-equal duplicate of a surviving best move in front of
+        // it.
+        let mut moved: Vec<u32> =
+            delete.iter().filter(|&&s| s < survivors).map(|&s| s as u32).collect();
+        moved.sort_unstable();
         let (remap_ref, moved_ref, coords_t_ref, dataset_ref) =
             (&remap, &moved, &coords_t, &dataset);
         let per_chunk = crate::par::map_chunks(n_samples, crate::par::CHUNK, |samples| {
@@ -377,6 +340,34 @@ impl LinearScores {
             best_value,
         };
         Ok((next, remap))
+    }
+
+    /// The same sampled weights over other points: the copy shares the
+    /// weights and reruns the build's best pass over `dataset`, so every
+    /// score, best and error equals [`LinearScores::from_functions`]'
+    /// over `dataset` with the same functions, bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// [`FamError::DimensionMismatch`] for points of another
+    /// dimensionality, then the build's errors: a non-finite or negative
+    /// score, or a sample that scores every point 0.
+    pub fn with_points(&self, dataset: Dataset) -> Result<LinearScores> {
+        if dataset.dim() != self.dim {
+            return Err(FamError::DimensionMismatch { expected: self.dim, got: dataset.dim() });
+        }
+        let (best_index, best_value) =
+            checked_bests(&self.vectors, dataset.as_flat(), self.dim, 0)?;
+        Ok(LinearScores {
+            vectors: Arc::clone(&self.vectors),
+            vectors_t: Arc::clone(&self.vectors_t),
+            dim: self.dim,
+            coords_t: transposed(dataset.as_flat(), self.dim),
+            dataset,
+            sample_weights: Arc::clone(&self.sample_weights),
+            best_index,
+            best_value,
+        })
     }
 
     /// Number of utility samples `N`.
@@ -564,22 +555,10 @@ impl ScoreSource for LinearScores {
         out
     }
 
-    /// Shares the weights and keeps the columns' coordinates; each
-    /// sample's best is rescanned over them with the build's own kernel.
+    /// The same weights over the columns' coordinates
+    /// ([`LinearScores::with_points`]).
     fn restricted(&self, columns: &[usize]) -> Result<ScoreBacking> {
-        let dataset = self.dataset.subset(columns)?;
-        let (best_index, best_value) =
-            checked_bests(&self.vectors, dataset.as_flat(), self.dim, 0)?;
-        Ok(ScoreBacking::Linear(LinearScores {
-            vectors: Arc::clone(&self.vectors),
-            vectors_t: Arc::clone(&self.vectors_t),
-            dim: self.dim,
-            coords_t: transposed(dataset.as_flat(), self.dim),
-            dataset,
-            sample_weights: Arc::clone(&self.sample_weights),
-            best_index,
-            best_value,
-        }))
+        Ok(ScoreBacking::Linear(self.with_points(self.dataset.subset(columns)?)?))
     }
 
     fn linear_columns(&self) -> Option<LinearColumns<'_>> {

@@ -387,8 +387,8 @@ pub fn lint_source(ctx: &FileCtx, source: &str) -> Vec<Finding> {
                     format!(
                         "`{tok}` outside the registry and fam-reduce — a reduced request is gated \
                          and remapped once, by `Registry::solve_reduced` / \
-                         `solve_range_reduced` over a `KeptUniverse`; map evaluation ids with \
-                         `KeptUniverse::columns`, or waive with a reason"
+                         `solve_range_reduced` over its `Reduction`; map evaluation ids with \
+                         `Reduction::columns`, or waive with a reason"
                     ),
                 );
             }

@@ -242,45 +242,34 @@ impl Reduction {
         full.subset(&self.kept)
     }
 
-    /// Maps original point ids into the reduced index space — the inbound
-    /// remap for warm-start seeds.
+    /// The kept-universe positions of original point ids: the score
+    /// columns of every reduced build, which holds the kept points in
+    /// ascending id order. `param` names the ids in errors (`seed`,
+    /// `selection`).
     ///
     /// # Errors
     ///
-    /// Returns [`FamError::InvalidParameter`] when an id was pruned by
-    /// the reduction (callers should re-seed or solve with
-    /// `reduce=none`), [`FamError::IndexOutOfBounds`] when it never
-    /// existed.
-    pub fn to_reduced(&self, original: &[usize]) -> Result<Vec<usize>> {
-        original
-            .iter()
+    /// [`FamError::IndexOutOfBounds`] for an id outside the source
+    /// database, [`FamError::InvalidParameter`] for one the reduction
+    /// did not keep.
+    pub fn columns(&self, ids: &[usize], param: &'static str) -> Result<Vec<usize>> {
+        ids.iter()
             .map(|&id| {
                 if id >= self.source_len {
                     return Err(FamError::IndexOutOfBounds { index: id, len: self.source_len });
                 }
                 self.kept.binary_search(&id).map_err(|_| FamError::InvalidParameter {
-                    name: "seed",
+                    name: param,
                     message: format!(
-                        "seed point {id} was pruned by the `{}` reduction; \
-                         re-seed from kept points or solve with reduce=none",
-                        self.fingerprint()
+                        "point {id} is not in the candidate set the `{}` reduction kept \
+                         ({} of {} points)",
+                        self.fingerprint(),
+                        self.kept.len(),
+                        self.source_len
                     ),
                 })
             })
             .collect()
-    }
-
-    /// Maps one reduced index back to its original id.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FamError::IndexOutOfBounds`] for an index outside the
-    /// kept universe.
-    pub fn to_original(&self, reduced: usize) -> Result<usize> {
-        self.kept
-            .get(reduced)
-            .copied()
-            .ok_or(FamError::IndexOutOfBounds { index: reduced, len: self.kept.len() })
     }
 
     /// Rewrites a solver output produced on the reduced universe so its
@@ -412,12 +401,19 @@ mod tests {
         let reduced = r.restrict_dataset(&data).unwrap();
         assert_eq!(reduced.len(), 3);
         assert_eq!(reduced.point(2), data.point(3));
-        // Original → reduced → original round-trips.
-        assert_eq!(r.to_reduced(&[0, 3]).unwrap(), vec![0, 2]);
-        assert_eq!(r.to_original(2).unwrap(), 3);
-        assert!(r.to_reduced(&[2]).is_err(), "pruned seed points are rejected");
-        assert!(r.to_reduced(&[9]).is_err());
-        assert!(r.to_original(3).is_err());
+        // Original ids map to kept positions and back.
+        assert_eq!(r.columns(&[0, 3], "seed").unwrap(), vec![0, 2]);
+        assert_eq!(r.kept()[2], 3);
+        match r.columns(&[2], "seed") {
+            Err(FamError::InvalidParameter { name: "seed", message }) => {
+                assert!(message.contains("candidate set"), "{message}")
+            }
+            other => panic!("a pruned id must be refused, got {other:?}"),
+        }
+        assert_eq!(
+            r.columns(&[9], "selection"),
+            Err(FamError::IndexOutOfBounds { index: 9, len: 4 })
+        );
         let mut out = SolveOutput::new(fam_core::Selection::new(vec![0, 2], "test"));
         r.remap_output(&mut out).unwrap();
         assert_eq!(out.selection.indices, vec![0, 3]);

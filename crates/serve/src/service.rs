@@ -28,25 +28,28 @@
 //! best point was deleted; the cache is then re-harvested on the result.
 //!
 //! A dataset reduced at build time ([`ServeOptions::reduce`]) holds the
-//! kept candidates only, in a column order updates permute. Its cold
-//! solves and harvests run through `Registry::solve_reduced` /
-//! `solve_range_reduced` over a `KeptUniverse` of those columns, the
-//! entry point the reduced `Engine` and `fam solve --param reduce=` use:
-//! it refuses a per-request `reduce=`, gates `Caps::reducible`, reads
-//! seeds as original ids and answers in original ids. `evaluate` maps
-//! its ids through the same universe. The unreduced paths, cache hits
+//! kept candidates only, in ascending original-id order, the order every
+//! fresh reduced build uses. An update edits the full coordinates,
+//! repairs the reduction and re-scores the kept points in that order
+//! under the resident weights ([`LinearScores::with_points`]), so ties
+//! break as on a fresh build over the same points. Its cold solves and
+//! harvests run through `Registry::solve_reduced` /
+//! `solve_range_reduced` over the `Reduction`, the entry point the
+//! reduced `Engine` and `fam solve --param reduce=` use: it refuses a
+//! per-request `reduce=`, gates `Caps::reducible`, reads seeds as
+//! original ids and answers in original ids. `evaluate` maps its ids
+//! through `Reduction::columns`. The unreduced paths, cache hits
 //! included, never build an id map.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
 use std::sync::Arc;
 
-use fam_algos::{KeptUniverse, Registry, Solver, SolverSpec};
+use fam_algos::{Registry, Solver, SolverSpec};
 use fam_core::{
-    check_matrix_budget, chernoff_epsilon, failpoints, regret, sample_functions, swap_remove_remap,
-    Dataset, Deadline, FamError, LinearScores, PrecisionSpec, RegretReport, Result, SimplexLinear,
-    SolverParams, TiledBuildStats, UniformLinear, UtilityDistribution, UtilityFunction,
-    DEFAULT_SIGMA,
+    check_matrix_budget, chernoff_epsilon, failpoints, regret, sample_functions, Dataset, Deadline,
+    FamError, LinearScores, PrecisionSpec, RegretReport, Result, SimplexLinear, SolverParams,
+    TiledBuildStats, UniformLinear, UtilityDistribution, UtilityFunction, DEFAULT_SIGMA,
 };
 use fam_data::UpdateOp;
 use fam_reduce::{ReduceSpec, Reduction, ReductionRepair};
@@ -113,8 +116,9 @@ pub struct ServeOptions {
     /// evaluated selections map through the kept universe, and a solver
     /// whose `Caps::reducible` refuses the reduction is refused. Updates
     /// repair the reduction incrementally
-    /// ([`fam_reduce::Reduction::repair`]) and recompute it only when a
-    /// kept member is deleted.
+    /// ([`fam_reduce::Reduction::repair`]), recompute it only when a
+    /// kept member is deleted, and re-score the kept points in ascending
+    /// id order, as a fresh reduced build holds them.
     pub reduce: ReduceSpec,
 }
 
@@ -243,35 +247,22 @@ pub struct DatasetService {
     refines: u64,
     /// Present when the service was built with a non-none
     /// [`ServeOptions::reduce`]: the resident scores then cover the
-    /// *reduced* universe, and every request runs in
-    /// [`ReducedResident::universe`].
+    /// *reduced* universe, and every request runs in its
+    /// [`ReducedResident::reduction`].
     reduced: Option<ReducedResident>,
 }
 
-/// The reduced-resident state: the live full-universe coordinates, the
-/// reduction over them, and the score-column → full-id mapping (the
-/// scores permute their columns by swap-remove on updates, so the sorted
-/// `reduction.kept()` list alone cannot address live columns; together
-/// the two are the [`KeptUniverse`] requests run in).
+/// The reduced-resident state: the live full-universe coordinates and
+/// the reduction over them, whose kept points the resident scores hold
+/// in ascending id order.
 #[derive(Clone)]
 struct ReducedResident {
-    spec: ReduceSpec,
     reduction: Reduction,
     /// Live full-universe coordinates (updates apply here first, then
-    /// repair the reduction, then translate to score column edits).
+    /// repair the reduction, then re-score its kept points).
     full: Dataset,
-    /// `cols[score_column] = full-universe id`, maintained through every
-    /// update in lockstep with the scores' remap.
-    cols: Vec<usize>,
     /// Shortfall stats from the build-time scoring pass.
     stats: TiledBuildStats,
-}
-
-impl ReducedResident {
-    /// The kept universe the scores' columns hold.
-    fn universe(&self) -> KeptUniverse<'_> {
-        KeptUniverse::with_columns(&self.reduction, &self.cols)
-    }
 }
 
 /// Harvests every range-capable solver over `ks` on `m`: in the kept
@@ -280,22 +271,22 @@ fn build_cache(
     m: &LinearScores,
     ks: &RangeInclusive<usize>,
     deadline: &Deadline,
-    universe: Option<KeptUniverse<'_>>,
+    reduction: Option<&Reduction>,
 ) -> Result<BTreeMap<(String, usize, String), SolveResult>> {
     // Chaos hook: the cache re-harvest is the expensive tail of every
     // update/refine; tests arm it to prove a failed harvest never
     // publishes a stale-cache generation.
     failpoints::fail_point("service.reharvest")?;
     let registry = Registry::global();
-    let fingerprint = universe.map_or_else(|| "none".to_string(), |u| u.reduction().fingerprint());
+    let fingerprint = reduction.map_or_else(|| "none".to_string(), Reduction::fingerprint);
     let mut cache = BTreeMap::new();
     for solver in registry.iter().filter(|s| s.capabilities().range_harvest) {
         // One trajectory per solver is the unit of interruptible work.
         deadline.check()?;
         let spec = SolverSpec::new(solver.name(), *ks.end());
-        let outs = match universe {
+        let outs = match reduction {
             None => registry.solve_range(&spec, m, None, ks.clone())?,
-            Some(u) => registry.solve_range_reduced(&spec, m, None, u, ks.clone())?,
+            Some(r) => registry.solve_range_reduced(&spec, m, None, r, ks.clone())?,
         };
         for (i, out) in outs.into_iter().enumerate() {
             let arr = out.selection.objective.unwrap_or(f64::NAN);
@@ -369,22 +360,14 @@ impl DatasetService {
             None => (LinearScores::from_functions(dataset.clone(), &functions)?, None),
             Some(reduction) => {
                 let (scores, stats) = reduction.linear_scores(dataset, &functions)?;
-                let cols = reduction.kept().to_vec();
-                let state = ReducedResident {
-                    spec: opts.reduce,
-                    reduction,
-                    full: dataset.clone(),
-                    cols,
-                    stats,
-                };
-                (scores, Some(state))
+                (scores, Some(ReducedResident { reduction, full: dataset.clone(), stats }))
             }
         };
         let cache = build_cache(
             &scores,
             &opts.cache_k,
             &Deadline::none(),
-            reduced.as_ref().map(ReducedResident::universe),
+            reduced.as_ref().map(|r| &r.reduction),
         )?;
         Ok(DatasetService {
             name: name.to_string(),
@@ -608,7 +591,7 @@ impl DatasetService {
         let m = &*self.scores;
         let out = match &self.reduced {
             None => registry.solve(spec, m, Some(m.dataset()))?,
-            Some(r) => registry.solve_reduced(spec, m, Some(m.dataset()), r.universe())?,
+            Some(r) => registry.solve_reduced(spec, m, Some(m.dataset()), &r.reduction)?,
         };
         let indices = out.selection.indices;
         let arr = match out.selection.objective {
@@ -617,7 +600,7 @@ impl DatasetService {
             // estimate the sampled arr; evaluate their selection fresh.
             _ => match &self.reduced {
                 None => regret::arr(m, &indices)?,
-                Some(r) => regret::arr(m, &r.universe().columns(&indices, "selection")?)?,
+                Some(r) => regret::arr(m, &r.reduction.columns(&indices, "selection")?)?,
             },
         };
         Ok((SolveResult { indices, arr }, false))
@@ -633,9 +616,7 @@ impl DatasetService {
     pub fn evaluate(&self, selection: &[usize]) -> Result<RegretReport> {
         match &self.reduced {
             None => regret::report(&*self.scores, selection),
-            Some(r) => {
-                regret::report(&*self.scores, &r.universe().columns(selection, "selection")?)
-            }
+            Some(r) => regret::report(&*self.scores, &r.reduction.columns(selection, "selection")?),
         }
     }
 
@@ -707,8 +688,18 @@ impl DatasetService {
         if self.reduced.is_some() {
             self.apply_ops_reduced(&deletes, &inserted_coords, deadline)?;
         } else {
+            // The copy refuses a batch that would leave fewer than the
+            // cached maximum `k` points, and any error leaves the
+            // resident scores untouched; the previous scores stay with
+            // whichever generation still holds them.
             let batch = self.updates;
-            self.patch_scores(&deletes, &inserted_coords, |j| inserted_label(batch, j))?;
+            let (scores, _) = self.scores.with_point_edits(
+                &deletes,
+                &inserted_coords,
+                *self.cache_k.end(),
+                |j| inserted_label(batch, j),
+            )?;
+            self.scores = Arc::new(scores);
         }
         self.reharvest(deadline)?;
         self.updates += 1;
@@ -720,38 +711,16 @@ impl DatasetService {
         })
     }
 
-    /// Replaces the resident scores with a copy that has one point batch
-    /// applied ([`LinearScores::with_point_edits`]: delete by
-    /// swap-remove, then append; inserted point `j` is labelled
-    /// `label(j)` on labelled coordinates). The copy refuses a batch that
-    /// would leave fewer than the cached maximum `k` points, and any
-    /// error leaves the resident scores untouched; the previous scores
-    /// stay with whichever generation still holds them. Returns the remap
-    /// of the pre-batch columns; inserted columns follow the survivors
-    /// in batch order.
-    fn patch_scores(
-        &mut self,
-        delete: &[usize],
-        insert: &[&[f64]],
-        label: impl Fn(usize) -> String,
-    ) -> Result<Vec<Option<u32>>> {
-        let min_points = *self.cache_k.end();
-        let (scores, remap) = self.scores.with_point_edits(delete, insert, min_points, label)?;
-        self.scores = Arc::new(scores);
-        Ok(remap)
-    }
-
     /// The reduced service's update path. Ops address the **full**
     /// universe (delete indices refer to the pre-batch full point set,
     /// in the same swap-remove order as the unreduced path): the full
-    /// coordinate mirror is updated first, the reduction is repaired
-    /// incrementally ([`Reduction::repair`] — a deleted kept member
-    /// forces a fresh recompute, everything else is bookkeeping plus a
-    /// dominance pass over the appended points), and the *difference*
-    /// between the old and new kept sets becomes one score batch:
-    /// evicted members are deleted columns, newly kept points (appended
-    /// points, promoted dominated points, or re-derived coreset picks)
-    /// are appended columns scored under the resident user population.
+    /// coordinates take the batch first ([`Dataset::with_point_edits`]),
+    /// the reduction is repaired incrementally ([`Reduction::repair`] —
+    /// a deleted kept member forces a fresh recompute, everything else is
+    /// bookkeeping plus a dominance pass over the appended points), and
+    /// the new kept points are re-scored in ascending id order under the
+    /// resident weights ([`LinearScores::with_points`]): the scores a
+    /// fresh reduced build over the same points would hold.
     fn apply_ops_reduced(
         &mut self,
         deletes: &[usize],
@@ -760,65 +729,40 @@ impl DatasetService {
     ) -> Result<()> {
         // fam-lint: allow(P001) -- apply_ops_within dispatches here only when self.reduced is Some, and no path clears it
         let red = self.reduced.as_ref().expect("reduced service");
-        let remap = swap_remove_remap(red.full.len(), deletes)?;
-        let full = permuted_dataset(&red.full, &remap, inserts, self.updates)?;
+        let batch = self.updates;
+        let (full, remap) =
+            red.full.with_point_edits(deletes, inserts, |j| inserted_label(batch, j))?;
         let appended = full.len() - inserts.len()..full.len();
         let reduction = match red.reduction.repair(&full, &remap, appended)? {
             ReductionRepair::Repaired(r) => r,
-            ReductionRepair::Recompute => Reduction::compute(&full, red.spec)?,
+            ReductionRepair::Recompute => Reduction::compute(&full, red.reduction.spec())?,
         };
         let hi = *self.cache_k.end();
-        let kept = reduction.kept();
-        if kept.len() < hi {
+        let kept = reduction.kept().len();
+        if kept < hi {
             return Err(FamError::InvalidParameter {
                 name: "reduce",
                 message: format!(
-                    "the update leaves the `{}` reduction of dataset `{}` with {} candidates, \
+                    "the update leaves the `{}` reduction of dataset `{}` with {kept} candidates, \
                      fewer than the cached maximum k = {hi}",
                     reduction.fingerprint(),
                     self.name,
-                    kept.len()
                 ),
             });
         }
-        // Score column -> new full id while its point stays kept; `None`
-        // marks a column to delete (the point died or left the kept set).
-        let survivors: Vec<Option<usize>> = red
-            .cols
-            .iter()
-            // fam-lint: allow(P001) -- cols entries are full-universe ids < red.full.len() == remap.len()
-            .map(|&c| remap[c].map(|s| s as usize).filter(|id| kept.binary_search(id).is_ok()))
-            .collect();
-        let delete: Vec<usize> =
-            survivors.iter().enumerate().filter(|(_, id)| id.is_none()).map(|(p, _)| p).collect();
-        let resident: BTreeSet<usize> = survivors.iter().flatten().copied().collect();
-        let added: Vec<usize> = kept.iter().copied().filter(|id| !resident.contains(id)).collect();
-        let added_coords: Vec<&[f64]> = added.iter().map(|&id| full.point(id)).collect();
         deadline.check()?;
-        let col_remap = self.patch_scores(&delete, &added_coords, |j| {
-            // fam-lint: allow(P001) -- j < added.len() == added_coords.len(), the batch's insert count
-            full.label(added[j]).unwrap_or("").to_string()
-        })?;
-        let mut cols = vec![0; survivors.len() - delete.len()];
-        for (slot, id) in col_remap.iter().zip(&survivors) {
-            if let (Some(s), Some(id)) = (slot, id) {
-                // fam-lint: allow(P001) -- swap-remove slots of the survivors are < survivors.len() - delete.len() == cols.len()
-                cols[*s as usize] = *id;
-            }
-        }
-        cols.extend_from_slice(&added);
+        self.scores = Arc::new(self.scores.with_points(reduction.restrict_dataset(&full)?)?);
         // fam-lint: allow(P001) -- same dispatch invariant: self.reduced is Some on this path
         let red = self.reduced.as_mut().expect("reduced service");
         red.full = full;
         red.reduction = reduction;
-        red.cols = cols;
         Ok(())
     }
 
     /// Re-harvests the result cache on the resident scores.
     fn reharvest(&mut self, deadline: &Deadline) -> Result<()> {
-        let universe = self.reduced.as_ref().map(ReducedResident::universe);
-        self.cache = build_cache(&self.scores, &self.cache_k, deadline, universe)?;
+        let reduction = self.reduced.as_ref().map(|r| &r.reduction);
+        self.cache = build_cache(&self.scores, &self.cache_k, deadline, reduction)?;
         Ok(())
     }
 
@@ -963,52 +907,6 @@ impl DatasetService {
 /// number keeps labels from colliding across updates.
 fn inserted_label(batch: u64, j: usize) -> String {
     format!("inserted-{batch}-{j}")
-}
-
-/// Rebuilds the full-universe coordinates of a reduced service after a
-/// batch: survivors permute through the batch's remap (swap-remove
-/// order), inserted points append in batch order; labels follow their
-/// points (inserted points are labelled [`inserted_label`]).
-fn permuted_dataset(
-    old: &Dataset,
-    remap: &[Option<u32>],
-    inserted: &[&[f64]],
-    batch: u64,
-) -> Result<Dataset> {
-    let n_new = remap.iter().filter(|r| r.is_some()).count() + inserted.len();
-    let mut rows: Vec<Vec<f64>> = vec![Vec::new(); n_new];
-    let labelled = old.label(0).is_some();
-    let mut labels: Vec<String> = vec![String::new(); if labelled { n_new } else { 0 }];
-    for (old_idx, slot) in remap.iter().enumerate() {
-        if let Some(new_idx) = slot {
-            let new_idx = *new_idx as usize;
-            let row = rows
-                .get_mut(new_idx)
-                .ok_or(FamError::IndexOutOfBounds { index: new_idx, len: n_new })?;
-            *row = old.point(old_idx).to_vec();
-            if labelled {
-                let label = labels
-                    .get_mut(new_idx)
-                    .ok_or(FamError::IndexOutOfBounds { index: new_idx, len: n_new })?;
-                *label = old.label(old_idx).unwrap_or("").to_string();
-            }
-        }
-    }
-    let first_new = n_new - inserted.len();
-    for (row, coords) in rows.iter_mut().skip(first_new).zip(inserted) {
-        *row = coords.to_vec();
-    }
-    if labelled {
-        for (j, label) in labels.iter_mut().skip(first_new).enumerate() {
-            *label = inserted_label(batch, j);
-        }
-    }
-    let ds = Dataset::from_rows(rows)?;
-    if labelled {
-        ds.with_labels(labels)
-    } else {
-        Ok(ds)
-    }
 }
 
 #[cfg(test)]
@@ -1506,19 +1404,26 @@ mod tests {
         check(&red, &plain);
         // The insert landed at full-universe id 38 and is resident.
         assert!(red.evaluate(&[38]).is_ok());
-        // In the columns the update permuted, a seed is still an original
-        // id: the answer is a per-request skyline solve's on `plain`.
-        let seeded = SolverSpec::parse("add-greedy", 2, &[("seed", "38")]).unwrap();
-        let (a, _) = red.solve(&seeded).unwrap();
-        let per_request =
-            SolverSpec::parse("add-greedy", 2, &[("seed", "38"), ("reduce", "skyline")]).unwrap();
-        let (b, _) = plain.solve(&per_request).unwrap();
-        assert!(a.indices.contains(&38), "{:?}", a.indices);
-        assert_eq!(a.indices, b.indices);
-        assert_eq!(a.arr.to_bits(), b.arr.to_bits());
+        // After the update a seed is still an original id, and ties break
+        // as on a fresh reduced build (arr is ~0 from k = 2, so the third
+        // pick is a tie): every answer, cached or seeded, is a
+        // per-request skyline solve's on `plain`.
+        for k in 2..=3 {
+            for (algo, seed) in
+                [("add-greedy", Some("38")), ("add-greedy", None), ("greedy-shrink", None)]
+            {
+                let mut pairs: Vec<(&str, &str)> = seed.map(|s| ("seed", s)).into_iter().collect();
+                let (a, _) = red.solve(&SolverSpec::parse(algo, k, &pairs).unwrap()).unwrap();
+                pairs.push(("reduce", "skyline"));
+                let (b, _) = plain.solve(&SolverSpec::parse(algo, k, &pairs).unwrap()).unwrap();
+                assert!(seed.is_none() || a.indices.contains(&38), "{:?}", a.indices);
+                assert_eq!(a.indices, b.indices, "{algo} k={k} seed={seed:?}");
+                assert_eq!(a.arr.to_bits(), b.arr.to_bits(), "{algo} k={k} seed={seed:?}");
+            }
+        }
         // A second batch that only touches pruned points leaves the
-        // resident candidate set alone (the matrix sees an empty batch).
-        // Replicate the full-universe swap-remove to find one.
+        // resident candidate set alone. Replicate the full-universe
+        // swap-remove to find one.
         let mut full: Vec<Vec<f64>> = (0..ds.len()).map(|i| ds.point(i).to_vec()).collect();
         let mut dels = [kept[0], pruned];
         dels.sort_unstable();
@@ -1532,7 +1437,7 @@ mod tests {
         let pruned2 = (0..new_full.len()).find(|i| kept_now.binary_search(i).is_err()).unwrap();
         let n_resident = red.n_points();
         red.apply_update_text(&format!("delete,{pruned2}\n"), "ops").unwrap();
-        assert_eq!(red.n_points(), n_resident, "pruned-only ops must not disturb the matrix");
+        assert_eq!(red.n_points(), n_resident, "pruned-only ops keep the candidate set");
         assert_eq!(red.source_points(), 38);
     }
 

@@ -6,7 +6,9 @@
 //! candidates' scores. Its solves run through
 //! [`Registry::solve_reduced`], the entry point every reduced request
 //! shares (the CLI's `reduce=` and fam-serve's reduced datasets too), and
-//! its evaluations map ids through the same [`KeptUniverse`].
+//! its evaluations map ids through [`Reduction::columns`]: the scores
+//! hold the kept points in ascending id order, as every reduced build
+//! does.
 //!
 //! ```
 //! use fam::Engine;
@@ -30,7 +32,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use fam_algos::{KeptUniverse, Registry, SolverSpec};
+use fam_algos::{Registry, SolverSpec};
 use fam_core::{
     chernoff_epsilon, kernels, regret, sample_functions, Dataset, FamError, LinearScores,
     PrecisionSpec, ReduceKind, RegretReport, Result, ScoreBacking, ScoreMatrix, ScoreSource,
@@ -167,7 +169,7 @@ impl Engine {
                 spec,
                 self.scores(),
                 Some(&r.dataset),
-                KeptUniverse::of(&r.reduction),
+                &r.reduction,
             ),
         }
     }
@@ -188,7 +190,7 @@ impl Engine {
                 &spec,
                 self.scores(),
                 Some(&r.dataset),
-                KeptUniverse::of(&r.reduction),
+                &r.reduction,
                 ks,
             ),
         }
@@ -207,10 +209,7 @@ impl Engine {
     pub fn evaluate(&self, selection: &[usize]) -> Result<RegretReport> {
         match &self.reduced {
             None => regret::report(self.scores(), selection),
-            Some(r) => {
-                let columns = KeptUniverse::of(&r.reduction).columns(selection, "selection")?;
-                regret::report(self.scores(), &columns)
-            }
+            Some(r) => regret::report(self.scores(), &r.reduction.columns(selection, "selection")?),
         }
     }
 

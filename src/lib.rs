@@ -89,9 +89,8 @@ pub use fam_algos::{
     continuous_arr, cube, dp_2d, greedy_shrink, greedy_shrink_range, greedy_shrink_warm, k_hit,
     local_search, mrr_greedy_exact, mrr_greedy_sampled, mrr_linear_exact, refine, reoptimize,
     sky_dom, warm_repair, AngularMeasure, Caps, Dp2dOutput, GreedyShrinkConfig, GreedyShrinkOutput,
-    KeptUniverse, LocalSearchConfig, LocalSearchOutput, QuadratureMeasure, Reducible, RefineConfig,
-    RefineOutput, RefineRound, Registry, Solver, SolverSpec, UniformAngleMeasure,
-    UniformBoxMeasure,
+    LocalSearchConfig, LocalSearchOutput, QuadratureMeasure, Reducible, RefineConfig, RefineOutput,
+    RefineRound, Registry, Solver, SolverSpec, UniformAngleMeasure, UniformBoxMeasure,
 };
 pub use fam_core::{
     check_matrix_budget, chernoff_epsilon, chernoff_sample_size, regret, ApplyReport, Dataset,
